@@ -29,7 +29,14 @@ from .errors import (
     ScatterpolyError,
     ZeroPolynomial,
 )
-from .field import DEFAULT_CAP, FieldCtx, FieldParams, build_field, modulus_text
+from .field import (
+    DEFAULT_CAP,
+    FieldCtx,
+    FieldParams,
+    build_field,
+    check_field_params,
+    modulus_text,
+)
 from .linpoly import parse_poly, parse_poly_dlogs
 from .scatter import ScatterReport, is_exceptional_desk, is_scattered_bruteforce
 from .verify import SUITES, run_suites
@@ -48,7 +55,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _default_cap() -> int:
-    return int(os.environ.get("SCATTERPOLY_CAP", DEFAULT_CAP))
+    text = os.environ.get("SCATTERPOLY_CAP", str(DEFAULT_CAP))
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise ParseError(
+            f"SCATTERPOLY_CAP must be an integer, got {text!r}") from exc
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -126,8 +138,7 @@ def _dump(obj) -> str:
 
 
 def cmd_field_info(args) -> int:
-    params = FieldParams(args.p, args.m, args.n)
-    ctx = build_field(args.p, args.m, args.n, cap=args.cap)
+    params, ctx = _field(args, need_table=True)
     info = _fingerprint(ctx, params)
     if args.output == "json":
         print(_dump(info))
@@ -145,32 +156,57 @@ def cmd_field_info(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# check
+# requests: field, polynomial, CSV row
 
 
-def _criteria_cell(verdicts: list[CriterionVerdict], t: int) -> str:
-    for v in verdicts:
-        value = v.verdict_for_index(t)
-        if value is not None:
-            return "scattered" if value else "not-scattered"
-    return "n/a"
+def _field(args, need_table: bool) -> tuple[FieldParams, FieldCtx | None]:
+    """Validated field parameters, plus tables when the field is within the cap.
+
+    Beyond the cap the parameters are still checked, and a request that
+    ``need_table`` fails with FieldTooLarge.
+    """
+    params = FieldParams(args.p, args.m, args.n)
+    if params.size <= args.cap:
+        return params, build_field(args.p, args.m, args.n, cap=args.cap)
+    check_field_params(args.p, args.m, args.n)
+    if need_table:
+        raise FieldTooLarge(params.size, args.cap)
+    return params, None
 
 
-def _check_row(params, poly_text_value, t, verdicts, report) -> dict:
-    witness_y = witness_z = ""
-    oracle_cell = ""
+def _poly(ctx: FieldCtx | None, params: FieldParams, text: str):
+    """(polynomial or None beyond the cap, dlog terms, normalized text)."""
+    if ctx is None:
+        terms = parse_poly_dlogs(params.n, params.order, text)
+        return None, terms, ",".join(f"{r}:g^{k}" for r, k in terms)
+    poly = parse_poly(ctx, text)
+    return poly, poly.dlog_terms(), str(poly)
+
+
+def _row(params: FieldParams, poly_text: str, t: int,
+         verdicts: list[CriterionVerdict], report: ScatterReport | None) -> dict:
+    """One CSV row for ``check`` and ``scan``.
+
+    ``criteria`` shows the first verdict at t; ``agree`` is "no" when any
+    verdict at t contradicts the oracle.
+    """
+    def cell(scattered: bool) -> str:
+        return "scattered" if scattered else "not-scattered"
+
+    values = [v.verdict_for_index(t) for v in verdicts]
+    values = [value for value in values if value is not None]
+    oracle_cell = agree = witness_y = witness_z = ""
     if report is not None:
-        oracle_cell = "scattered" if report.scattered else "not-scattered"
+        oracle_cell = cell(report.scattered)
+        if values:
+            agree = "no" if any(v != report.scattered for v in values) else "yes"
         if report.witness is not None:
             witness_y, witness_z = str(report.witness[0]), str(report.witness[1])
-    criteria_cell = _criteria_cell(verdicts, t)
-    agree = ""
-    if report is not None and criteria_cell != "n/a":
-        agree = "yes" if (criteria_cell == oracle_cell) else "no"
     return {
         "p": params.p, "m": params.m, "n": params.n,
-        "poly": poly_text_value, "index": t,
-        "criteria": criteria_cell, "oracle": oracle_cell, "agree": agree,
+        "poly": poly_text, "index": t,
+        "criteria": cell(values[0]) if values else "n/a",
+        "oracle": oracle_cell, "agree": agree,
         "witness_y": witness_y, "witness_z": witness_z,
     }
 
@@ -184,31 +220,23 @@ def _print_csv(rows) -> None:
     sys.stdout.write(buf.getvalue())
 
 
-def build_check_envelope(args) -> tuple[dict, bool]:
-    """Run one check request; returns (envelope, disagreement_flag)."""
-    params = FieldParams(args.p, args.m, args.n)
+# ---------------------------------------------------------------------------
+# check
+
+
+def build_check_envelope(args) -> tuple[dict, dict]:
+    """Run one check request; returns (envelope, CSV row)."""
     t = args.index
-    if not 0 <= t < params.n:
-        raise BadIndex(f"index {t} out of range 0..{params.n - 1}")
+    if not 0 <= t < args.n:
+        raise BadIndex(f"index {t} out of range 0..{args.n - 1}")
     m_list = _parse_int_list(args.m_list) if args.m_list else []
 
     timing: dict[str, float] = {}
-    ctx = None
-    need_field = args.mode in ("oracle", "both") or bool(m_list)
-    if params.size <= args.cap:
-        t0 = time.perf_counter()
-        ctx = build_field(args.p, args.m, args.n, cap=args.cap)
-        timing["build_s"] = time.perf_counter() - t0
-    elif need_field:
-        raise FieldTooLarge(params.size, args.cap)
-
+    t0 = time.perf_counter()
+    params, ctx = _field(args, args.mode in ("oracle", "both") or bool(m_list))
     if ctx is not None:
-        poly = parse_poly(ctx, args.poly)
-        terms = poly.dlog_terms()
-        poly_norm = str(poly)
-    else:
-        terms = parse_poly_dlogs(params.n, params.order, args.poly)
-        poly_norm = ",".join(f"{r}:g^{k}" for r, k in terms)
+        timing["build_s"] = time.perf_counter() - t0
+    poly, terms, poly_norm = _poly(ctx, params, args.poly)
 
     verdicts: list[CriterionVerdict] = []
     if args.mode in ("criteria", "both"):
@@ -236,13 +264,7 @@ def build_check_envelope(args) -> tuple[dict, bool]:
             })
         timing["tower_s"] = time.perf_counter() - t0
 
-    disagreement = False
-    if report is not None:
-        for v in verdicts:
-            value = v.verdict_for_index(t)
-            if value is not None and value != report.scattered:
-                disagreement = True
-
+    row = _row(params, poly_norm, t, verdicts, report)
     envelope = {
         "request": {
             "command": "check",
@@ -256,52 +278,23 @@ def build_check_envelope(args) -> tuple[dict, bool]:
             "criteria": [_verdict_view(v) for v in verdicts],
             "oracle": _report_view(report) if report is not None else None,
             "agreement": (None if report is None or not verdicts
-                          else not disagreement),
+                          else row["agree"] != "no"),
             "tower": tower,
         },
         "timing": timing,
     }
-    return envelope, disagreement
-
-
-def _row_from_envelope(envelope: dict) -> dict:
-    req = envelope["request"]
-    res = envelope["results"]
-    criteria_cell = "n/a"
-    for v in res["criteria"]:
-        for t, val in v["index_verdicts"]:
-            if t == req["index"]:
-                criteria_cell = "scattered" if val else "not-scattered"
-                break
-        if criteria_cell != "n/a":
-            break
-    oracle = res["oracle"]
-    oracle_cell = "" if oracle is None else (
-        "scattered" if oracle["scattered"] else "not-scattered")
-    witness_y = witness_z = ""
-    if oracle is not None and oracle["witness"] is not None:
-        witness_y = oracle["witness"]["y"]["text"]
-        witness_z = oracle["witness"]["z"]["text"]
-    agree = ""
-    if oracle is not None and criteria_cell != "n/a":
-        agree = "yes" if criteria_cell == oracle_cell else "no"
-    return {
-        "p": req["p"], "m": req["m"], "n": req["n"],
-        "poly": req["poly_normalized"], "index": req["index"],
-        "criteria": criteria_cell, "oracle": oracle_cell, "agree": agree,
-        "witness_y": witness_y, "witness_z": witness_z,
-    }
+    return envelope, row
 
 
 def cmd_check(args) -> int:
-    envelope, disagreement = build_check_envelope(args)
+    envelope, row = build_check_envelope(args)
     if args.output == "json":
         print(_dump(envelope))
     elif args.output == "csv":
-        _print_csv([_row_from_envelope(envelope)])
+        _print_csv([row])
     else:
         _print_check_text(envelope)
-    if disagreement:
+    if row["agree"] == "no":
         print("error: criteria and oracle disagree; this falsifies a criterion",
               file=sys.stderr)
         return 3
@@ -347,63 +340,46 @@ def _print_check_text(envelope) -> None:
 
 
 def _scan_targets(args, ctx, params):
-    """Yield (poly_text, dlog_terms, indices) per family member."""
-    if args.indices and args.indices != "own":
-        explicit = _parse_int_list(args.indices) if args.indices != "all" else None
+    """Yield (poly_text, poly, dlog_terms, indices) per family member."""
+    if args.indices == "all":
+        explicit = list(range(params.n))
+    elif args.indices and args.indices != "own":
+        explicit = _parse_int_list(args.indices)
     else:
-        explicit = "own"
-
-    def indices_for(own):
-        if explicit == "own":
-            return own
-        if explicit is None:
-            return list(range(params.n))
-        return explicit
+        explicit = None
 
     if args.family == "pseudoregulus":
-        for r in range(params.n):
-            terms = ((r, 0),)
-            yield f"{r}:g^0", terms, indices_for(list(range(params.n)))
+        texts = [f"{r}:g^0" for r in range(params.n)]
+        if explicit is None:
+            explicit = list(range(params.n))
     elif args.family == "binomial":
         coeffs = _parse_int_list(args.coeff_dlogs) if args.coeff_dlogs else \
             ([0, params.order // 2] if params.order % 2 == 0 else [0])
+        texts = []
         for r1 in range(1, params.n):
             bound = params.q**r1 - 1
             for r2 in range(r1 + 1, params.n):
                 for k1 in coeffs:
                     for k2 in coeffs:
                         order2 = params.order // math.gcd(params.order, k2)
-                        if bound % order2 != 0:
-                            continue
-                        terms = ((r1, k1 % params.order), (r2, k2 % params.order))
-                        text = f"{r1}:g^{terms[0][1]},{r2}:g^{terms[1][1]}"
-                        yield text, terms, indices_for([r1, r2])
+                        if bound % order2 == 0:
+                            texts.append(f"{r1}:g^{k1 % params.order},"
+                                         f"{r2}:g^{k2 % params.order}")
     elif args.family == "custom":
-        if not args.poly:
-            return
-        for text in args.poly:
-            if ctx is not None:
-                poly = parse_poly(ctx, text)
-                terms = poly.dlog_terms()
-            else:
-                terms = parse_poly_dlogs(params.n, params.order, text)
-            own = sorted({r for r, _ in terms})
-            yield text, terms, indices_for(own)
+        texts = args.poly
     else:
         raise ParseError(f"unknown family {args.family!r}")
 
+    for text in texts:
+        poly, terms, _ = _poly(ctx, params, text)
+        own = sorted({r for r, _ in terms})
+        yield text, poly, terms, own if explicit is None else explicit
+
 
 def cmd_scan(args) -> int:
-    params = FieldParams(args.p, args.m, args.n)
-    ctx = build_field(args.p, args.m, args.n, cap=args.cap) \
-        if params.size <= args.cap else None
-
+    params, ctx = _field(args, need_table=False)
     rows = []
-    disagreement = False
-    for text, terms, indices in _scan_targets(args, ctx, params):
-        poly = None
-        if ctx is not None:
-            poly = parse_poly(ctx, text)
+    for text, poly, terms, indices in _scan_targets(args, ctx, params):
         for t in indices:
             if not 0 <= t < params.n:
                 raise BadIndex(f"index {t} out of range 0..{params.n - 1}")
@@ -411,10 +387,7 @@ def cmd_scan(args) -> int:
             report = None
             if poly is not None:
                 report = is_scattered_bruteforce(ctx, poly, t, jobs=args.jobs)
-            row = _check_row(params, text, t, verdicts, report)
-            if row["agree"] == "no":
-                disagreement = True
-            rows.append(row)
+            rows.append(_row(params, text, t, verdicts, report))
 
     if args.output == "json":
         print(_dump({"request": {"command": "scan", "family": args.family,
@@ -427,7 +400,7 @@ def cmd_scan(args) -> int:
                   + (f" agree={row['agree']}" if row["agree"] else ""))
     else:
         _print_csv(rows)
-    if disagreement:
+    if any(row["agree"] == "no" for row in rows):
         print("error: criteria and oracle disagree somewhere in the scan",
               file=sys.stderr)
         return 3
@@ -522,9 +495,8 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -416,23 +416,32 @@ class FieldCtx:
         return f"FieldCtx(p={self.p}, m={self.m}, n={self.n})"
 
 
-def build_field(p: int, m: int, n: int, cap: int = DEFAULT_CAP,
-                strict: bool = True) -> FieldCtx:
-    """Construct F_{p^{m*n}} with deterministic modulus, generator and tables.
+def check_field_params(p: int, m: int, n: int, strict: bool = True) -> None:
+    """Reject a non-prime p, a nonpositive m or n, and (when ``strict``) p = 2.
 
-    ``strict`` rejects characteristic 2 (the scatteredness statements served
-    by this package assume odd q); pass ``strict=False`` to experiment anyway.
+    ``strict`` rejects characteristic 2 because the scatteredness statements
+    served by this package assume odd q.
     """
     if not is_prime(p):
         raise NonPrime(p)
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
-    size = p ** (m * n)
-    if size > cap:
-        raise FieldTooLarge(size, cap)
     if strict and p == 2:
         raise EvenCharacteristicRejected(
             "p = 2 rejected; pass strict=False to build even-characteristic fields")
+
+
+def build_field(p: int, m: int, n: int, cap: int = DEFAULT_CAP,
+                strict: bool = True) -> FieldCtx:
+    """Construct F_{p^{m*n}} with deterministic modulus, generator and tables.
+
+    The parameters pass :func:`check_field_params` first; pass
+    ``strict=False`` to build even-characteristic fields anyway.
+    """
+    check_field_params(p, m, n, strict)
+    size = p ** (m * n)
+    if size > cap:
+        raise FieldTooLarge(size, cap)
 
     d = m * n
     modulus = _find_modulus(p, d)

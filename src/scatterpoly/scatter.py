@@ -69,29 +69,40 @@ class TowerVerdict:
     report: ScatterReport
 
 
-def _ratio_ids(ctx: FieldCtx, s: LinearizedPolynomial, t: int,
-               dlogs: np.ndarray) -> np.ndarray:
-    """Ratio values as integers: the ratio's dlog, or q^n-1 when S(x) = 0."""
-    enc = evaluate_many(ctx, s, dlogs)
-    num = ctx._log[enc]
-    step = pow(ctx.q, t, ctx.order)
-    ids = (num - dlogs * step) % ctx.order
-    return np.where(num < 0, ctx.order, ids)
+def _scan(ctx: FieldCtx, kernel, jobs: int) -> np.ndarray:
+    """``kernel`` applied to the representatives g^0 .. g^(e-1), in order.
 
-
-def _scan_ratio_ids(ctx: FieldCtx, s: LinearizedPolynomial, t: int,
-                    dlogs: np.ndarray, jobs: int) -> np.ndarray:
-    if jobs <= 1 or dlogs.size <= _CHUNK:
-        return _ratio_ids(ctx, s, t, dlogs)
-    chunks = [dlogs[i:i + _CHUNK] for i in range(0, dlogs.size, _CHUNK)]
+    With ``jobs > 1`` and more than one chunk of representatives, the chunks
+    run on a thread pool and the partial results are concatenated in order.
+    """
+    reps = np.arange(ctx.subfield_index, dtype=np.int64)
+    if jobs <= 1 or reps.size <= _CHUNK:
+        return kernel(reps)
+    chunks = [reps[i:i + _CHUNK] for i in range(0, reps.size, _CHUNK)]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        parts = list(pool.map(lambda c: _ratio_ids(ctx, s, t, c), chunks))
-    return np.concatenate(parts)
+        return np.concatenate(list(pool.map(kernel, chunks)))
 
 
-def _check_index(ctx: FieldCtx, t: int) -> None:
+def _ratio_ids(ctx: FieldCtx, s: LinearizedPolynomial, t: int,
+               jobs: int) -> np.ndarray:
+    """Ratio values as integers: the ratio's dlog, or q^n-1 when S(x) = 0."""
     if not 0 <= t < ctx.n:
         raise BadIndex(f"index {t} out of range 0..{ctx.n - 1}")
+    step = pow(ctx.q, t, ctx.order)
+
+    def kernel(dlogs: np.ndarray) -> np.ndarray:
+        num = ctx._log[evaluate_many(ctx, s, dlogs)]
+        ids = (num - dlogs * step) % ctx.order
+        return np.where(num < 0, ctx.order, ids)
+
+    return _scan(ctx, kernel, jobs)
+
+
+def _equal_ratio_pairs(ctx: FieldCtx, ids: np.ndarray) -> int:
+    """Ordered pairs of distinct nonzero points with equal ratio values."""
+    _, counts = np.unique(ids, return_counts=True)
+    sizes = counts * (ctx.q - 1)
+    return int(np.sum(sizes * (sizes - 1)))
 
 
 def _collisions(ids: np.ndarray):
@@ -104,10 +115,10 @@ def _collisions(ids: np.ndarray):
         return None, distinct
     # consecutive dup positions belong to one run of equal values
     heads = dup[np.insert(np.diff(dup) != 1, 0, True)]
-    # representatives within a run are ascending because the sort is stable
-    pairs = np.stack([order[heads], order[heads + 1]], axis=1)
-    best = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))][0]
-    return (int(best[0]), int(best[1])), distinct
+    # representatives within a run are ascending because the sort is stable,
+    # so the run with the smallest first member holds the smallest pair
+    best = heads[np.argmin(order[heads])]
+    return (int(order[best]), int(order[best + 1])), distinct
 
 
 def is_scattered_bruteforce(ctx: FieldCtx, s: LinearizedPolynomial, t: int,
@@ -118,19 +129,12 @@ def is_scattered_bruteforce(ctx: FieldCtx, s: LinearizedPolynomial, t: int,
     One ratio evaluation per projective point; equal values are grouped and
     any non-singleton group yields a witness.
     """
-    _check_index(ctx, t)
     if limit is not None and ctx.size > limit:
         raise FieldTooLarge(ctx.size, limit)
     e = ctx.subfield_index
-    reps = np.arange(e, dtype=np.int64)
-    ids = _scan_ratio_ids(ctx, s, t, reps, jobs)
+    ids = _ratio_ids(ctx, s, t, jobs)
     collision, distinct = _collisions(ids)
-
-    pair_count = None
-    if census:
-        _, counts = np.unique(ids, return_counts=True)
-        sizes = counts * (ctx.q - 1)
-        pair_count = int(np.sum(sizes * (sizes - 1)))
+    pair_count = _equal_ratio_pairs(ctx, ids) if census else None
 
     if collision is None:
         return ScatterReport(True, t, None, e, distinct, pair_count)
@@ -146,15 +150,10 @@ def deciding_pairs(ctx: FieldCtx, s: LinearizedPolynomial, t: int,
     Enumeration walks value groups by their smallest representative and lists
     ordered pairs (y, z) of distinct members in lexicographic dlog order.
     """
-    _check_index(ctx, t)
+    ids = _ratio_ids(ctx, s, t, jobs)
     e = ctx.subfield_index
     q = ctx.q
-    reps = np.arange(e, dtype=np.int64)
-    ids = _scan_ratio_ids(ctx, s, t, reps, jobs)
-
-    _, counts = np.unique(ids, return_counts=True)
-    sizes = counts * (q - 1)
-    equal_ratio = int(np.sum(sizes * (sizes - 1)))
+    equal_ratio = _equal_ratio_pairs(ctx, ids)
     collinear = ctx.order * (q - 2)
 
     pairs: list[tuple[FFElement, FFElement]] = []
@@ -187,15 +186,8 @@ def is_permutation(ctx: FieldCtx, poly: LinearizedPolynomial,
     A nonzero root exists iff a canonical representative is one, so the scan
     covers g^0 .. g^(e-1).
     """
-    e = ctx.subfield_index
-    reps = np.arange(e, dtype=np.int64)
-    if jobs <= 1 or reps.size <= _CHUNK:
-        return not bool(np.any(evaluate_many(ctx, poly, reps) == 0))
-    chunks = [reps[i:i + _CHUNK] for i in range(0, reps.size, _CHUNK)]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        hits = pool.map(lambda c: bool(np.any(evaluate_many(ctx, poly, c) == 0)),
-                        chunks)
-        return not any(hits)
+    roots = _scan(ctx, lambda reps: evaluate_many(ctx, poly, reps) == 0, jobs)
+    return not np.any(roots)
 
 
 def scattered_via_pp(ctx: FieldCtx, s: LinearizedPolynomial, t: int,

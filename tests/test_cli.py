@@ -2,7 +2,10 @@ import csv
 import io
 import json
 
-from scatterpoly.cli import _CSV_COLUMNS, main
+from scatterpoly.cli import _CSV_COLUMNS, _row, main
+from scatterpoly.criteria import CriterionVerdict
+from scatterpoly.field import FieldParams
+from scatterpoly.scatter import ScatterReport
 
 
 def run(capsys, *argv):
@@ -57,6 +60,12 @@ def test_check_criteria_mode_beyond_cap(capsys):
     binom = [v for v in env["results"]["criteria"] if v["source"] == "binomial"]
     assert binom[0]["verdict"] is False
     assert env["results"]["oracle"] is None
+    # no tables are built, yet the field parameters are still validated
+    for p, n, message in (("4", "30", "not prime"), ("2", "40", "p = 2 rejected")):
+        code, out, err = run(capsys, "check", "--p", p, "--n", n,
+                             "--poly", "1:g^0,3:g^0", "--index", "1",
+                             "--mode", "criteria")
+        assert code == 2 and message in err and out == ""
 
 
 def test_check_oracle_mode_beyond_cap(capsys):
@@ -70,6 +79,10 @@ def test_check_bad_index(capsys):
     code, _, err = run(capsys, "check", "--p", "3", "--n", "4",
                        "--poly", "1:g^0", "--index", "4")
     assert code == 1
+    # the index is checked before the field parameters
+    code, _, err = run(capsys, "check", "--p", "4", "--n", "2",
+                       "--poly", "1:g^0", "--index", "9")
+    assert code == 1 and "index 9 out of range" in err
 
 
 def test_check_bad_poly(capsys):
@@ -213,6 +226,10 @@ def test_cap_env_override(capsys, monkeypatch):
     code, _, _ = run(capsys, "field-info", "--p", "3", "--n", "5",
                      "--cap", "1000")
     assert code == 0
+    monkeypatch.setenv("SCATTERPOLY_CAP", "abc")
+    code, _, err = run(capsys, "field-info", "--p", "3", "--n", "5")
+    assert code == 1
+    assert err == "error: SCATTERPOLY_CAP must be an integer, got 'abc'\n"
 
 
 def test_check_vector_coefficient(capsys):
@@ -248,6 +265,22 @@ def test_scan_custom_beyond_cap(capsys):
         assert row["criteria"] == "not-scattered"
         assert row["oracle"] == ""
         assert row["agree"] == ""
+    code, out, err = run(capsys, "scan", "--p", "4", "--n", "30",
+                         "--family", "custom", "--poly", "1:g^0")
+    assert code == 2 and "not prime" in err and out == ""
+
+
+def test_row_agreement_reads_every_verdict():
+    params = FieldParams(3, 1, 4)
+    report = ScatterReport(True, 1, None, 40, 40)
+    verdicts = [CriterionVerdict("first", True, True, index_verdicts=((1, True),)),
+                CriterionVerdict("second", True, False, index_verdicts=((1, False),))]
+    row = _row(params, "1:g^0", 1, verdicts, report)
+    # the CSV shows the first verdict at the index, but any contradiction counts
+    assert row["criteria"] == "scattered"
+    assert row["agree"] == "no"
+    assert _row(params, "1:g^0", 1, verdicts[:1], report)["agree"] == "yes"
+    assert _row(params, "1:g^0", 2, verdicts, report)["agree"] == ""
 
 
 def test_module_entry_point():

@@ -105,6 +105,19 @@ def test_jobs_agree(f3125):
     for t in range(5):
         assert (is_scattered_bruteforce(f3125, s, t, jobs=1)
                 == is_scattered_bruteforce(f3125, s, t, jobs=4))
+    # e = 88573 spans three scan chunks, so jobs=2 runs the threaded branch
+    big = build_field(3, 1, 11)
+    for text in ("1:g^0,3:g^5", "0:g^71427,1:g^0"):
+        s = parse_poly(big, text)
+        for t in (0, 1):
+            assert (is_scattered_bruteforce(big, s, t, jobs=1, census=True)
+                    == is_scattered_bruteforce(big, s, t, jobs=2, census=True))
+            assert (deciding_pairs(big, s, t, limit=40, jobs=1)
+                    == deciding_pairs(big, s, t, limit=40, jobs=2))
+        assert is_permutation(big, s, jobs=1) == is_permutation(big, s, jobs=2)
+    # x^3 - g^160000 x vanishes only on the class of g^80000, in the third chunk
+    assert not is_permutation(big, parse_poly(big, "0:g^71427,1:g^0"), jobs=2)
+    assert is_permutation(big, parse_poly(big, "1:g^0"), jobs=2)
 
 
 def test_census_counts(f81):
