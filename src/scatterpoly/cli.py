@@ -31,6 +31,7 @@ from .errors import (
 )
 from .field import (
     DEFAULT_CAP,
+    TABLE_LIMIT,
     FieldCtx,
     FieldParams,
     build_field,
@@ -162,15 +163,17 @@ def cmd_field_info(args) -> int:
 def _field(args, need_table: bool) -> tuple[FieldParams, FieldCtx | None]:
     """Validated field parameters, plus tables when the field is within the cap.
 
-    Beyond the cap the parameters are still checked, and a request that
-    ``need_table`` fails with FieldTooLarge.
+    Beyond the cap (or beyond ``TABLE_LIMIT``, whatever the cap) the parameters
+    are still checked, and a request that ``need_table`` fails with
+    FieldTooLarge.
     """
     params = FieldParams(args.p, args.m, args.n)
-    if params.size <= args.cap:
+    limit = min(args.cap, TABLE_LIMIT)
+    if params.size <= limit:
         return params, build_field(args.p, args.m, args.n, cap=args.cap)
     check_field_params(args.p, args.m, args.n)
     if need_table:
-        raise FieldTooLarge(params.size, args.cap)
+        raise FieldTooLarge(params.size, limit)
     return params, None
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import FieldTooLarge, NotADivisor
 from .field import DEFAULT_CAP, FFElement, FieldCtx
-from .linpoly import LinearizedPolynomial, evaluate_many
+from .linpoly import LinearizedPolynomial, _log_sum, evaluate_many
 
 
 @dataclass(frozen=True)
@@ -72,16 +72,12 @@ def factorize_poly(ctx: FieldCtx, s_poly: LinearizedPolynomial
 
 def coefficient_table(ctx: FieldCtx, decomp: CyclotomicDecomposition, r1: int,
                       f_terms) -> CoefficientTable:
-    """Evaluate f at xi^(i*q^(r1)) for every coset index i."""
+    """Evaluate f at xi^(i*q^(r1)) for every coset index i, all i at once."""
     step = decomp.s * pow(ctx.q, r1, ctx.order) % ctx.order
-    values = []
-    for i in range(decomp.l):
-        base_dlog = step * i % ctx.order
-        acc = ctx.zero()
-        for e, c in f_terms:
-            acc = ctx.add(acc, ctx.element_from_dlog((c.dlog + e * base_dlog) % ctx.order))
-        values.append(acc)
-    return CoefficientTable(r1=r1, A=tuple(values), f_terms=tuple(f_terms))
+    base = np.arange(decomp.l, dtype=np.int64) * step % ctx.order
+    dlogs = _log_sum(ctx, ((c.dlog + e * base) % ctx.order
+                           for e, c in f_terms))
+    return CoefficientTable(r1=r1, A=ctx.elements_from_dlogs(dlogs), f_terms=tuple(f_terms))
 
 
 def cyclotomic_eval(ctx: FieldCtx, decomp: CyclotomicDecomposition,
@@ -101,13 +97,13 @@ def lemma_relation_check(ctx: FieldCtx, s_poly: LinearizedPolynomial,
     decomp = decompose(ctx, s)
     table = coefficient_table(ctx, decomp, r1, f_terms)
 
-    # Vectorized over all nonzero elements: S(g^a) vs A[a mod l] * g^(a*q^r1).
+    # Vectorized over all nonzero elements, in discrete logs (-1 for zero):
+    # S(g^a) vs A[a mod l] * g^(a*q^r1).
     a = np.arange(ctx.order, dtype=np.int64)
     lhs = evaluate_many(ctx, s_poly, a)
     table_dlog = np.array([-1 if v.dlog is None else v.dlog for v in table.A],
                           dtype=np.int64)
     adlog = table_dlog[a % decomp.l]
-    prod_dlog = (adlog + a * pow(ctx.q, r1, ctx.order)) % ctx.order
-    rhs = np.where(adlog < 0, 0, ctx._antilog[prod_dlog])
+    rhs = np.where(adlog < 0, -1, (adlog + a * pow(ctx.q, r1, ctx.order)) % ctx.order)
     # both maps fix zero, so the scan over nonzero elements decides equality
     return bool(np.array_equal(lhs, rhs))

@@ -9,9 +9,10 @@ every discrete log.  Construction picks
   * the nonzero element of smallest integer encoding with full multiplicative
     order,
 
-and then materializes complete log/antilog tables, so that multiplication,
-inversion, Frobenius powers and norms are O(1) integer operations.  That is
-what makes the exhaustive scans in :mod:`scatterpoly.scatter` feasible.
+and then materializes complete log, antilog and Zech-log tables (24 bytes
+per element), so that multiplication, inversion, Frobenius powers, norms and
+addition are O(1) integer operations on discrete logs.  That is what makes
+the exhaustive scans in :mod:`scatterpoly.scatter` feasible.
 """
 
 from __future__ import annotations
@@ -28,6 +29,9 @@ from .errors import (
 )
 
 DEFAULT_CAP = 1 << 22
+# Largest field that gets tables, whatever the cap: the kernels form products
+# of two discrete logs in int64, which stay below 2^63 only while q^n < 2^31.
+TABLE_LIMIT = 1 << 31
 _TABLE_BLOCK = 4096
 
 
@@ -205,35 +209,64 @@ def _mult_matrix(vec, mod, p: int) -> np.ndarray:
 
 
 def _build_tables(p: int, d: int, mod, gamma_vec):
+    """Antilog, log and Zech-log tables of F_p[x]/(mod) with generator gamma.
+
+    The antilog walk multiplies blocks of powers by gamma^block in float64, so
+    the product runs on BLAS.  It is exact: every entry is below p^2 * d, far
+    under 2^53, and ``y - p * floor(y / p)`` reduces an exact integer exactly.
+    """
     size = p**d
     n_units = size - 1
-    ppow = np.array([p**i for i in range(d)], dtype=np.int64)
+    ppow = np.array([float(p**i) for i in range(d)])
     block = min(n_units, _TABLE_BLOCK)
 
-    gamma_m = _mult_matrix(gamma_vec, mod, p)
+    # gamma^0 .. gamma^(block-1) by doubling: step_m multiplies by gamma^filled
     small = np.zeros((block, d), dtype=np.int64)
     small[0, 0] = 1
-    for j in range(1, block):
-        small[j] = small[j - 1] @ gamma_m % p
+    step_m = _mult_matrix(gamma_vec, mod, p)
+    filled = 1
+    while filled < block:
+        cnt = min(filled, block - filled)
+        small[filled:filled + cnt] = small[:cnt] @ step_m % p
+        filled += cnt
+        step_m = step_m @ step_m % p
 
     big_step = _fixed_powmod(gamma_vec, block, mod, p)
-    big_m = _mult_matrix(big_step, mod, p)
+    big_m = _mult_matrix(big_step, mod, p).astype(np.float64)
 
     antilog = np.empty(n_units, dtype=np.int64)
-    cur = small
+    cur = small.astype(np.float64)
     idx = 0
     while idx < n_units:
         cnt = min(block, n_units - idx)
         antilog[idx:idx + cnt] = cur[:cnt] @ ppow
         idx += cnt
         if idx < n_units:
-            cur = cur @ big_m % p
+            cur = cur @ big_m
+            quot = cur / p
+            np.floor(quot, out=quot)
+            quot *= p
+            cur -= quot
 
     log = np.full(size, -1, dtype=np.int64)
     log[antilog] = np.arange(n_units, dtype=np.int64)
     if int(np.count_nonzero(log >= 0)) != n_units:
         raise RuntimeError("log/antilog tables are not bijective")
-    return antilog, log, ppow
+    return antilog, log, _zech_table(p, log)
+
+
+def _zech_table(p: int, log: np.ndarray) -> np.ndarray:
+    """zech[k] = log(1 + g^k), or -1 where 1 + g^k = 0.
+
+    Adding 1 changes only the lowest base-p digit of an encoding, so encoding
+    u pairs with u + 1, or with u + 1 - p when that digit is p - 1.  Strided
+    slices of ``log`` pair them without a full-size temporary.
+    """
+    zech = np.empty(log.size - 1, dtype=np.int64)
+    zech[log[p::p]] = log[p + 1::p]
+    for j in range(1, p):
+        zech[log[j::p]] = log[(j + 1) % p::p]
+    return zech
 
 
 @dataclass(frozen=True)
@@ -289,14 +322,14 @@ class FFElement:
 
 
 class FieldCtx:
-    """Immutable context for F_{q^n} with full log/antilog tables.
+    """Immutable context for F_{q^n} with full log, antilog and Zech tables.
 
     Construct via :func:`build_field`.  Safe to share across threads; no
     method mutates the context.
     """
 
     def __init__(self, p: int, m: int, n: int, cap: int, modulus, gamma_vec,
-                 factorization, antilog, log, ppow):
+                 factorization, antilog, log, zech):
         self.p = p
         self.m = m
         self.n = n
@@ -310,7 +343,9 @@ class FieldCtx:
         self.factorization = tuple(factorization)
         self._antilog = antilog
         self._log = log
-        self._ppow = ppow
+        self._zech = zech
+        # -1 = g^(order/2) in odd characteristic; -1 = 1 when p = 2
+        self._neg_shift = self.order // 2 if p > 2 else 0
         self.gamma = self.element_from_dlog(1) if self.order > 1 else self.one()
 
     # -- representation helpers ------------------------------------------
@@ -334,6 +369,13 @@ class FieldCtx:
         k %= self.order
         enc = int(self._antilog[k])
         return FFElement(tuple(_digits(enc, self.p, self.degree)), k)
+
+    def elements_from_dlogs(self, dlogs: np.ndarray) -> tuple[FFElement, ...]:
+        """The elements g^k for an array of discrete logs 0 <= k < order; -1 gives 0."""
+        enc = np.where(dlogs < 0, 0, self._antilog[dlogs])
+        digits = enc[:, None] // self.p ** np.arange(self.degree, dtype=np.int64) % self.p
+        return tuple(FFElement(tuple(row), None if k < 0 else k)
+                     for row, k in zip(digits.tolist(), dlogs.tolist()))
 
     def element_from_encoding(self, enc: int) -> FFElement:
         if not 0 <= enc < self.size:
@@ -360,17 +402,23 @@ class FieldCtx:
 
     # -- arithmetic -------------------------------------------------------
 
+    def _add_dlogs(self, a: FFElement, b_dlog: int | None) -> FFElement:
+        """a + g^b_dlog through the Zech table: g^u + g^v = g^(u + zech[v - u])."""
+        if b_dlog is None:
+            return a
+        if a.dlog is None:
+            return self.element_from_dlog(b_dlog)
+        z = int(self._zech[(b_dlog - a.dlog) % self.order])
+        return self.zero() if z < 0 else self.element_from_dlog(a.dlog + z)
+
     def add(self, a: FFElement, b: FFElement) -> FFElement:
-        vec = [(x + y) % self.p for x, y in zip(a.coeffs, b.coeffs)]
-        return self.element_from_encoding(_encode(vec, self.p))
+        return self._add_dlogs(a, b.dlog)
 
     def neg(self, a: FFElement) -> FFElement:
-        return self.element_from_encoding(
-            _encode([(-x) % self.p for x in a.coeffs], self.p))
+        return a if a.dlog is None else self.element_from_dlog(a.dlog + self._neg_shift)
 
     def sub(self, a: FFElement, b: FFElement) -> FFElement:
-        vec = [(x - y) % self.p for x, y in zip(a.coeffs, b.coeffs)]
-        return self.element_from_encoding(_encode(vec, self.p))
+        return self._add_dlogs(a, None if b.dlog is None else b.dlog + self._neg_shift)
 
     def mul(self, a: FFElement, b: FFElement) -> FFElement:
         if a.dlog is None or b.dlog is None:
@@ -440,15 +488,16 @@ def build_field(p: int, m: int, n: int, cap: int = DEFAULT_CAP,
     """
     check_field_params(p, m, n, strict)
     size = p ** (m * n)
-    if size > cap:
-        raise FieldTooLarge(size, cap)
+    limit = min(cap, TABLE_LIMIT)
+    if size > limit:
+        raise FieldTooLarge(size, limit)
 
     d = m * n
     modulus = _find_modulus(p, d)
     fact = factorize(size - 1) if size > 2 else ()
     gamma_vec = _find_generator(p, d, modulus, size - 1, fact)
-    antilog, log, ppow = _build_tables(p, d, modulus, gamma_vec)
-    return FieldCtx(p, m, n, cap, modulus, gamma_vec, fact, antilog, log, ppow)
+    antilog, log, zech = _build_tables(p, d, modulus, gamma_vec)
+    return FieldCtx(p, m, n, cap, modulus, gamma_vec, fact, antilog, log, zech)
 
 
 def modulus_text(ctx: FieldCtx) -> str:

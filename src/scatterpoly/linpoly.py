@@ -77,22 +77,41 @@ def evaluate(ctx: FieldCtx, s: LinearizedPolynomial, x: FFElement) -> FFElement:
     return acc
 
 
+def _log_sum(ctx: FieldCtx, logs) -> np.ndarray:
+    """Discrete logs of the elementwise sums of g^v over the arrays v in ``logs``.
+
+    -1 marks a zero sum.  The terms themselves must be nonzero (no -1 entries).
+    Addition stays in the log domain: g^u + g^v = g^(u + zech[v - u]), one
+    gather per point and term.
+    """
+    order = ctx.order
+    acc = None
+    for v in logs:
+        if acc is None:
+            acc = v
+            continue
+        zero = acc < 0
+        diff = v - acc
+        diff %= order
+        z = ctx._zech[diff]
+        total = acc + z
+        total %= order
+        total[z < 0] = -1
+        if zero.any():
+            total[zero] = v[zero]
+        acc = total
+    return acc
+
+
 def evaluate_many(ctx: FieldCtx, s: LinearizedPolynomial,
                   dlogs: np.ndarray) -> np.ndarray:
-    """Encodings of S(g^a) for a whole vector of discrete logs a.
+    """Discrete logs of S(g^a) for a whole vector of discrete logs a; -1 for 0.
 
-    The bulk path behind the exhaustive scans: per term, one table lookup per
-    point plus digitwise accumulation mod p, all vectorized.
+    The bulk path behind the exhaustive scans: term i at g^a is
+    g^(dlog(a_i) + a * q^(r_i)), and the terms are summed with :func:`_log_sum`.
     """
-    p = ctx.p
-    acc = np.zeros((dlogs.size, ctx.degree), dtype=np.int64)
-    for r, coeff in s.terms:
-        step = pow(ctx.q, r, ctx.order)
-        enc = ctx._antilog[(coeff.dlog + dlogs * step) % ctx.order]
-        for j in range(ctx.degree):
-            acc[:, j] += (enc // ctx._ppow[j]) % p
-    acc %= p
-    return acc @ ctx._ppow
+    return _log_sum(ctx, ((coeff.dlog + dlogs * pow(ctx.q, r, ctx.order)) % ctx.order
+                          for r, coeff in s.terms))
 
 
 def ratio_map(ctx: FieldCtx, s: LinearizedPolynomial, t: int, x: FFElement) -> FFElement:

@@ -5,7 +5,7 @@ distinct nonzero points force the points to be F_q-proportional.  The ratio is
 constant on F_q^*-classes, and the class of g^a contains exactly one discrete
 log below e = (q^n-1)/(q-1), so the scan walks the canonical representatives
 g^0 .. g^(e-1), computes each ratio with table lookups, and groups equal
-values.  Scattered means every group is a singleton.
+values in one counting pass.  Scattered means every group is a singleton.
 
 The representative range can be partitioned across worker threads (numpy
 releases the GIL on the bulk operations); partial results are merged by a
@@ -14,6 +14,7 @@ single owner, and the field context is shared read-only.
 
 from __future__ import annotations
 
+import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -91,34 +92,35 @@ def _ratio_ids(ctx: FieldCtx, s: LinearizedPolynomial, t: int,
     step = pow(ctx.q, t, ctx.order)
 
     def kernel(dlogs: np.ndarray) -> np.ndarray:
-        num = ctx._log[evaluate_many(ctx, s, dlogs)]
+        num = evaluate_many(ctx, s, dlogs)
         ids = (num - dlogs * step) % ctx.order
         return np.where(num < 0, ctx.order, ids)
 
     return _scan(ctx, kernel, jobs)
 
 
-def _equal_ratio_pairs(ctx: FieldCtx, ids: np.ndarray) -> int:
-    """Ordered pairs of distinct nonzero points with equal ratio values."""
-    _, counts = np.unique(ids, return_counts=True)
-    sizes = counts * (ctx.q - 1)
-    return int(np.sum(sizes * (sizes - 1)))
+def _equal_ratio_pairs(ctx: FieldCtx, counts: np.ndarray) -> int:
+    """Ordered pairs of distinct nonzero points with equal ratio values.
+
+    A value shared by c representatives is taken by m = c(q-1) points, which
+    make m(m-1) pairs; summed over values that is (q-1)^2 sum(c^2) - (q-1) sum(c).
+    """
+    w = ctx.q - 1
+    return w * w * int(np.dot(counts, counts)) - w * int(counts.sum())
 
 
-def _collisions(ids: np.ndarray):
-    """Smallest colliding representative pair plus the distinct-value count."""
-    order = np.argsort(ids, kind="stable")
-    sorted_ids = ids[order]
-    dup = np.nonzero(sorted_ids[:-1] == sorted_ids[1:])[0]
-    distinct = int(ids.size - dup.size)
-    if dup.size == 0:
-        return None, distinct
-    # consecutive dup positions belong to one run of equal values
-    heads = dup[np.insert(np.diff(dup) != 1, 0, True)]
-    # representatives within a run are ascending because the sort is stable,
-    # so the run with the smallest first member holds the smallest pair
-    best = heads[np.argmin(order[heads])]
-    return (int(order[best]), int(order[best + 1])), distinct
+def _collisions(ids: np.ndarray, counts: np.ndarray) -> tuple[int, int] | None:
+    """Smallest colliding representative pair (y, z), or None.
+
+    The first representative whose value is shared is the smallest y of any
+    colliding pair, and the next representative with that value is its
+    smallest partner z.
+    """
+    shared = counts[ids] > 1
+    y = int(np.argmax(shared))
+    if not shared[y]:
+        return None
+    return y, y + 1 + int(np.argmax(ids[y + 1:] == ids[y]))
 
 
 def is_scattered_bruteforce(ctx: FieldCtx, s: LinearizedPolynomial, t: int,
@@ -126,15 +128,17 @@ def is_scattered_bruteforce(ctx: FieldCtx, s: LinearizedPolynomial, t: int,
                             limit: int | None = None) -> ScatterReport:
     """Exhaustive decision of scatteredness of index t.
 
-    One ratio evaluation per projective point; equal values are grouped and
-    any non-singleton group yields a witness.
+    One ratio evaluation per projective point; equal values are counted in one
+    pass and any shared value yields a witness.
     """
     if limit is not None and ctx.size > limit:
         raise FieldTooLarge(ctx.size, limit)
     e = ctx.subfield_index
     ids = _ratio_ids(ctx, s, t, jobs)
-    collision, distinct = _collisions(ids)
-    pair_count = _equal_ratio_pairs(ctx, ids) if census else None
+    counts = np.bincount(ids, minlength=ctx.order + 1)
+    collision = _collisions(ids, counts)
+    distinct = int(np.count_nonzero(counts))
+    pair_count = _equal_ratio_pairs(ctx, counts) if census else None
 
     if collision is None:
         return ScatterReport(True, t, None, e, distinct, pair_count)
@@ -143,40 +147,53 @@ def is_scattered_bruteforce(ctx: FieldCtx, s: LinearizedPolynomial, t: int,
     return ScatterReport(False, t, (y, z), e, distinct, pair_count)
 
 
+def _groups_by_head(ids: np.ndarray, counts: np.ndarray):
+    """Representatives of each value group, groups in order of their smallest one.
+
+    Lazy: a singleton comes straight from ``counts``, and larger groups are
+    read off one stable sort of the representatives whose value is shared.
+    """
+    shared = np.flatnonzero(counts[ids] > 1)
+    by_value = shared[np.argsort(ids[shared], kind="stable")]
+    sorted_ids = ids[by_value]
+    for y in range(ids.size):
+        value = ids[y]
+        if counts[value] == 1:
+            yield (y,)
+            continue
+        lo = int(np.searchsorted(sorted_ids, value))
+        if by_value[lo] == y:  # y heads its group
+            yield by_value[lo:lo + counts[value]]
+
+
 def deciding_pairs(ctx: FieldCtx, s: LinearizedPolynomial, t: int,
                    limit: int | None = 64, jobs: int = 1) -> DecidingPairCensus:
     """Census of pairs with equal ratio values, with capped enumeration.
 
     Enumeration walks value groups by their smallest representative and lists
-    ordered pairs (y, z) of distinct members in lexicographic dlog order.
+    ordered pairs (y, z) of distinct members in lexicographic dlog order.  Only
+    the groups that hold the first ``limit`` pairs are built.
     """
     ids = _ratio_ids(ctx, s, t, jobs)
+    counts = np.bincount(ids, minlength=ctx.order + 1)
     e = ctx.subfield_index
     q = ctx.q
-    equal_ratio = _equal_ratio_pairs(ctx, ids)
+    equal_ratio = _equal_ratio_pairs(ctx, counts)
     collinear = ctx.order * (q - 2)
 
-    pairs: list[tuple[FFElement, FFElement]] = []
-    truncated = False
-    if limit is None or limit > 0:
-        order = np.argsort(ids, kind="stable")
-        boundaries = np.nonzero(np.diff(ids[order]))[0] + 1
-        groups = np.split(order, boundaries)
-        for group in sorted(groups, key=lambda g: int(g[0])):
-            members = sorted(int(rep) + i * e for rep in group for i in range(q - 1))
+    def ordered_pairs():
+        for reps in _groups_by_head(ids, counts):
+            members = sorted(int(rep) + i * e for rep in reps for i in range(q - 1))
             for y in members:
                 for z in members:
-                    if y == z:
-                        continue
-                    if limit is not None and len(pairs) >= limit:
-                        truncated = True
-                        break
-                    pairs.append((ctx.element_from_dlog(y), ctx.element_from_dlog(z)))
-                if truncated:
-                    break
-            if truncated:
-                break
-    return DecidingPairCensus(t, equal_ratio, collinear, tuple(pairs), truncated)
+                    if y != z:
+                        yield y, z
+
+    wanted = equal_ratio if limit is None else max(0, min(limit, equal_ratio))
+    pairs = tuple((ctx.element_from_dlog(y), ctx.element_from_dlog(z))
+                  for y, z in itertools.islice(ordered_pairs(), wanted))
+    truncated = limit is not None and 0 < limit < equal_ratio
+    return DecidingPairCensus(t, equal_ratio, collinear, pairs, truncated)
 
 
 def is_permutation(ctx: FieldCtx, poly: LinearizedPolynomial,
@@ -186,7 +203,7 @@ def is_permutation(ctx: FieldCtx, poly: LinearizedPolynomial,
     A nonzero root exists iff a canonical representative is one, so the scan
     covers g^0 .. g^(e-1).
     """
-    roots = _scan(ctx, lambda reps: evaluate_many(ctx, poly, reps) == 0, jobs)
+    roots = _scan(ctx, lambda reps: evaluate_many(ctx, poly, reps) < 0, jobs)
     return not np.any(roots)
 
 

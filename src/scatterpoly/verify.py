@@ -80,11 +80,11 @@ def coset_multipliers_consistent(ctx: FieldCtx, s: LinearizedPolynomial) -> bool
     r1, div, f_terms = factorize_poly(ctx, s)
     decomp = decompose(ctx, div)
     table = coefficient_table(ctx, decomp, r1, f_terms)
-    enc = np.array([ctx.encode(v) for v in table.A], dtype=np.int64)
+    dlogs = np.array([-1 if v.dlog is None else v.dlog for v in table.A], dtype=np.int64)
     cosets = np.arange(decomp.l, dtype=np.int64)
     e = ctx.subfield_index
     for i in range(1, ctx.q - 1):
-        if not np.array_equal(enc[cosets], enc[(cosets + i * e) % decomp.l]):
+        if not np.array_equal(dlogs[cosets], dlogs[(cosets + i * e) % decomp.l]):
             return False
     return True
 

@@ -232,6 +232,20 @@ def test_cap_env_override(capsys, monkeypatch):
     assert err == "error: SCATTERPOLY_CAP must be an integer, got 'abc'\n"
 
 
+def test_table_limit_beyond_any_cap(capsys, monkeypatch):
+    # F_3^21 is within this cap but above field.TABLE_LIMIT: requests that
+    # need tables exit 2 before allocating any, criteria-only ones still answer
+    monkeypatch.setenv("SCATTERPOLY_CAP", "99999999999")
+    argv = ("check", "--p", "3", "--n", "21", "--poly", "1:g^0,3:g^0", "--index", "1")
+    code, out, err = run(capsys, *argv, "--mode", "both")
+    assert code == 2 and "exceeds cap 2147483648" in err and out == ""
+    code, out, _ = run(capsys, *argv, "--mode", "criteria", "--output", "json")
+    assert code == 0
+    assert json.loads(out)["field"]["materialized"] is False
+    code, _, _ = run(capsys, "field-info", "--p", "3", "--n", "21")
+    assert code == 2
+
+
 def test_check_vector_coefficient(capsys):
     # [2] is the element -1; same polynomial as 3:g^121 over F_3^5
     code, out, _ = run(capsys, "check", "--p", "3", "--n", "5",

@@ -17,6 +17,8 @@ from scatterpoly import (
 )
 from scatterpoly.cyclotomic import CoefficientTable
 
+from naive_oracle import naive_mul, naive_pow
+
 
 def test_decompose_f9(f9):
     d = decompose(f9, 2)
@@ -90,6 +92,33 @@ def test_coefficient_table(f3125):
             f3125.one(),
             f3125.element_from_dlog(d.xi.dlog * i * 125 % f3125.order))
         assert table.A[i] == expected
+
+
+def test_coefficient_table_matches_coefficient_arithmetic(f81, f3125, f81_tower):
+    # A_i = sum_j c_j xi^(i*q^r1*e_j), summed here on coefficient vectors;
+    # x^q - x and x^(q^2) - x give tables with zero entries
+    for ctx in (f81, f3125, f81_tower):
+        p, mod = ctx.p, list(ctx.modulus)
+        polys = [normalize(ctx, [(0, ctx.minus_one()), (r, ctx.one())])
+                 for r in range(1, ctx.n)]
+        polys += [normalize(ctx, [(1, ctx.gamma), (2 % ctx.n, ctx.element_from_dlog(9))]),
+                  normalize(ctx, [(r, ctx.element_from_dlog(5 * r + 2))
+                                  for r in range(ctx.n)])]
+        zeros = 0
+        for s_poly in polys:
+            r1, s, f_terms = factorize_poly(ctx, s_poly)
+            d = decompose(ctx, s)
+            table = coefficient_table(ctx, d, r1, f_terms)
+            step = s * ctx.q**r1
+            for i in range(d.l):
+                point = ctx.element_from_dlog(step * i)
+                total = [0] * ctx.degree
+                for e, c in f_terms:
+                    term = naive_mul(p, mod, c.coeffs, naive_pow(p, mod, point.coeffs, e))
+                    total = [(u + v) % p for u, v in zip(total, term)]
+                assert table.A[i] == ctx.element_from_coeffs(total), (str(s_poly), i)
+            zeros += sum(a.is_zero for a in table.A)
+        assert zeros > 0
 
 
 def test_coefficient_table_constant(f81):

@@ -10,7 +10,7 @@ from scatterpoly import (
     NonPrime,
     build_field,
 )
-from scatterpoly.field import factorize, is_prime, modulus_text
+from scatterpoly.field import DEFAULT_CAP, TABLE_LIMIT, factorize, is_prime, modulus_text
 
 from naive_oracle import naive_mul, naive_pow
 
@@ -43,6 +43,15 @@ def test_build_rejections():
     # the strictness flag admits characteristic 2
     ctx = build_field(2, 1, 4, strict=False)
     assert ctx.size == 16
+
+
+def test_table_limit():
+    # dlog products in the int64 kernels stay below 2^63 up to the limit
+    assert DEFAULT_CAP <= TABLE_LIMIT and (TABLE_LIMIT - 1) ** 2 < 2**63
+    # refused before any table is allocated, whatever the cap
+    with pytest.raises(FieldTooLarge) as info:
+        build_field(3, 1, 21, cap=10**11)
+    assert info.value.cap == TABLE_LIMIT
 
 
 def test_build_is_reproducible():
@@ -235,3 +244,33 @@ def test_degenerate_binary_field():
     assert ctx.gamma == ctx.one()
     assert ctx.element_order(ctx.one()) == 1
     assert ctx.in_base_subfield(ctx.one())
+
+
+@pytest.mark.parametrize("params", [(2, 1, 5), (3, 1, 4), (3, 2, 3), (5, 1, 3),
+                                    (7, 1, 3)])
+def test_zech_table_is_log_of_one_plus(params):
+    ctx = build_field(*params, strict=False)
+    expected = []
+    for k in range(ctx.order):
+        coeffs = list(ctx.element_from_dlog(k).coeffs)
+        coeffs[0] = (coeffs[0] + 1) % ctx.p
+        total = ctx.element_from_coeffs(coeffs)
+        expected.append(-1 if total.is_zero else total.dlog)
+    assert ctx._zech.tolist() == expected
+    # 1 + g^k = 0 exactly at g^k = -1
+    assert expected.index(-1) == ctx.minus_one().dlog
+    assert expected.count(-1) == 1
+
+
+@pytest.mark.parametrize("params", [(3, 1, 2), (2, 1, 4)])
+def test_add_sub_neg_match_coefficient_arithmetic(params):
+    ctx = build_field(*params, strict=False)
+    elements = [ctx.zero()] + [ctx.element_from_dlog(k) for k in range(ctx.order)]
+    for a in elements:
+        neg = ctx.element_from_coeffs([-x for x in a.coeffs])
+        assert ctx.neg(a) == neg
+        for b in elements:
+            assert ctx.add(a, b) == ctx.element_from_coeffs(
+                [x + y for x, y in zip(a.coeffs, b.coeffs)])
+            assert ctx.sub(a, b) == ctx.element_from_coeffs(
+                [x - y for x, y in zip(a.coeffs, b.coeffs)])

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from scatterpoly import (
@@ -11,6 +12,7 @@ from scatterpoly import (
     ZeroPolynomial,
     build_field,
     evaluate,
+    evaluate_many,
     normalize,
     parse_poly,
     ratio_map,
@@ -62,6 +64,28 @@ def test_evaluate_matches_naive(f81):
     for k in range(0, f81.order, 7):
         x = f81.element_from_dlog(k)
         assert evaluate(f81, s, x).coeffs == naive_evaluate(f81, s, x)
+
+
+def test_evaluate_many_matches_naive(f81, f81_tower):
+    # F_3^4 and F_9^2.  x^(q^r) - x vanishes on F_(q^gcd(r, n)), so the zero
+    # sentinel -1 must appear wherever S does.
+    for ctx in (f81, f81_tower):
+        polys = [normalize(ctx, [(0, ctx.minus_one()), (r, ctx.one())])
+                 for r in range(1, ctx.n)]
+        polys += [normalize(ctx, [(1, ctx.gamma)]),
+                  normalize(ctx, [(0, ctx.gamma), (1, ctx.element_from_dlog(7))]),
+                  normalize(ctx, [(r, ctx.element_from_dlog(3 * r + 1))
+                                  for r in range(ctx.n)])]
+        dlogs = np.arange(ctx.order, dtype=np.int64)
+        zeros = 0
+        for s in polys:
+            got = evaluate_many(ctx, s, dlogs)
+            for k in range(ctx.order):
+                value = ctx.element_from_coeffs(
+                    naive_evaluate(ctx, s, ctx.element_from_dlog(k)))
+                assert got[k] == (-1 if value.is_zero else value.dlog), (str(s), k)
+            zeros += int(np.count_nonzero(got < 0))
+        assert zeros >= ctx.q - 1
 
 
 def test_evaluate_additive(f27):

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from scatterpoly import (
@@ -18,6 +19,8 @@ from scatterpoly import (
     ratio_map,
     scattered_via_pp,
 )
+
+from scatterpoly.scatter import _collisions, _ratio_ids
 
 from naive_oracle import naive_deciding_pair_count, naive_is_scattered
 
@@ -118,6 +121,38 @@ def test_jobs_agree(f3125):
     # x^3 - g^160000 x vanishes only on the class of g^80000, in the third chunk
     assert not is_permutation(big, parse_poly(big, "0:g^71427,1:g^0"), jobs=2)
     assert is_permutation(big, parse_poly(big, "1:g^0"), jobs=2)
+
+
+def _random_instances(ctx, rng, count):
+    for _ in range(count):
+        exps = rng.sample(range(ctx.n), rng.randint(1, min(3, ctx.n)))
+        s = normalize(ctx, [(r, ctx.element_from_dlog(rng.randrange(ctx.order)))
+                            for r in exps])
+        yield s, rng.randrange(ctx.n)
+
+
+def test_collisions_pick_smallest_pair(f81, f243, f125, f81_tower):
+    rng = random.Random(5)
+    for ctx in (f81, f243, f125, f81_tower):
+        for s, t in _random_instances(ctx, rng, 25):
+            arr = _ratio_ids(ctx, s, t, 1)
+            ids = arr.tolist()
+            brute = next(((y, z) for y in range(len(ids))
+                          for z in range(y + 1, len(ids)) if ids[y] == ids[z]), None)
+            assert _collisions(arr, np.bincount(arr)) == brute, (str(s), t)
+
+
+def test_capped_pairs_are_a_prefix(f81, f243, f81_tower):
+    rng = random.Random(9)
+    for ctx in (f81, f243, f81_tower):
+        for s, t in _random_instances(ctx, rng, 10):
+            full = deciding_pairs(ctx, s, t, limit=None)
+            assert len(full.pairs) == full.equal_ratio_pairs
+            for limit in (0, 1, 7, 40):
+                capped = deciding_pairs(ctx, s, t, limit=limit)
+                assert capped.pairs == full.pairs[:limit]
+                assert capped.truncated == (0 < limit < full.equal_ratio_pairs)
+                assert capped.equal_ratio_pairs == full.equal_ratio_pairs
 
 
 def test_census_counts(f81):
