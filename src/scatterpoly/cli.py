@@ -92,18 +92,18 @@ def _fingerprint(ctx: FieldCtx | None, params: FieldParams) -> dict:
             "modulus": list(ctx.modulus),
             "modulus_text": modulus_text(ctx),
             "modulus_encoding": ctx.modulus_encoding,
-            "gamma_coeffs": list(ctx.gamma.coeffs),
+            "gamma_coeffs": list(ctx.coeffs(ctx.gamma)),
             "gamma_encoding": ctx.gamma_encoding,
             "factorization": [[prime, exp] for prime, exp in ctx.factorization],
         })
     return base
 
 
-def _element_view(elem) -> dict:
-    return {"dlog": elem.dlog, "coeffs": list(elem.coeffs), "text": str(elem)}
+def _element_view(ctx: FieldCtx, elem) -> dict:
+    return {"dlog": elem.dlog, "coeffs": list(ctx.coeffs(elem)), "text": str(elem)}
 
 
-def _report_view(report: ScatterReport) -> dict:
+def _report_view(ctx: FieldCtx, report: ScatterReport) -> dict:
     out = {
         "scattered": report.scattered,
         "index": report.index,
@@ -113,8 +113,8 @@ def _report_view(report: ScatterReport) -> dict:
         "deciding_pair_count": report.deciding_pair_count,
     }
     if report.witness is not None:
-        out["witness"] = {"y": _element_view(report.witness[0]),
-                          "z": _element_view(report.witness[1])}
+        out["witness"] = {"y": _element_view(ctx, report.witness[0]),
+                          "z": _element_view(ctx, report.witness[1])}
     return out
 
 
@@ -149,7 +149,7 @@ def cmd_field_info(args) -> int:
     print(f"field F_{params.q}^{params.n} = F_{params.p}^{params.degree} "
           f"(p={params.p}, m={params.m}, n={params.n})")
     print(f"modulus: {modulus_text(ctx)} (encoding {ctx.modulus_encoding})")
-    print(f"generator g: coeffs {list(ctx.gamma.coeffs)} "
+    print(f"generator g: coeffs {list(ctx.coeffs(ctx.gamma))} "
           f"(encoding {ctx.gamma_encoding}), order {ctx.order}")
     print(f"group order: {ctx.order} = {factor_text}")
     print(f"subfield index (q^n-1)/(q-1): {ctx.subfield_index}")
@@ -263,7 +263,7 @@ def build_check_envelope(args) -> tuple[dict, dict]:
                 "m": verdict.m,
                 "extension_degree": verdict.extension_degree,
                 "field_size": verdict.field_size,
-                "report": _report_view(verdict.report),
+                "report": _report_view(verdict.ctx, verdict.report),
             })
         timing["tower_s"] = time.perf_counter() - t0
 
@@ -279,7 +279,7 @@ def build_check_envelope(args) -> tuple[dict, dict]:
         "field": _fingerprint(ctx, params),
         "results": {
             "criteria": [_verdict_view(v) for v in verdicts],
-            "oracle": _report_view(report) if report is not None else None,
+            "oracle": _report_view(ctx, report) if report is not None else None,
             "agreement": (None if report is None or not verdicts
                           else row["agree"] != "no"),
             "tower": tower,

@@ -37,10 +37,13 @@ class CyclotomicDecomposition:
 
 @dataclass(frozen=True)
 class CoefficientTable:
-    """Per-coset multipliers A_i = f(xi^(i*q^(r1))) for the inner factor f."""
+    """Per-coset multipliers A_i = f(xi^(i*q^(r1))) for the inner factor f.
+
+    ``A`` holds the discrete logs of the A_i as int64, -1 where A_i = 0.
+    """
 
     r1: int
-    A: tuple[FFElement, ...]
+    A: np.ndarray
     f_terms: tuple[tuple[int, FFElement], ...]
 
 
@@ -77,7 +80,7 @@ def coefficient_table(ctx: FieldCtx, decomp: CyclotomicDecomposition, r1: int,
     base = np.arange(decomp.l, dtype=np.int64) * step % ctx.order
     dlogs = _log_sum(ctx, ((c.dlog + e * base) % ctx.order
                            for e, c in f_terms))
-    return CoefficientTable(r1=r1, A=ctx.elements_from_dlogs(dlogs), f_terms=tuple(f_terms))
+    return CoefficientTable(r1=r1, A=dlogs, f_terms=tuple(f_terms))
 
 
 def cyclotomic_eval(ctx: FieldCtx, decomp: CyclotomicDecomposition,
@@ -85,7 +88,10 @@ def cyclotomic_eval(ctx: FieldCtx, decomp: CyclotomicDecomposition,
     """The coset-indexed map: 0 at 0, else A_i * x^(q^(r1)) on C_i."""
     if x.dlog is None:
         return ctx.zero()
-    return ctx.mul(table.A[decomp.coset_of(x)], ctx.frobenius(x, table.r1))
+    a = int(table.A[decomp.coset_of(x)])
+    if a < 0:
+        return ctx.zero()
+    return ctx.mul(ctx.element_from_dlog(a), ctx.frobenius(x, table.r1))
 
 
 def lemma_relation_check(ctx: FieldCtx, s_poly: LinearizedPolynomial,
@@ -101,9 +107,7 @@ def lemma_relation_check(ctx: FieldCtx, s_poly: LinearizedPolynomial,
     # S(g^a) vs A[a mod l] * g^(a*q^r1).
     a = np.arange(ctx.order, dtype=np.int64)
     lhs = evaluate_many(ctx, s_poly, a)
-    table_dlog = np.array([-1 if v.dlog is None else v.dlog for v in table.A],
-                          dtype=np.int64)
-    adlog = table_dlog[a % decomp.l]
+    adlog = table.A[a % decomp.l]
     rhs = np.where(adlog < 0, -1, (adlog + a * pow(ctx.q, r1, ctx.order)) % ctx.order)
     # both maps fix zero, so the scan over nonzero elements decides equality
     return bool(np.array_equal(lhs, rhs))

@@ -13,6 +13,10 @@ and then materializes complete log, antilog and Zech-log tables (24 bytes
 per element), so that multiplication, inversion, Frobenius powers, norms and
 addition are O(1) integer operations on discrete logs.  That is what makes
 the exhaustive scans in :mod:`scatterpoly.scatter` feasible.
+
+An element is its discrete log alone (:class:`FFElement`); its base-p
+coefficient vector is read from the antilog table by :meth:`FieldCtx.coeffs`
+only where output needs it.
 """
 
 from __future__ import annotations
@@ -305,12 +309,12 @@ class FieldParams:
 
 @dataclass(frozen=True)
 class FFElement:
-    """One element of F_{q^n}: coefficient vector over F_p plus discrete log.
+    """One element of F_{q^n}: its discrete log to the field's generator.
 
-    ``dlog`` is absent exactly for the zero element.
+    ``dlog`` is None exactly for the zero element.  An element does not know
+    its field; :meth:`FieldCtx.coeffs` gives its coefficient vector over F_p.
     """
 
-    coeffs: tuple[int, ...]
     dlog: int | None
 
     @property
@@ -328,12 +332,11 @@ class FieldCtx:
     method mutates the context.
     """
 
-    def __init__(self, p: int, m: int, n: int, cap: int, modulus, gamma_vec,
-                 factorization, antilog, log, zech):
+    def __init__(self, p: int, m: int, n: int, modulus, factorization,
+                 antilog, log, zech):
         self.p = p
         self.m = m
         self.n = n
-        self.cap = cap
         self.q = p**m
         self.degree = m * n
         self.size = p ** (m * n)
@@ -346,7 +349,7 @@ class FieldCtx:
         self._zech = zech
         # -1 = g^(order/2) in odd characteristic; -1 = 1 when p = 2
         self._neg_shift = self.order // 2 if p > 2 else 0
-        self.gamma = self.element_from_dlog(1) if self.order > 1 else self.one()
+        self.gamma = self.element_from_dlog(1)
 
     # -- representation helpers ------------------------------------------
 
@@ -363,26 +366,22 @@ class FieldCtx:
         return self.encode(self.gamma)
 
     def encode(self, a: FFElement) -> int:
-        return _encode(a.coeffs, self.p)
+        """The integer sum(c_i p^i) of a's coefficient vector."""
+        return 0 if a.dlog is None else int(self._antilog[a.dlog])
+
+    def coeffs(self, a: FFElement) -> tuple[int, ...]:
+        """a's coefficient vector over F_p, constant term first."""
+        return tuple(_digits(self.encode(a), self.p, self.degree))
 
     def element_from_dlog(self, k: int) -> FFElement:
-        k %= self.order
-        enc = int(self._antilog[k])
-        return FFElement(tuple(_digits(enc, self.p, self.degree)), k)
-
-    def elements_from_dlogs(self, dlogs: np.ndarray) -> tuple[FFElement, ...]:
-        """The elements g^k for an array of discrete logs 0 <= k < order; -1 gives 0."""
-        enc = np.where(dlogs < 0, 0, self._antilog[dlogs])
-        digits = enc[:, None] // self.p ** np.arange(self.degree, dtype=np.int64) % self.p
-        return tuple(FFElement(tuple(row), None if k < 0 else k)
-                     for row, k in zip(digits.tolist(), dlogs.tolist()))
+        return FFElement(k % self.order)
 
     def element_from_encoding(self, enc: int) -> FFElement:
         if not 0 <= enc < self.size:
             raise ValueError(f"encoding {enc} out of range for field of size {self.size}")
         if enc == 0:
             return self.zero()
-        return FFElement(tuple(_digits(enc, self.p, self.degree)), int(self._log[enc]))
+        return FFElement(int(self._log[enc]))
 
     def element_from_coeffs(self, coeffs) -> FFElement:
         vec = [c % self.p for c in coeffs]
@@ -392,13 +391,13 @@ class FieldCtx:
         return self.element_from_encoding(_encode(vec, self.p))
 
     def zero(self) -> FFElement:
-        return FFElement((0,) * self.degree, None)
+        return FFElement(None)
 
     def one(self) -> FFElement:
-        return FFElement((1,) + (0,) * (self.degree - 1), 0)
+        return FFElement(0)
 
     def minus_one(self) -> FFElement:
-        return self.element_from_coeffs([self.p - 1])
+        return FFElement(self._neg_shift)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -423,12 +422,12 @@ class FieldCtx:
     def mul(self, a: FFElement, b: FFElement) -> FFElement:
         if a.dlog is None or b.dlog is None:
             return self.zero()
-        return self.element_from_dlog((a.dlog + b.dlog) % self.order)
+        return self.element_from_dlog(a.dlog + b.dlog)
 
     def inv(self, a: FFElement) -> FFElement:
         if a.dlog is None:
             raise DivisionByZero("inverse of zero")
-        return self.element_from_dlog((-a.dlog) % self.order)
+        return self.element_from_dlog(-a.dlog)
 
     def frobenius(self, a: FFElement, j: int) -> FFElement:
         """a ** (q**j); the identity for j = 0 and for j = n."""
@@ -436,7 +435,7 @@ class FieldCtx:
             raise ValueError("Frobenius power must be nonnegative")
         if a.dlog is None:
             return a
-        return self.element_from_dlog(a.dlog * pow(self.q, j, self.order) % self.order)
+        return self.element_from_dlog(a.dlog * pow(self.q, j, self.order))
 
     def element_order(self, a: FFElement) -> int:
         """Exact multiplicative order, reduced prime by prime from q^n - 1."""
@@ -455,7 +454,7 @@ class FieldCtx:
         """Norm from F_{q^n} down to F_q, i.e. a ** ((q^n-1)/(q-1))."""
         if a.dlog is None:
             return a
-        return self.element_from_dlog(a.dlog * self.subfield_index % self.order)
+        return self.element_from_dlog(a.dlog * self.subfield_index)
 
     def in_base_subfield(self, a: FFElement) -> bool:
         return a.dlog is None or a.dlog % self.subfield_index == 0
@@ -496,8 +495,7 @@ def build_field(p: int, m: int, n: int, cap: int = DEFAULT_CAP,
     modulus = _find_modulus(p, d)
     fact = factorize(size - 1) if size > 2 else ()
     gamma_vec = _find_generator(p, d, modulus, size - 1, fact)
-    antilog, log, zech = _build_tables(p, d, modulus, gamma_vec)
-    return FieldCtx(p, m, n, cap, modulus, gamma_vec, fact, antilog, log, zech)
+    return FieldCtx(p, m, n, modulus, fact, *_build_tables(p, d, modulus, gamma_vec))
 
 
 def modulus_text(ctx: FieldCtx) -> str:

@@ -40,10 +40,6 @@ class LinearizedPolynomial:
     def exponents(self) -> tuple[int, ...]:
         return tuple(r for r, _ in self.terms)
 
-    @property
-    def coefficients(self) -> tuple[FFElement, ...]:
-        return tuple(a for _, a in self.terms)
-
     def dlog_terms(self) -> tuple[tuple[int, int], ...]:
         """(exponent index, coefficient dlog) pairs; coefficients are nonzero."""
         return tuple((r, a.dlog) for r, a in self.terms)
@@ -248,7 +244,3 @@ def parse_poly_dlogs(n: int, order: int, text: str) -> tuple[tuple[int, int], ..
                 f"duplicate exponent {r} cannot be merged without field tables")
         terms[r] = coeff % order
     return tuple(sorted(terms.items()))
-
-
-def poly_text(s: LinearizedPolynomial) -> str:
-    return str(s)

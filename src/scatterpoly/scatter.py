@@ -62,12 +62,16 @@ class DecidingPairCensus:
 
 @dataclass(frozen=True)
 class TowerVerdict:
-    """Oracle verdict for one extension step of the tower."""
+    """Oracle verdict for one extension step of the tower.
+
+    ``ctx`` is the step's own field, the one the witness elements belong to.
+    """
 
     m: int
     extension_degree: int
     field_size: int
     report: ScatterReport
+    ctx: FieldCtx
 
 
 def _scan(ctx: FieldCtx, kernel, jobs: int) -> np.ndarray:
@@ -262,5 +266,5 @@ def is_exceptional_desk(p: int, m: int, n: int, s_terms, t: int, m_list,
                  for r, dlog in s_terms]
         poly = normalize(ctx, terms)
         report = is_scattered_bruteforce(ctx, poly, t, jobs=jobs)
-        verdicts.append(TowerVerdict(mm, ctx.n, ctx.size, report))
+        verdicts.append(TowerVerdict(mm, ctx.n, ctx.size, report, ctx))
     return verdicts

@@ -79,8 +79,7 @@ def coset_multipliers_consistent(ctx: FieldCtx, s: LinearizedPolynomial) -> bool
     coset multipliers A must agree along every F_q^*-translation of cosets."""
     r1, div, f_terms = factorize_poly(ctx, s)
     decomp = decompose(ctx, div)
-    table = coefficient_table(ctx, decomp, r1, f_terms)
-    dlogs = np.array([-1 if v.dlog is None else v.dlog for v in table.A], dtype=np.int64)
+    dlogs = coefficient_table(ctx, decomp, r1, f_terms).A
     cosets = np.arange(decomp.l, dtype=np.int64)
     e = ctx.subfield_index
     for i in range(1, ctx.q - 1):
@@ -416,7 +415,7 @@ def exceptional_suite(jobs: int = 1) -> SuiteResult:
               "tower step m=1 (degree 5) must scatter at index 2")
     rec.check(not even_step.report.scattered,
               "tower step m=2 (degree 10) must hit the norm degeneration")
-    big = _field(3, 1, 10)
+    big = even_step.ctx
     rec.check(big.relative_norm(big.minus_one()) == big.one(),
               "norm of -1 must collapse to 1 on the even-degree extension")
     witness = even_step.report.witness

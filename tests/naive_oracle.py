@@ -69,7 +69,7 @@ def naive_evaluate(ctx, s, x):
     p, mod = ctx.p, list(ctx.modulus)
     total = [0] * ctx.degree
     for r, coeff in s.terms:
-        term = naive_mul(p, mod, coeff.coeffs,
-                         naive_pow(p, mod, x.coeffs, ctx.q**r))
+        term = naive_mul(p, mod, ctx.coeffs(coeff),
+                         naive_pow(p, mod, ctx.coeffs(x), ctx.q**r))
         total = [(u + v) % p for u, v in zip(total, term)]
     return tuple(total)

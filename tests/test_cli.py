@@ -7,6 +7,8 @@ from scatterpoly.criteria import CriterionVerdict
 from scatterpoly.field import FieldParams
 from scatterpoly.scatter import ScatterReport
 
+from naive_oracle import naive_pow
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -140,6 +142,12 @@ def test_envelope_round_trips(capsys):
     assert [step["m"] for step in tower] == [1, 2]
     assert tower[0]["report"]["scattered"] is True
     assert tower[1]["report"]["scattered"] is False
+    # the m=2 witness is printed in F_3^10's own coefficients
+    z = tower[1]["report"]["witness"]["z"]
+    assert z["text"] == "g^7381"
+    _, out, _ = run(capsys, "field-info", "--p", "3", "--n", "10", "--output", "json")
+    big = json.loads(out)
+    assert z["coeffs"] == list(naive_pow(3, big["modulus"], big["gamma_coeffs"], 7381))
 
 
 def test_scan_pseudoregulus_grid(capsys):

@@ -21,7 +21,7 @@ from scatterpoly import (
     strip_min_term,
     t_transform,
 )
-from scatterpoly.linpoly import parse_poly_dlogs, poly_text
+from scatterpoly.linpoly import parse_poly_dlogs
 
 from naive_oracle import naive_evaluate
 
@@ -47,7 +47,7 @@ def test_normalize_merges(f9):
     one = f9.one()
     s = normalize(f9, [(1, one), (3, one)])  # 3 = 1 mod 2, so 1 + 1 = 2
     assert s.exponents == (1,)
-    assert s.terms[0][1].coeffs == (2, 0)
+    assert f9.coeffs(s.terms[0][1]) == (2, 0)
 
 
 def test_evaluate_examples(f9, f3125):
@@ -55,7 +55,7 @@ def test_evaluate_examples(f9, f3125):
     assert evaluate(f9, s, f9.gamma) == f9.element_from_dlog(3)
     assert evaluate(f9, s, f9.zero()).is_zero
     example = parse_poly(f3125, "3:g^0,4:g^0")
-    assert evaluate(f3125, example, f3125.one()).coeffs == (2, 0, 0, 0, 0)
+    assert f3125.coeffs(evaluate(f3125, example, f3125.one())) == (2, 0, 0, 0, 0)
 
 
 def test_evaluate_matches_naive(f81):
@@ -63,7 +63,7 @@ def test_evaluate_matches_naive(f81):
                         (3, f81.element_from_dlog(40))])
     for k in range(0, f81.order, 7):
         x = f81.element_from_dlog(k)
-        assert evaluate(f81, s, x).coeffs == naive_evaluate(f81, s, x)
+        assert f81.coeffs(evaluate(f81, s, x)) == naive_evaluate(f81, s, x)
 
 
 def test_evaluate_many_matches_naive(f81, f81_tower):
@@ -211,10 +211,10 @@ def test_rho_transform_guards(f81):
 
 def test_parse_and_format(f3125):
     s = parse_poly(f3125, "3:g^0,4:g^0")
-    assert poly_text(s) == "3:g^0,4:g^0"
+    assert str(s) == "3:g^0,4:g^0"
     v = parse_poly(f3125, "1:[2,1],2:g^5")
     assert v.k == 2
-    assert v.terms[0][1].coeffs[:2] == (2, 1)
+    assert f3125.coeffs(v.terms[0][1])[:2] == (2, 1)
     with pytest.raises(ParseError):
         parse_poly(f3125, "")
     with pytest.raises(ParseError):
