@@ -3,7 +3,7 @@
 Core pieces:
 
 * :mod:`scatterpoly.field` -- deterministic construction of F_{q^n} with
-  log/antilog tables;
+  its Zech-log table;
 * :mod:`scatterpoly.linpoly` -- linearized polynomials and their index-shift
   transforms;
 * :mod:`scatterpoly.cyclotomic` -- coset decompositions and the coset-indexed

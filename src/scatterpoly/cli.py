@@ -418,7 +418,7 @@ def cmd_verify(args) -> int:
     try:
         results = run_suites(args.suite, jobs=args.jobs)
     except KeyError as exc:
-        raise ParseError(str(exc)) from exc
+        raise ParseError(exc.args[0]) from exc
     if args.output == "json":
         print(_dump([{
             "name": r.name, "passed": r.passed, "checks": r.checks,

@@ -6,8 +6,9 @@ reports a verdict.  Inapplicability is a first-class outcome, not an error, so
 callers can never mistake "the statement is silent here" for an answer.
 
 All verdicts reduce to integer arithmetic on discrete logs, so every criterion
-also works for fields far beyond the exhaustive-scan cap; the ``*_for_dlogs``
-variants serve that case without materialized tables.
+takes the field's parameters (a :class:`FieldParams` or a built ``FieldCtx``)
+and the polynomial's (exponent, coefficient dlog) terms, and works for fields
+far beyond the exhaustive-scan cap.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import BadIndex, HypothesisViolated, NotABinomial, WouldBeZero
-from .field import FFElement, FieldCtx
+from .field import FieldCtx, dlog_order
 from .linpoly import LinearizedPolynomial, shift_down, strip_min_term, t_transform
 
 
@@ -50,10 +51,6 @@ class CriterionVerdict:
         return None
 
 
-def _order_from_dlog(order: int, dlog: int) -> int:
-    return order // math.gcd(order, dlog % order)
-
-
 def _divides(d: int, n: int) -> bool:
     """d | n, with everything dividing 0 (n = q^0 - 1 shows up as 0)."""
     return n % d == 0
@@ -80,13 +77,20 @@ def pseudoregulus_criterion(n: int, r: int, t: int) -> CriterionVerdict:
 # Binomials a_1 x^(q^r1) + a_2 x^(q^r2)
 
 
-def binomial_criterion_for_dlogs(params, r1: int, a1_dlog: int, r2: int,
-                                 a2_dlog: int) -> CriterionVerdict:
-    """Discrete-log variant of :func:`binomial_criterion` (no tables needed)."""
+def _binomial_terms(terms):
+    if len(terms) != 2:
+        raise NotABinomial(f"expected 2 terms, got {len(terms)}")
+    return terms
+
+
+def binomial_criterion(params, terms) -> CriterionVerdict:
+    """A binomial with |a_2| dividing q^r1 - 1 is scattered of index r1 and of
+    index r2 iff gcd(r2 - r1, n) = 1."""
+    (r1, _), (r2, a2_dlog) = _binomial_terms(terms)
     q, n, order = params.q, params.n, params.order
     if not 0 <= r1 < r2 < n:
         raise BadIndex(f"need 0 <= r1 < r2 < n, got {r1}, {r2}, {n}")
-    a2_order = _order_from_dlog(order, a2_dlog)
+    a2_order = dlog_order(order, a2_dlog)
     hyp = Hypothesis("low-coefficient-order", _divides(a2_order, q**r1 - 1),
                      f"|a2|={a2_order}, q^r1-1={q**r1 - 1}")
     if not hyp.satisfied:
@@ -96,36 +100,18 @@ def binomial_criterion_for_dlogs(params, r1: int, a1_dlog: int, r2: int,
                             index_verdicts=((r1, verdict), (r2, verdict)))
 
 
-def binomial_criterion(ctx: FieldCtx, s: LinearizedPolynomial) -> CriterionVerdict:
-    """A binomial with |a_2| dividing q^r1 - 1 is scattered of index r1 and of
-    index r2 iff gcd(r2 - r1, n) = 1."""
-    if s.k != 2:
-        raise NotABinomial(f"expected 2 terms, got {s.k}")
-    (r1, a1), (r2, a2) = s.terms
-    return binomial_criterion_for_dlogs(ctx, r1, a1.dlog, r2, a2.dlog)
+def affine_binomial_criterion(params, terms) -> CriterionVerdict:
+    """a_1 x + a_2 x^(q^r) is scattered of index r iff gcd(r, n) = 1.
 
-
-def affine_binomial_criterion_for_dlogs(params, r: int, a1_dlog: int,
-                                        a2_dlog: int) -> CriterionVerdict:
+    No order hypotheses at all: a1, a2 may be any nonzero elements.
+    """
+    (r0, _), (r, _) = _binomial_terms(terms)
     n = params.n
-    if not 0 < r < n:
-        raise BadIndex(f"need 0 < r < n, got r={r}, n={n}")
+    if r0 != 0 or not 0 < r < n:
+        raise BadIndex(f"need exponents 0 and 0 < r < n, got {r0}, {r}, n={n}")
     verdict = math.gcd(r, n) == 1
     return CriterionVerdict("affine-binomial", True, verdict,
                             index_verdicts=((r, verdict),))
-
-
-def affine_binomial_criterion(ctx: FieldCtx, a1: FFElement, a2: FFElement,
-                              r: int, n: int | None = None) -> CriterionVerdict:
-    """a_1 x + a_2 x^(q^r) is scattered of index r iff gcd(r, n) = 1.
-
-    No order hypotheses at all; a1, a2 any nonzero elements.
-    """
-    if n is not None and n != ctx.n:
-        raise ValueError(f"n={n} disagrees with the field context (n={ctx.n})")
-    if a1.is_zero or a2.is_zero:
-        raise ValueError("coefficients must be nonzero")
-    return affine_binomial_criterion_for_dlogs(ctx, r, a1.dlog, a2.dlog)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +171,7 @@ def index_shift_reduction(ctx: FieldCtx, s: LinearizedPolynomial, t: int
 # LP-shape membership
 
 
-def lp_membership_for_dlogs(params, terms) -> CriterionVerdict:
+def lp_membership(params, terms) -> CriterionVerdict:
     """Classify a binomial against the LP (Lunardon-Polverino) shape.
 
     Membership means x^(q^r) + delta x^(q^(n-r)) after scaling the low
@@ -194,10 +180,8 @@ def lp_membership_for_dlogs(params, terms) -> CriterionVerdict:
     delta != 1, |delta| | q-1) that force the norm condition, and whether the
     implication held.
     """
-    if len(terms) != 2:
-        raise NotABinomial(f"expected 2 terms, got {len(terms)}")
+    (r1, a1_dlog), (r2, a2_dlog) = _binomial_terms(terms)
     q, n, order = params.q, params.n, params.order
-    (r1, a1_dlog), (r2, a2_dlog) = terms
     shape_ok = r1 >= 1 and r1 + r2 == n
     shape = Hypothesis("exponent-shape", shape_ok,
                        f"need r2 = n - r1, got r1={r1}, r2={r2}, n={n}")
@@ -205,7 +189,7 @@ def lp_membership_for_dlogs(params, terms) -> CriterionVerdict:
         return CriterionVerdict("lp-membership", False, None, (shape,))
 
     delta_dlog = (a2_dlog - a1_dlog) % order
-    delta_order = _order_from_dlog(order, delta_dlog)
+    delta_order = dlog_order(order, delta_dlog)
     subfield_index = params.subfield_index
     norm_is_one = delta_dlog % (q - 1) == 0
     coprime = Hypothesis("coprime-exponent", math.gcd(n, r1) == 1,
@@ -232,12 +216,6 @@ def lp_membership_for_dlogs(params, terms) -> CriterionVerdict:
         notes=(f"delta = g^{delta_dlog} (order {delta_order})",))
 
 
-def lp_membership(ctx: FieldCtx, s: LinearizedPolynomial) -> CriterionVerdict:
-    if s.k != 2:
-        raise NotABinomial(f"expected 2 terms, got {s.k}")
-    return lp_membership_for_dlogs(ctx, s.dlog_terms())
-
-
 # ---------------------------------------------------------------------------
 # The x^q + delta x^(q^5) family over F_{q^8}
 
@@ -252,7 +230,7 @@ def _resolve_delta_order(order: int, delta_dlog: int | None,
     if (delta_dlog is None) == (delta_order is None):
         raise ValueError("specify exactly one of delta_dlog / delta_order")
     if delta_dlog is not None:
-        return delta_dlog % order, _order_from_dlog(order, delta_dlog)
+        return delta_dlog % order, dlog_order(order, delta_dlog)
     if delta_order < 1 or order % delta_order != 0:
         raise HypothesisViolated(
             f"no element of order {delta_order} in a group of order {order}")
@@ -372,9 +350,8 @@ def applicable_criteria(params, terms, t: int) -> list[CriterionVerdict]:
                 (Hypothesis("index-differs-from-exponent", False,
                             f"t = r = {t}"),)))
     elif len(terms) == 2:
-        (r1, k1), (r2, k2) = terms
-        out.append(binomial_criterion_for_dlogs(params, r1, k1, r2, k2))
-        if r1 == 0 and t == r2:
-            out.append(affine_binomial_criterion_for_dlogs(params, r2, k1, k2))
-        out.append(lp_membership_for_dlogs(params, terms))
+        out.append(binomial_criterion(params, terms))
+        if terms[0][0] == 0 and t == terms[1][0]:
+            out.append(affine_binomial_criterion(params, terms))
+        out.append(lp_membership(params, terms))
     return out

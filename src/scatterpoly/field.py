@@ -9,18 +9,20 @@ every discrete log.  Construction picks
   * the nonzero element of smallest integer encoding with full multiplicative
     order,
 
-and then materializes complete log, antilog and Zech-log tables (24 bytes
-per element), so that multiplication, inversion, Frobenius powers, norms and
-addition are O(1) integer operations on discrete logs.  That is what makes
-the exhaustive scans in :mod:`scatterpoly.scatter` feasible.
+and then keeps one table, the int32 Zech log ``zech[k] = log(1 + g^k)``
+(4 bytes per element), so that multiplication, inversion, Frobenius powers,
+norms and addition are O(1) integer operations on discrete logs.  That is
+what makes the exhaustive scans in :mod:`scatterpoly.scatter` feasible.
 
-An element is its discrete log alone (:class:`FFElement`); its base-p
-coefficient vector is read from the antilog table by :meth:`FieldCtx.coeffs`
-only where output needs it.
+An element is its discrete log alone (:class:`FFElement`).  Digits and
+discrete logs meet in one place each way: :meth:`FieldCtx.coeffs` raises the
+generator's digits to the discrete log, and :meth:`FieldCtx.element_from_coeffs`
+runs Horner's rule on the digits through the Zech table.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +35,9 @@ from .errors import (
 )
 
 DEFAULT_CAP = 1 << 22
-# Largest field that gets tables, whatever the cap: the kernels form products
-# of two discrete logs in int64, which stay below 2^63 only while q^n < 2^31.
+# Largest field that gets a table, whatever the cap: the kernels form products
+# of two discrete logs in int64, which stay below 2^63 only while q^n < 2^31,
+# and every discrete log and encoding then fits the int32 tables.
 TABLE_LIMIT = 1 << 31
 _TABLE_BLOCK = 4096
 
@@ -213,11 +216,14 @@ def _mult_matrix(vec, mod, p: int) -> np.ndarray:
 
 
 def _build_tables(p: int, d: int, mod, gamma_vec):
-    """Antilog, log and Zech-log tables of F_p[x]/(mod) with generator gamma.
+    """Zech-log table of F_p[x]/(mod) with generator gamma, log x and log 1..p-1.
 
-    The antilog walk multiplies blocks of powers by gamma^block in float64, so
+    Antilog and log tables are int32 temporaries (every entry is below
+    ``TABLE_LIMIT``), checked for bijectivity and freed on return.  The
+    antilog walk multiplies blocks of powers by gamma^block in float64, so
     the product runs on BLAS.  It is exact: every entry is below p^2 * d, far
     under 2^53, and ``y - p * floor(y / p)`` reduces an exact integer exactly.
+    ``log x`` (encoding p) is None when d = 1, where x = 0.
     """
     size = p**d
     n_units = size - 1
@@ -238,7 +244,7 @@ def _build_tables(p: int, d: int, mod, gamma_vec):
     big_step = _fixed_powmod(gamma_vec, block, mod, p)
     big_m = _mult_matrix(big_step, mod, p).astype(np.float64)
 
-    antilog = np.empty(n_units, dtype=np.int64)
+    antilog = np.empty(n_units, dtype=np.int32)
     cur = small.astype(np.float64)
     idx = 0
     while idx < n_units:
@@ -252,11 +258,13 @@ def _build_tables(p: int, d: int, mod, gamma_vec):
             quot *= p
             cur -= quot
 
-    log = np.full(size, -1, dtype=np.int64)
-    log[antilog] = np.arange(n_units, dtype=np.int64)
+    log = np.full(size, -1, dtype=np.int32)
+    log[antilog] = np.arange(n_units, dtype=np.int32)
+    del antilog
     if int(np.count_nonzero(log >= 0)) != n_units:
         raise RuntimeError("log/antilog tables are not bijective")
-    return antilog, log, _zech_table(p, log)
+    log_x = int(log[p]) if d > 1 else None
+    return _zech_table(p, log), log_x, tuple(int(v) for v in log[1:p])
 
 
 def _zech_table(p: int, log: np.ndarray) -> np.ndarray:
@@ -266,7 +274,7 @@ def _zech_table(p: int, log: np.ndarray) -> np.ndarray:
     u pairs with u + 1, or with u + 1 - p when that digit is p - 1.  Strided
     slices of ``log`` pair them without a full-size temporary.
     """
-    zech = np.empty(log.size - 1, dtype=np.int64)
+    zech = np.empty(log.size - 1, dtype=np.int32)
     zech[log[p::p]] = log[p + 1::p]
     for j in range(1, p):
         zech[log[j::p]] = log[(j + 1) % p::p]
@@ -325,15 +333,20 @@ class FFElement:
         return "0" if self.dlog is None else f"g^{self.dlog}"
 
 
+def dlog_order(order: int, dlog: int) -> int:
+    """Multiplicative order of g^dlog, where g generates a group of this order."""
+    return order // math.gcd(order, dlog % order)
+
+
 class FieldCtx:
-    """Immutable context for F_{q^n} with full log, antilog and Zech tables.
+    """Immutable context for F_{q^n}: its parameters and its Zech-log table.
 
     Construct via :func:`build_field`.  Safe to share across threads; no
     method mutates the context.
     """
 
-    def __init__(self, p: int, m: int, n: int, modulus, factorization,
-                 antilog, log, zech):
+    def __init__(self, p: int, m: int, n: int, modulus, factorization, gamma_vec,
+                 zech, log_x, const_logs):
         self.p = p
         self.m = m
         self.n = n
@@ -344,9 +357,10 @@ class FieldCtx:
         self.subfield_index = self.order // (self.q - 1)
         self.modulus = tuple(modulus)
         self.factorization = tuple(factorization)
-        self._antilog = antilog
-        self._log = log
+        self._gamma_vec = tuple(gamma_vec)
         self._zech = zech
+        self._x = FFElement(log_x)
+        self._const_logs = const_logs  # log c for the constants c = 1..p-1
         # -1 = g^(order/2) in odd characteristic; -1 = 1 when p = 2
         self._neg_shift = self.order // 2 if p > 2 else 0
         self.gamma = self.element_from_dlog(1)
@@ -366,12 +380,17 @@ class FieldCtx:
         return self.encode(self.gamma)
 
     def encode(self, a: FFElement) -> int:
-        """The integer sum(c_i p^i) of a's coefficient vector."""
-        return 0 if a.dlog is None else int(self._antilog[a.dlog])
+        """The integer sum(c_i p^i) of a's coefficient vector; for output."""
+        return _encode(self.coeffs(a), self.p)
 
     def coeffs(self, a: FFElement) -> tuple[int, ...]:
-        """a's coefficient vector over F_p, constant term first."""
-        return tuple(_digits(self.encode(a), self.p, self.degree))
+        """a's coefficient vector over F_p, constant term first; for output.
+
+        One square-and-multiply power of the generator's digits, no table.
+        """
+        if a.dlog is None:
+            return (0,) * self.degree
+        return tuple(_fixed_powmod(self._gamma_vec, a.dlog, self.modulus, self.p))
 
     def element_from_dlog(self, k: int) -> FFElement:
         return FFElement(k % self.order)
@@ -379,16 +398,19 @@ class FieldCtx:
     def element_from_encoding(self, enc: int) -> FFElement:
         if not 0 <= enc < self.size:
             raise ValueError(f"encoding {enc} out of range for field of size {self.size}")
-        if enc == 0:
-            return self.zero()
-        return FFElement(int(self._log[enc]))
+        return self.element_from_coeffs(_digits(enc, self.p, self.degree))
 
     def element_from_coeffs(self, coeffs) -> FFElement:
+        """sum c_i x^i by Horner's rule: multiply by x, add the next digit."""
         vec = [c % self.p for c in coeffs]
         if len(vec) > self.degree:
             raise ValueError("coefficient vector longer than the field degree")
-        vec += [0] * (self.degree - len(vec))
-        return self.element_from_encoding(_encode(vec, self.p))
+        acc = self.zero()
+        for c in reversed(vec):
+            acc = self.mul(acc, self._x)
+            if c:
+                acc = self._add_dlogs(acc, self._const_logs[c - 1])
+        return acc
 
     def zero(self) -> FFElement:
         return FFElement(None)
@@ -438,17 +460,10 @@ class FieldCtx:
         return self.element_from_dlog(a.dlog * pow(self.q, j, self.order))
 
     def element_order(self, a: FFElement) -> int:
-        """Exact multiplicative order, reduced prime by prime from q^n - 1."""
+        """Exact multiplicative order; see :func:`dlog_order`."""
         if a.dlog is None:
             raise DivisionByZero("order of zero")
-        order = self.order
-        for prime, exp in self.factorization:
-            for _ in range(exp):
-                if (a.dlog * (order // prime)) % self.order == 0:
-                    order //= prime
-                else:
-                    break
-        return order
+        return dlog_order(self.order, a.dlog)
 
     def relative_norm(self, a: FFElement) -> FFElement:
         """Norm from F_{q^n} down to F_q, i.e. a ** ((q^n-1)/(q-1))."""
@@ -480,7 +495,7 @@ def check_field_params(p: int, m: int, n: int, strict: bool = True) -> None:
 
 def build_field(p: int, m: int, n: int, cap: int = DEFAULT_CAP,
                 strict: bool = True) -> FieldCtx:
-    """Construct F_{p^{m*n}} with deterministic modulus, generator and tables.
+    """Construct F_{p^{m*n}} with deterministic modulus, generator and Zech table.
 
     The parameters pass :func:`check_field_params` first; pass
     ``strict=False`` to build even-characteristic fields anyway.
@@ -495,7 +510,8 @@ def build_field(p: int, m: int, n: int, cap: int = DEFAULT_CAP,
     modulus = _find_modulus(p, d)
     fact = factorize(size - 1) if size > 2 else ()
     gamma_vec = _find_generator(p, d, modulus, size - 1, fact)
-    return FieldCtx(p, m, n, modulus, fact, *_build_tables(p, d, modulus, gamma_vec))
+    return FieldCtx(p, m, n, modulus, fact, gamma_vec,
+                    *_build_tables(p, d, modulus, gamma_vec))
 
 
 def modulus_text(ctx: FieldCtx) -> str:

@@ -21,7 +21,7 @@ import numpy as np
 from . import criteria
 from .cyclotomic import coefficient_table, decompose, factorize_poly, lemma_relation_check
 from .errors import WouldBeZero
-from .field import FieldCtx, build_field
+from .field import FieldCtx, FieldParams, _fixed_powmod, build_field
 from .linpoly import LinearizedPolynomial, normalize, parse_poly
 from .scatter import deciding_pairs, is_exceptional_desk, is_scattered_bruteforce, scattered_via_pp
 
@@ -101,12 +101,16 @@ def _record_ai_aj(rec: _Recorder, ctx: FieldCtx, s: LinearizedPolynomial) -> Non
 
 
 def subfield_exponent_suite(jobs: int = 1) -> SuiteResult:
-    """Subfield membership of g^a decided by exponent divisibility, exhaustively."""
+    """Subfield membership of g^a decided by exponent divisibility, exhaustively.
+
+    The reference is the definition of F_q: x^q = x, checked on digits.
+    """
     rec = _Recorder("subfield membership by exponent divisibility")
     for p, m, n in ((3, 1, 2), (3, 1, 3), (3, 1, 4), (5, 1, 3)):
         ctx = _field(p, m, n)
         for a in range(ctx.order):
-            expected = ctx.in_base_subfield(ctx.element_from_dlog(a))
+            digits = list(ctx.coeffs(ctx.element_from_dlog(a)))
+            expected = _fixed_powmod(digits, ctx.q, ctx.modulus, ctx.p) == digits
             got = criteria.subfield_exponent_criterion(ctx, a)
             rec.check(got == expected,
                       f"F_{p}^{n}: exponent {a}: criterion={got}, membership={expected}")
@@ -191,7 +195,7 @@ def binomial_suite(jobs: int = 1) -> SuiteResult:
                 a1 = ctx.element_from_dlog(a1_dlog)
                 for a2_dlog in a2_pool:
                     s = normalize(ctx, [(r1, a1), (r2, ctx.element_from_dlog(a2_dlog))])
-                    verdict = criteria.binomial_criterion(ctx, s)
+                    verdict = criteria.binomial_criterion(ctx, s.dlog_terms())
                     rec.check(verdict.applicable and verdict.verdict == expected,
                               f"n={n} {s}: criterion mismatch")
                     scattered_both = True
@@ -232,7 +236,7 @@ def affine_binomial_suite(jobs: int = 1) -> SuiteResult:
                 a1 = ctx.element_from_dlog(a1_dlog)
                 a2 = ctx.element_from_dlog(a2_dlog)
                 s = normalize(ctx, [(0, a1), (r, a2)])
-                verdict = criteria.affine_binomial_criterion(ctx, a1, a2, r)
+                verdict = criteria.affine_binomial_criterion(ctx, s.dlog_terms())
                 rec.check(verdict.verdict == expected,
                           f"r={r}: criterion != gcd test")
                 report = is_scattered_bruteforce(ctx, s, r, jobs=jobs)
@@ -242,10 +246,9 @@ def affine_binomial_suite(jobs: int = 1) -> SuiteResult:
                     _record_ai_aj(rec, ctx, s)
 
     # q=27, n=110: criterion-only (far beyond any scan cap)
-    from .field import FieldParams
     params = FieldParams(3, 3, 110)
-    good = criteria.affine_binomial_criterion_for_dlogs(params, 81, 0, 0)
-    bad = criteria.affine_binomial_criterion_for_dlogs(params, 80, 0, 0)
+    good = criteria.affine_binomial_criterion(params, ((0, 0), (81, 0)))
+    bad = criteria.affine_binomial_criterion(params, ((0, 0), (80, 0)))
     rec.check(good.verdict is True, "x + x^(27^81) over F_27^110 must pass @ 81")
     rec.check(bad.verdict is False, "x + x^(27^80) over F_27^110 must fail @ 80")
     return rec.result()
@@ -330,7 +333,7 @@ def lp_suite(jobs: int = 1) -> SuiteResult:
                       f"delta=g^{dlog}: sufficient conditions hold but norm is 1")
 
     member = normalize(ctx, [(2, ctx.one()), (3, ctx.minus_one())])
-    verdict = criteria.lp_membership(ctx, member)
+    verdict = criteria.lp_membership(ctx, member.dlog_terms())
     rec.check(verdict.applicable and verdict.verdict is True,
               "x^(q^2) - x^(q^3) over F_3^5 should be an LP member")
     rec.check(all(h.satisfied for h in verdict.hypotheses),
@@ -338,12 +341,12 @@ def lp_suite(jobs: int = 1) -> SuiteResult:
 
     norm_one_delta = ctx.element_from_dlog((ctx.q - 1) % ctx.order)  # phi^(q-1)
     non_member = normalize(ctx, [(2, ctx.one()), (3, norm_one_delta)])
-    verdict = criteria.lp_membership(ctx, non_member)
+    verdict = criteria.lp_membership(ctx, non_member.dlog_terms())
     rec.check(verdict.applicable and verdict.verdict is False,
               "norm-one delta must fail LP membership")
 
     wrong_shape = normalize(ctx, [(1, ctx.one()), (2, ctx.one())])
-    verdict = criteria.lp_membership(ctx, wrong_shape)
+    verdict = criteria.lp_membership(ctx, wrong_shape.dlog_terms())
     rec.check(not verdict.applicable, "non-LP exponent shape must be inapplicable")
     return rec.result()
 
@@ -362,7 +365,7 @@ def csajbok_suite(jobs: int = 1) -> SuiteResult:
     rec.check(expected == {0: True, 1: False, 5: False},
               f"family conclusions unexpected: {expected}")
 
-    binom = criteria.binomial_criterion(ctx, s)
+    binom = criteria.binomial_criterion(ctx, s.dlog_terms())
     rec.check(binom.applicable and binom.verdict is False,
               "binomial criterion must reject indices 1 and 5 (gcd(4,8)=4)")
 

@@ -67,9 +67,9 @@ def naive_pow(p, modulus, coeffs, exponent):
 def naive_evaluate(ctx, s, x):
     """Evaluate S via coefficient-vector arithmetic only (no dlog tables)."""
     p, mod = ctx.p, list(ctx.modulus)
+    x_digits = ctx.coeffs(x)
     total = [0] * ctx.degree
     for r, coeff in s.terms:
-        term = naive_mul(p, mod, ctx.coeffs(coeff),
-                         naive_pow(p, mod, ctx.coeffs(x), ctx.q**r))
+        term = naive_mul(p, mod, ctx.coeffs(coeff), naive_pow(p, mod, x_digits, ctx.q**r))
         total = [(u + v) % p for u, v in zip(total, term)]
     return tuple(total)

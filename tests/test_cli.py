@@ -214,7 +214,7 @@ def test_verify_json(capsys):
 
 def test_verify_unknown_suite(capsys):
     code, _, err = run(capsys, "verify", "--suite", "nosuchsuite")
-    assert code == 1 and "unknown suite" in err
+    assert code == 1 and err.startswith("error: unknown suite 'nosuchsuite'")
 
 
 def test_jobs_flag(capsys):

@@ -116,14 +116,16 @@ def test_coefficient_table_matches_coefficient_arithmetic(f81, f3125, f81_tower)
             d = decompose(ctx, s)
             table = coefficient_table(ctx, d, r1, f_terms)
             step = s * ctx.q**r1
+            coeff_digits = [(e, ctx.coeffs(c)) for e, c in f_terms]
+            step_digits = ctx.coeffs(ctx.element_from_dlog(step))
+            point = ctx.coeffs(ctx.one())
             for i in range(d.l):
-                point = ctx.element_from_dlog(step * i)
                 total = [0] * ctx.degree
-                for e, c in f_terms:
-                    term = naive_mul(p, mod, ctx.coeffs(c),
-                                     naive_pow(p, mod, ctx.coeffs(point), e))
+                for e, c in coeff_digits:
+                    term = naive_mul(p, mod, c, naive_pow(p, mod, point, e))
                     total = [(u + v) % p for u, v in zip(total, term)]
                 assert table.A[i] == _dlog(ctx.element_from_coeffs(total)), (str(s_poly), i)
+                point = naive_mul(p, mod, point, step_digits)  # g^(step * (i + 1))
             zeros += int(np.count_nonzero(table.A < 0))
         assert zeros > 0
 

@@ -59,7 +59,13 @@ def test_build_is_reproducible():
     b = build_field(3, 1, 4)
     assert a.modulus == b.modulus
     assert a.gamma == b.gamma
-    assert np.array_equal(a._antilog, b._antilog)
+    assert ([a.encode(a.element_from_dlog(k)) for k in range(a.order)]
+            == [b.encode(b.element_from_dlog(k)) for k in range(b.order)])
+    assert np.array_equal(a._zech, b._zech)
+    # the Zech table is the only array a built field holds
+    arrays = [v for v in vars(a).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) == 1 and arrays[0] is a._zech
+    assert a._zech.dtype == np.int32 and a._zech.size == a.order
 
 
 def test_primality_and_factorization():
@@ -253,28 +259,29 @@ def test_degenerate_binary_field():
 @pytest.mark.parametrize("params", [(2, 1, 5), (3, 1, 4), (3, 2, 3), (5, 1, 3),
                                     (7, 1, 3)])
 def test_zech_table_is_log_of_one_plus(params):
+    # compared on digits, which ctx.coeffs computes without the table
     ctx = build_field(*params, strict=False)
-    expected = []
+    zech = ctx._zech.tolist()
     for k in range(ctx.order):
-        coeffs = list(ctx.coeffs(ctx.element_from_dlog(k)))
-        coeffs[0] = (coeffs[0] + 1) % ctx.p
-        total = ctx.element_from_coeffs(coeffs)
-        expected.append(-1 if total.is_zero else total.dlog)
-    assert ctx._zech.tolist() == expected
+        expected = list(ctx.coeffs(ctx.element_from_dlog(k)))
+        expected[0] = (expected[0] + 1) % ctx.p
+        total = ctx.zero() if zech[k] < 0 else ctx.element_from_dlog(zech[k])
+        assert list(ctx.coeffs(total)) == expected
     # 1 + g^k = 0 exactly at g^k = -1
-    assert expected.index(-1) == ctx.minus_one().dlog
-    assert expected.count(-1) == 1
+    assert zech.index(-1) == ctx.minus_one().dlog
+    assert zech.count(-1) == 1
 
 
 @pytest.mark.parametrize("params", [(3, 1, 2), (2, 1, 4)])
 def test_add_sub_neg_match_coefficient_arithmetic(params):
     ctx = build_field(*params, strict=False)
     elements = [ctx.zero()] + [ctx.element_from_dlog(k) for k in range(ctx.order)]
+    # compared on digits, which ctx.coeffs computes without the Zech table
+    p = ctx.p
     for a in elements:
-        neg = ctx.element_from_coeffs([-x for x in ctx.coeffs(a)])
-        assert ctx.neg(a) == neg
+        ca = ctx.coeffs(a)
+        assert ctx.coeffs(ctx.neg(a)) == tuple(-x % p for x in ca)
         for b in elements:
-            assert ctx.add(a, b) == ctx.element_from_coeffs(
-                [x + y for x, y in zip(ctx.coeffs(a), ctx.coeffs(b))])
-            assert ctx.sub(a, b) == ctx.element_from_coeffs(
-                [x - y for x, y in zip(ctx.coeffs(a), ctx.coeffs(b))])
+            cb = ctx.coeffs(b)
+            assert ctx.coeffs(ctx.add(a, b)) == tuple((x + y) % p for x, y in zip(ca, cb))
+            assert ctx.coeffs(ctx.sub(a, b)) == tuple((x - y) % p for x, y in zip(ca, cb))
