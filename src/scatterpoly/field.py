@@ -37,7 +37,8 @@ from .errors import (
 DEFAULT_CAP = 1 << 22
 # Largest field that gets a table, whatever the cap: the kernels form products
 # of two discrete logs in int64, which stay below 2^63 only while q^n < 2^31,
-# and every discrete log and encoding then fits the int32 tables.
+# and every discrete log and encoding then fits the int32 tables.  The
+# oracle's int32 ratio ids (a discrete log, or q^n - 1 for zero) rely on it too.
 TABLE_LIMIT = 1 << 31
 _TABLE_BLOCK = 4096
 
@@ -218,12 +219,27 @@ def _mult_matrix(vec, mod, p: int) -> np.ndarray:
 def _build_tables(p: int, d: int, mod, gamma_vec):
     """Zech-log table of F_p[x]/(mod) with generator gamma, log x and log 1..p-1.
 
-    Antilog and log tables are int32 temporaries (every entry is below
-    ``TABLE_LIMIT``), checked for bijectivity and freed on return.  The
-    antilog walk multiplies blocks of powers by gamma^block in float64, so
-    the product runs on BLAS.  It is exact: every entry is below p^2 * d, far
-    under 2^53, and ``y - p * floor(y / p)`` reduces an exact integer exactly.
+    The int32 log table (every entry is below ``TABLE_LIMIT``) is a
+    temporary: it is checked for bijectivity, gives the Zech table and is
+    freed on return.  No antilog array exists, even as a temporary.
     ``log x`` (encoding p) is None when d = 1, where x = 0.
+    """
+    log = _log_table(p, d, mod, gamma_vec)
+    if int(np.count_nonzero(log >= 0)) != p**d - 1:
+        raise RuntimeError("the powers of gamma miss a unit: log table not bijective")
+    log_x = int(log[p]) if d > 1 else None
+    return _zech_table(p, log), log_x, tuple(int(v) for v in log[1:p])
+
+
+def _log_table(p: int, d: int, mod, gamma_vec) -> np.ndarray:
+    """log[enc] = k where gamma^k has encoding enc; -1 where no power lands.
+
+    The walk visits gamma^0, gamma^1, ... in blocks of ``_TABLE_BLOCK``
+    powers and scatters each block straight into the table.  Each block is
+    the previous one times gamma^block in float64, so the product runs on
+    BLAS.  It is exact: every entry is below p^2 * d, far under 2^53, and
+    ``y - p * floor(y / p)`` reduces an exact integer exactly.  The block
+    buffers are freed on return, before the Zech table is allocated.
     """
     size = p**d
     n_units = size - 1
@@ -244,27 +260,22 @@ def _build_tables(p: int, d: int, mod, gamma_vec):
     big_step = _fixed_powmod(gamma_vec, block, mod, p)
     big_m = _mult_matrix(big_step, mod, p).astype(np.float64)
 
-    antilog = np.empty(n_units, dtype=np.int32)
+    log = np.full(size, -1, dtype=np.int32)
+    powers = np.arange(block, dtype=np.int32)
     cur = small.astype(np.float64)
     idx = 0
     while idx < n_units:
         cnt = min(block, n_units - idx)
-        antilog[idx:idx + cnt] = cur[:cnt] @ ppow
+        log[(cur[:cnt] @ ppow).astype(np.intp)] = powers[:cnt]
         idx += cnt
         if idx < n_units:
+            powers += block
             cur = cur @ big_m
             quot = cur / p
             np.floor(quot, out=quot)
             quot *= p
             cur -= quot
-
-    log = np.full(size, -1, dtype=np.int32)
-    log[antilog] = np.arange(n_units, dtype=np.int32)
-    del antilog
-    if int(np.count_nonzero(log >= 0)) != n_units:
-        raise RuntimeError("log/antilog tables are not bijective")
-    log_x = int(log[p]) if d > 1 else None
-    return _zech_table(p, log), log_x, tuple(int(v) for v in log[1:p])
+    return log
 
 
 def _zech_table(p: int, log: np.ndarray) -> np.ndarray:

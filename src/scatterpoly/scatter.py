@@ -5,11 +5,13 @@ distinct nonzero points force the points to be F_q-proportional.  The ratio is
 constant on F_q^*-classes, and the class of g^a contains exactly one discrete
 log below e = (q^n-1)/(q-1), so the scan walks the canonical representatives
 g^0 .. g^(e-1), computes each ratio with table lookups, and groups equal
-values in one counting pass.  Scattered means every group is a singleton.
+values with one sort of their int32 ids.  Scattered means every group is a
+singleton.
 
-The representative range can be partitioned across worker threads (numpy
-releases the GIL on the bulk operations); partial results are merged by a
-single owner, and the field context is shared read-only.
+The scan streams the representatives in fixed chunks into one int32 array,
+so it holds no full-size int64 temporary.  The chunks can run on worker
+threads (numpy releases the GIL on the bulk operations); each writes its own
+slice, and the field context is shared read-only.
 """
 
 from __future__ import annotations
@@ -74,23 +76,40 @@ class TowerVerdict:
     ctx: FieldCtx
 
 
-def _scan(ctx: FieldCtx, kernel, jobs: int) -> np.ndarray:
+def _scan(ctx: FieldCtx, kernel, jobs: int, dtype) -> np.ndarray:
     """``kernel`` applied to the representatives g^0 .. g^(e-1), in order.
 
-    With ``jobs > 1`` and more than one chunk of representatives, the chunks
-    run on a thread pool and the partial results are concatenated in order.
+    The result has ``dtype``.  Up to one chunk, it is ``kernel(reps)`` itself.
+    Beyond that the representatives stream through ``kernel`` in chunks of
+    ``_CHUNK``, each result stored into one preallocated array, so no
+    temporary of the kernel spans the whole range.  With ``jobs > 1`` the
+    chunks run on a thread pool; they write disjoint slices.
     """
-    reps = np.arange(ctx.subfield_index, dtype=np.int64)
-    if jobs <= 1 or reps.size <= _CHUNK:
-        return kernel(reps)
-    chunks = [reps[i:i + _CHUNK] for i in range(0, reps.size, _CHUNK)]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return np.concatenate(list(pool.map(kernel, chunks)))
+    e = ctx.subfield_index
+    if e <= _CHUNK:
+        return kernel(np.arange(e, dtype=np.int64)).astype(dtype, copy=False)
+    out = np.empty(e, dtype=dtype)
+
+    def run(start: int) -> None:
+        stop = min(start + _CHUNK, e)
+        out[start:stop] = kernel(np.arange(start, stop, dtype=np.int64))
+
+    starts = range(0, e, _CHUNK)
+    if jobs <= 1:
+        for start in starts:
+            run(start)
+    else:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            list(pool.map(run, starts))
+    return out
 
 
 def _ratio_ids(ctx: FieldCtx, s: LinearizedPolynomial, t: int,
                jobs: int) -> np.ndarray:
-    """Ratio values as integers: the ratio's dlog, or q^n-1 when S(x) = 0."""
+    """Ratio values as int32: the ratio's dlog, or q^n-1 when S(x) = 0.
+
+    Every id is at most q^n - 1, below ``TABLE_LIMIT = 2^31``.
+    """
     if not 0 <= t < ctx.n:
         raise BadIndex(f"index {t} out of range 0..{ctx.n - 1}")
     step = pow(ctx.q, t, ctx.order)
@@ -98,33 +117,48 @@ def _ratio_ids(ctx: FieldCtx, s: LinearizedPolynomial, t: int,
     def kernel(dlogs: np.ndarray) -> np.ndarray:
         num = evaluate_many(ctx, s, dlogs)
         ids = (num - dlogs * step) % ctx.order
-        return np.where(num < 0, ctx.order, ids)
+        ids[num < 0] = ctx.order
+        return ids
 
-    return _scan(ctx, kernel, jobs)
+    return _scan(ctx, kernel, jobs, np.int32)
 
 
-def _equal_ratio_pairs(ctx: FieldCtx, counts: np.ndarray) -> int:
+def _collisions(ctx: FieldCtx, ids: np.ndarray
+                ) -> tuple[int, np.ndarray | None, np.ndarray]:
+    """Equal ratio ids, found with one sort.
+
+    Returns the number of distinct values, the mask of representatives whose
+    value is shared (None when every value is distinct), and ``repeated``:
+    the sorted ids that equal their predecessor, so a value shared by c
+    representatives appears c - 1 times in it.
+    """
+    # ndarray methods, not np.sort or np.argmax: at desk sizes the wrappers
+    # cost as much as the work
+    srt = ids.copy()
+    srt.sort()
+    repeated = srt[1:][srt[1:] == srt[:-1]]
+    del srt
+    distinct = ids.size - repeated.size
+    if not repeated.size:
+        return distinct, None, repeated
+    marked = np.zeros(ctx.order + 1, dtype=bool)
+    marked[repeated] = True
+    return distinct, marked[ids], repeated
+
+
+def _equal_ratio_pairs(ctx: FieldCtx, e: int, repeated: np.ndarray) -> int:
     """Ordered pairs of distinct nonzero points with equal ratio values.
 
     A value shared by c representatives is taken by m = c(q-1) points, which
-    make m(m-1) pairs; summed over values that is (q-1)^2 sum(c^2) - (q-1) sum(c).
+    make m(m-1) pairs; summed over values that is (q-1)^2 sum(c^2) - (q-1) e.
+    A shared value is a run of c - 1 entries of ``repeated``, so sum(c^2) is
+    e + len(repeated) + the sum of the squared run lengths.
     """
+    heads = np.flatnonzero(np.concatenate(([True], repeated[1:] != repeated[:-1])))
+    runs = np.diff(heads, append=repeated.size)
+    square_sum = e + repeated.size + int(np.dot(runs, runs))
     w = ctx.q - 1
-    return w * w * int(np.dot(counts, counts)) - w * int(counts.sum())
-
-
-def _collisions(ids: np.ndarray, counts: np.ndarray) -> tuple[int, int] | None:
-    """Smallest colliding representative pair (y, z), or None.
-
-    The first representative whose value is shared is the smallest y of any
-    colliding pair, and the next representative with that value is its
-    smallest partner z.
-    """
-    shared = counts[ids] > 1
-    y = int(np.argmax(shared))
-    if not shared[y]:
-        return None
-    return y, y + 1 + int(np.argmax(ids[y + 1:] == ids[y]))
+    return w * w * square_sum - w * e
 
 
 def is_scattered_bruteforce(ctx: FieldCtx, s: LinearizedPolynomial, t: int,
@@ -132,42 +166,45 @@ def is_scattered_bruteforce(ctx: FieldCtx, s: LinearizedPolynomial, t: int,
                             limit: int | None = None) -> ScatterReport:
     """Exhaustive decision of scatteredness of index t.
 
-    One ratio evaluation per projective point; equal values are counted in one
-    pass and any shared value yields a witness.
+    One ratio evaluation per projective point; one sort of the ratio ids finds
+    the shared values, and any shared value yields a witness.  The witness is
+    the first representative whose value is shared and the next one with that
+    value: no colliding pair is smaller.
     """
     if limit is not None and ctx.size > limit:
         raise FieldTooLarge(ctx.size, limit)
     e = ctx.subfield_index
     ids = _ratio_ids(ctx, s, t, jobs)
-    counts = np.bincount(ids, minlength=ctx.order + 1)
-    collision = _collisions(ids, counts)
-    distinct = int(np.count_nonzero(counts))
-    pair_count = _equal_ratio_pairs(ctx, counts) if census else None
+    distinct, shared, repeated = _collisions(ctx, ids)
+    pair_count = _equal_ratio_pairs(ctx, e, repeated) if census else None
 
-    if collision is None:
+    if shared is None:
         return ScatterReport(True, t, None, e, distinct, pair_count)
-    y = ctx.element_from_dlog(collision[0])
-    z = ctx.element_from_dlog(collision[1])
-    return ScatterReport(False, t, (y, z), e, distinct, pair_count)
+    y = int(shared.argmax())
+    z = y + 1 + int((ids[y + 1:] == ids[y]).argmax())
+    return ScatterReport(False, t, (ctx.element_from_dlog(y), ctx.element_from_dlog(z)),
+                         e, distinct, pair_count)
 
 
-def _groups_by_head(ids: np.ndarray, counts: np.ndarray):
+def _groups_by_head(ids: np.ndarray, shared: np.ndarray | None):
     """Representatives of each value group, groups in order of their smallest one.
 
-    Lazy: a singleton comes straight from ``counts``, and larger groups are
-    read off one stable sort of the representatives whose value is shared.
+    Lazy: a singleton is one representative outside ``shared``, and larger
+    groups are read off one stable sort of the representatives in ``shared``.
     """
-    shared = np.flatnonzero(counts[ids] > 1)
-    by_value = shared[np.argsort(ids[shared], kind="stable")]
+    if shared is None:
+        shared = np.zeros(ids.size, dtype=bool)
+    members = np.flatnonzero(shared)
+    by_value = members[np.argsort(ids[members], kind="stable")]
     sorted_ids = ids[by_value]
     for y in range(ids.size):
-        value = ids[y]
-        if counts[value] == 1:
+        if not shared[y]:
             yield (y,)
             continue
+        value = ids[y]
         lo = int(np.searchsorted(sorted_ids, value))
         if by_value[lo] == y:  # y heads its group
-            yield by_value[lo:lo + counts[value]]
+            yield by_value[lo:np.searchsorted(sorted_ids, value, side="right")]
 
 
 def deciding_pairs(ctx: FieldCtx, s: LinearizedPolynomial, t: int,
@@ -179,14 +216,14 @@ def deciding_pairs(ctx: FieldCtx, s: LinearizedPolynomial, t: int,
     the groups that hold the first ``limit`` pairs are built.
     """
     ids = _ratio_ids(ctx, s, t, jobs)
-    counts = np.bincount(ids, minlength=ctx.order + 1)
+    _, shared, repeated = _collisions(ctx, ids)
     e = ctx.subfield_index
     q = ctx.q
-    equal_ratio = _equal_ratio_pairs(ctx, counts)
+    equal_ratio = _equal_ratio_pairs(ctx, e, repeated)
     collinear = ctx.order * (q - 2)
 
     def ordered_pairs():
-        for reps in _groups_by_head(ids, counts):
+        for reps in _groups_by_head(ids, shared):
             members = sorted(int(rep) + i * e for rep in reps for i in range(q - 1))
             for y in members:
                 for z in members:
@@ -207,8 +244,8 @@ def is_permutation(ctx: FieldCtx, poly: LinearizedPolynomial,
     A nonzero root exists iff a canonical representative is one, so the scan
     covers g^0 .. g^(e-1).
     """
-    roots = _scan(ctx, lambda reps: evaluate_many(ctx, poly, reps) < 0, jobs)
-    return not np.any(roots)
+    roots = _scan(ctx, lambda reps: evaluate_many(ctx, poly, reps) < 0, jobs, bool)
+    return not roots.any()
 
 
 def scattered_via_pp(ctx: FieldCtx, s: LinearizedPolynomial, t: int,

@@ -10,7 +10,15 @@ from scatterpoly import (
     NonPrime,
     build_field,
 )
-from scatterpoly.field import DEFAULT_CAP, TABLE_LIMIT, factorize, is_prime, modulus_text
+from scatterpoly.field import (
+    DEFAULT_CAP,
+    TABLE_LIMIT,
+    _encode,
+    _fixed_mulmod,
+    factorize,
+    is_prime,
+    modulus_text,
+)
 
 from naive_oracle import naive_mul, naive_pow
 
@@ -256,17 +264,28 @@ def test_degenerate_binary_field():
     assert ctx.in_base_subfield(ctx.one())
 
 
+# F_3^9 walks four full blocks of 4096 powers and a partial one; F_2^13 walks
+# one full block and 4095 more powers.
 @pytest.mark.parametrize("params", [(2, 1, 5), (3, 1, 4), (3, 2, 3), (5, 1, 3),
-                                    (7, 1, 3)])
+                                    (7, 1, 3), (3, 1, 9), (2, 1, 13)])
 def test_zech_table_is_log_of_one_plus(params):
-    # compared on digits, which ctx.coeffs computes without the table
+    # compared on encodings of gamma^0, gamma^1, ..., walked one product at a
+    # time with the construction arithmetic, which never reads the table
     ctx = build_field(*params, strict=False)
+    p = ctx.p
+    gamma = ctx.coeffs(ctx.gamma)
+    vec = list(ctx.coeffs(ctx.one()))
+    encodings = []
+    for _ in range(ctx.order):
+        encodings.append(_encode(vec, p))
+        vec = _fixed_mulmod(vec, gamma, ctx.modulus, p)
+    assert vec == list(ctx.coeffs(ctx.one()))  # gamma has full order
+    log = {enc: k for k, enc in enumerate(encodings)}
+    assert len(log) == ctx.order
     zech = ctx._zech.tolist()
-    for k in range(ctx.order):
-        expected = list(ctx.coeffs(ctx.element_from_dlog(k)))
-        expected[0] = (expected[0] + 1) % ctx.p
-        total = ctx.zero() if zech[k] < 0 else ctx.element_from_dlog(zech[k])
-        assert list(ctx.coeffs(total)) == expected
+    for k, enc in enumerate(encodings):
+        plus_one = enc - (p - 1) if enc % p == p - 1 else enc + 1
+        assert zech[k] == log.get(plus_one, -1)
     # 1 + g^k = 0 exactly at g^k = -1
     assert zech.index(-1) == ctx.minus_one().dlog
     assert zech.count(-1) == 1

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -11,6 +12,7 @@ from scatterpoly import (
     build_field,
     deciding_pairs,
     evaluate,
+    evaluate_many,
     is_exceptional_desk,
     is_permutation,
     is_scattered_bruteforce,
@@ -20,7 +22,7 @@ from scatterpoly import (
     scattered_via_pp,
 )
 
-from scatterpoly.scatter import _collisions, _ratio_ids
+from scatterpoly.scatter import _ratio_ids
 
 from naive_oracle import naive_deciding_pair_count, naive_is_scattered
 
@@ -108,19 +110,59 @@ def test_jobs_agree(f3125):
     for t in range(5):
         assert (is_scattered_bruteforce(f3125, s, t, jobs=1)
                 == is_scattered_bruteforce(f3125, s, t, jobs=4))
-    # e = 88573 spans three scan chunks, so jobs=2 runs the threaded branch
+
+
+def _reference_oracle(ctx, s, t, limit):
+    """The oracle's answers from one evaluate_many over every representative.
+
+    Returns S at each representative, the smallest colliding pair, the number
+    of distinct ratio values, the census and the first ``limit`` ordered pairs.
+    """
+    e, w = ctx.subfield_index, ctx.q - 1
+    reps = np.arange(e, dtype=np.int64)
+    num = evaluate_many(ctx, s, reps)
+    step = pow(ctx.q, t, ctx.order)
+    ids = np.where(num < 0, ctx.order, (num - reps * step) % ctx.order)
+    values, first, inverse, counts = np.unique(
+        ids, return_index=True, return_inverse=True, return_counts=True)
+    shared = np.flatnonzero(counts[inverse] > 1)
+    witness = None
+    if shared.size:
+        y = int(shared[0])
+        witness = (y, int(np.flatnonzero(ids == ids[y])[1]))
+    census = w * w * int(np.dot(counts, counts)) - w * e
+
+    def ordered_pairs():
+        for head in np.sort(first):
+            members = sorted(int(r) + i * e for r in np.flatnonzero(ids == ids[head])
+                             for i in range(w))
+            yield from ((y, z) for y in members for z in members if y != z)
+
+    pairs = list(itertools.islice(ordered_pairs(), limit))
+    return num, witness, values.size, census, pairs
+
+
+def test_streamed_oracle_matches_reference():
+    # e = 88573 spans three scan chunks, the last one partial
     big = build_field(3, 1, 11)
-    for text in ("1:g^0,3:g^5", "0:g^71427,1:g^0"):
+    # x^3 - g^160000 x vanishes only on the class of g^80000, in the last
+    # chunk: there alone the ratio id is the zero value, and only it is a root
+    for text in ("1:g^0", "1:g^0,3:g^5", "1:g^0,2:g^5,4:g^7", "0:g^71427,1:g^0"):
         s = parse_poly(big, text)
         for t in (0, 1):
-            assert (is_scattered_bruteforce(big, s, t, jobs=1, census=True)
-                    == is_scattered_bruteforce(big, s, t, jobs=2, census=True))
-            assert (deciding_pairs(big, s, t, limit=40, jobs=1)
-                    == deciding_pairs(big, s, t, limit=40, jobs=2))
-        assert is_permutation(big, s, jobs=1) == is_permutation(big, s, jobs=2)
-    # x^3 - g^160000 x vanishes only on the class of g^80000, in the third chunk
+            num, witness, distinct, census, pairs = _reference_oracle(big, s, t, 40)
+            for jobs in (1, 2):
+                report = is_scattered_bruteforce(big, s, t, jobs=jobs, census=True)
+                got = report.witness and tuple(x.dlog for x in report.witness)
+                assert got == witness, (text, t, jobs)
+                assert report.distinct_ratio_values == distinct
+                assert report.deciding_pair_count == census
+                listed = deciding_pairs(big, s, t, limit=40, jobs=jobs)
+                assert listed.equal_ratio_pairs == census
+                assert [(y.dlog, z.dlog) for y, z in listed.pairs] == pairs
+        for jobs in (1, 2):
+            assert is_permutation(big, s, jobs=jobs) == (not np.any(num < 0))
     assert not is_permutation(big, parse_poly(big, "0:g^71427,1:g^0"), jobs=2)
-    assert is_permutation(big, parse_poly(big, "1:g^0"), jobs=2)
 
 
 def _random_instances(ctx, rng, count):
@@ -135,11 +177,12 @@ def test_collisions_pick_smallest_pair(f81, f243, f125, f81_tower):
     rng = random.Random(5)
     for ctx in (f81, f243, f125, f81_tower):
         for s, t in _random_instances(ctx, rng, 25):
-            arr = _ratio_ids(ctx, s, t, 1)
-            ids = arr.tolist()
+            ids = _ratio_ids(ctx, s, t, 1).tolist()
             brute = next(((y, z) for y in range(len(ids))
                           for z in range(y + 1, len(ids)) if ids[y] == ids[z]), None)
-            assert _collisions(arr, np.bincount(arr)) == brute, (str(s), t)
+            witness = is_scattered_bruteforce(ctx, s, t).witness
+            got = None if witness is None else (witness[0].dlog, witness[1].dlog)
+            assert got == brute, (str(s), t)
 
 
 def test_capped_pairs_are_a_prefix(f81, f243, f81_tower):
