@@ -31,12 +31,12 @@ from .errors import (
 )
 from .field import (
     DEFAULT_CAP,
-    TABLE_LIMIT,
     FieldCtx,
     FieldParams,
     build_field,
     check_field_params,
     modulus_text,
+    table_limit,
 )
 from .linpoly import parse_poly, parse_poly_dlogs
 from .scatter import ScatterReport, is_exceptional_desk, is_scattered_bruteforce
@@ -163,12 +163,12 @@ def cmd_field_info(args) -> int:
 def _field(args, need_table: bool) -> tuple[FieldParams, FieldCtx | None]:
     """Validated field parameters, plus tables when the field is within the cap.
 
-    Beyond the cap (or beyond ``TABLE_LIMIT``, whatever the cap) the parameters
-    are still checked, and a request that ``need_table`` fails with
-    FieldTooLarge.
+    Beyond :func:`field.table_limit` (the cap, ``TABLE_LIMIT`` and the walk's
+    exactness bound) the parameters are still checked, and a request that
+    ``need_table`` fails with FieldTooLarge.
     """
     params = FieldParams(args.p, args.m, args.n)
-    limit = min(args.cap, TABLE_LIMIT)
+    limit = table_limit(args.p, params.degree, args.cap)
     if params.size <= limit:
         return params, build_field(args.p, args.m, args.n, cap=args.cap)
     check_field_params(args.p, args.m, args.n)

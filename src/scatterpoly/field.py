@@ -35,11 +35,20 @@ from .errors import (
 )
 
 DEFAULT_CAP = 1 << 22
-# Largest field that gets a table, whatever the cap: the kernels form products
+# No field above this gets a table, whatever the cap: the kernels form products
 # of two discrete logs in int64, which stay below 2^63 only while q^n < 2^31,
 # and every discrete log and encoding then fits the int32 tables.  The
 # oracle's int32 ratio ids (a discrete log, or q^n - 1 for zero) rely on it too.
+# WALK_LIMIT below refuses some smaller fields; `table_limit` applies both.
 TABLE_LIMIT = 1 << 31
+# The walk that builds the table (`_log_table`) multiplies digit vectors in
+# floating point, where one product sum reaches d * (p - 1)^2.  float64 holds
+# it exactly only below 2^53.  Below TABLE_LIMIT every field of degree d >= 2
+# passes, so the bound refuses only prime fields, those with p > 94906266.
+WALK_LIMIT = 1 << 53
+# Integers up to 2^24 are exact in float32: the walk runs in float32 while its
+# sums stay below this, and encodes in float32 while p^d does not exceed it.
+_FLOAT32_EXACT = 1 << 24
 _TABLE_BLOCK = 4096
 
 
@@ -193,7 +202,8 @@ def _find_modulus(p: int, d: int) -> tuple[int, ...]:
 def _find_generator(p: int, d: int, mod, group_order: int,
                     factorization) -> list[int]:
     one = [1] + [0] * (d - 1)
-    for enc in range(1, p**d):
+    # when d > 1 the constants 1..p-1 lie in F_p^* and cannot have full order
+    for enc in range(p if d > 1 else 1, p**d):
         vec = _digits(enc, p, d)
         if all(_fixed_powmod(vec, group_order // prime, mod, p) != one
                for prime, _ in factorization):
@@ -236,14 +246,27 @@ def _log_table(p: int, d: int, mod, gamma_vec) -> np.ndarray:
 
     The walk visits gamma^0, gamma^1, ... in blocks of ``_TABLE_BLOCK``
     powers and scatters each block straight into the table.  Each block is
-    the previous one times gamma^block in float64, so the product runs on
-    BLAS.  It is exact: every entry is below p^2 * d, far under 2^53, and
-    ``y - p * floor(y / p)`` reduces an exact integer exactly.  The block
-    buffers are freed on return, before the Zech table is allocated.
+    the previous one times gamma^block, a floating-point product on BLAS,
+    reduced by ``y - p * floor(y / p)``.  Two bounds keep every step exact:
+
+      * the product: each sum is at most d * (p - 1)^2.  While that is below
+        2^24, the sum, ``floor(y / p)``, the multiple of p and the difference
+        are all integers below 2^24, exact in float32, which moves half the
+        bytes of float64.  Otherwise the walk runs in float64, exact below
+        ``WALK_LIMIT`` = 2^53, which :func:`table_limit` enforces.
+      * the encoding ``digits @ (1, p, ..., p^(d-1))``: each partial sum is
+        below p^d, so it runs in float32 while p^d <= 2^24 and in float64
+        above.
+
+    The block buffers are allocated once, so no block allocates for the
+    product or the reduction, and they are freed on return, before the Zech
+    table is allocated.
     """
     size = p**d
     n_units = size - 1
-    ppow = np.array([float(p**i) for i in range(d)])
+    walk_dtype = np.float32 if d * (p - 1) ** 2 < _FLOAT32_EXACT else np.float64
+    enc_dtype = np.float32 if size <= _FLOAT32_EXACT else np.float64
+    ppow = np.array([p**i for i in range(d)], dtype=enc_dtype)
     block = min(n_units, _TABLE_BLOCK)
 
     # gamma^0 .. gamma^(block-1) by doubling: step_m multiplies by gamma^filled
@@ -258,23 +281,27 @@ def _log_table(p: int, d: int, mod, gamma_vec) -> np.ndarray:
         step_m = step_m @ step_m % p
 
     big_step = _fixed_powmod(gamma_vec, block, mod, p)
-    big_m = _mult_matrix(big_step, mod, p).astype(np.float64)
+    big_m = _mult_matrix(big_step, mod, p).astype(walk_dtype)
 
     log = np.full(size, -1, dtype=np.int32)
     powers = np.arange(block, dtype=np.int32)
-    cur = small.astype(np.float64)
+    cur = small.astype(walk_dtype)
+    prod = np.empty_like(cur)
+    quot = np.empty_like(cur)
+    enc = np.empty(block, dtype=enc_dtype)
     idx = 0
     while idx < n_units:
         cnt = min(block, n_units - idx)
-        log[(cur[:cnt] @ ppow).astype(np.intp)] = powers[:cnt]
+        np.matmul(cur[:cnt], ppow, out=enc[:cnt])
+        log[enc[:cnt].astype(np.intp)] = powers[:cnt]
         idx += cnt
         if idx < n_units:
             powers += block
-            cur = cur @ big_m
-            quot = cur / p
+            np.matmul(cur, big_m, out=prod)
+            np.divide(prod, p, out=quot)
             np.floor(quot, out=quot)
-            quot *= p
-            cur -= quot
+            np.multiply(quot, p, out=quot)
+            np.subtract(prod, quot, out=cur)
     return log
 
 
@@ -504,6 +531,19 @@ def check_field_params(p: int, m: int, n: int, strict: bool = True) -> None:
             "p = 2 rejected; pass strict=False to build even-characteristic fields")
 
 
+def table_limit(p: int, d: int, cap: int) -> int:
+    """Largest size that F_{p^d} may have and still get a table under ``cap``.
+
+    The smallest of ``cap``, ``TABLE_LIMIT`` and, when the walk's float64
+    sums would not be exact (d * (p - 1)^2 >= ``WALK_LIMIT``), the largest
+    p'^d for which they are.
+    """
+    limit = min(cap, TABLE_LIMIT)
+    if d * (p - 1) ** 2 >= WALK_LIMIT:
+        limit = min(limit, (math.isqrt((WALK_LIMIT - 1) // d) + 1) ** d)
+    return limit
+
+
 def build_field(p: int, m: int, n: int, cap: int = DEFAULT_CAP,
                 strict: bool = True) -> FieldCtx:
     """Construct F_{p^{m*n}} with deterministic modulus, generator and Zech table.
@@ -512,12 +552,12 @@ def build_field(p: int, m: int, n: int, cap: int = DEFAULT_CAP,
     ``strict=False`` to build even-characteristic fields anyway.
     """
     check_field_params(p, m, n, strict)
-    size = p ** (m * n)
-    limit = min(cap, TABLE_LIMIT)
+    d = m * n
+    size = p**d
+    limit = table_limit(p, d, cap)
     if size > limit:
         raise FieldTooLarge(size, limit)
 
-    d = m * n
     modulus = _find_modulus(p, d)
     fact = factorize(size - 1) if size > 2 else ()
     gamma_vec = _find_generator(p, d, modulus, size - 1, fact)

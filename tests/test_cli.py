@@ -254,6 +254,21 @@ def test_table_limit_beyond_any_cap(capsys, monkeypatch):
     assert code == 2
 
 
+def test_walk_bound_refuses_large_prime_field(capsys):
+    # F_130000001 is below TABLE_LIMIT, but its walk's float64 sums (p - 1)^2
+    # pass 2^53: table requests exit 2 before allocating, criteria ones answer
+    field = ("--p", "130000001", "--n", "1", "--cap", "2147483648")
+    code, out, err = run(capsys, "field-info", *field)
+    assert (code, out) == (2, "")
+    assert err == "error: field size 130000001 exceeds cap 94906266\n"
+    argv = ("check", *field, "--poly", "0:g^0", "--index", "0")
+    code, out, err = run(capsys, *argv, "--mode", "oracle")
+    assert (code, out) == (2, "") and err.startswith("error: ")
+    code, out, _ = run(capsys, *argv, "--mode", "criteria", "--output", "json")
+    assert code == 0
+    assert json.loads(out)["field"]["materialized"] is False
+
+
 def test_check_vector_coefficient(capsys):
     # [2] is the element -1; same polynomial as 3:g^121 over F_3^5
     code, out, _ = run(capsys, "check", "--p", "3", "--n", "5",

@@ -13,11 +13,13 @@ from scatterpoly import (
 from scatterpoly.field import (
     DEFAULT_CAP,
     TABLE_LIMIT,
+    WALK_LIMIT,
     _encode,
     _fixed_mulmod,
     factorize,
     is_prime,
     modulus_text,
+    table_limit,
 )
 
 from naive_oracle import naive_mul, naive_pow
@@ -60,6 +62,32 @@ def test_table_limit():
     with pytest.raises(FieldTooLarge) as info:
         build_field(3, 1, 21, cap=10**11)
     assert info.value.cap == TABLE_LIMIT
+
+
+def test_walk_exactness_bound():
+    # the walk's float64 sums reach d * (p - 1)^2: exact below 2^53, which
+    # admits primes up to 94906266 and refuses the next one, 94906297, and any
+    # larger prime field, before a table is allocated
+    assert (94906249 - 1) ** 2 < WALK_LIMIT <= (94906297 - 1) ** 2
+    assert table_limit(94906249, 1, TABLE_LIMIT) == TABLE_LIMIT
+    for p in (94906297, 130000001):
+        assert table_limit(p, 1, TABLE_LIMIT) == 94906266
+        with pytest.raises(FieldTooLarge) as info:
+            build_field(p, 1, 1, cap=TABLE_LIMIT)
+        assert info.value.cap == 94906266
+    # a smaller cap still wins; degree 2 passes the bound up to TABLE_LIMIT
+    assert table_limit(130000001, 1, 1000) == 1000
+    assert table_limit(46337, 2, TABLE_LIMIT) == TABLE_LIMIT
+
+
+@pytest.mark.parametrize("params", [(2, 1, 4), (3, 1, 2), (3, 1, 4), (5, 1, 2),
+                                    (5, 1, 3), (7, 1, 1), (3, 2, 2)])
+def test_generator_is_smallest_primitive_encoding(params):
+    # the search skips the constants 1..p-1 when d > 1; the reference does not
+    ctx = build_field(*params, strict=False)
+    smallest = next(enc for enc in range(1, ctx.size)
+                    if ctx.element_order(ctx.element_from_encoding(enc)) == ctx.order)
+    assert ctx.gamma_encoding == smallest
 
 
 def test_build_is_reproducible():
@@ -265,9 +293,12 @@ def test_degenerate_binary_field():
 
 
 # F_3^9 walks four full blocks of 4096 powers and a partial one; F_2^13 walks
-# one full block and 4095 more powers.
+# one full block and 4095 more powers.  These walk in float32.  F_4099 and
+# F_8191 (d * (p - 1)^2 >= 2^24) walk in float64, one full block and 2 or 4094
+# more powers; a float32 walk would miss units of F_8191.
 @pytest.mark.parametrize("params", [(2, 1, 5), (3, 1, 4), (3, 2, 3), (5, 1, 3),
-                                    (7, 1, 3), (3, 1, 9), (2, 1, 13)])
+                                    (7, 1, 3), (3, 1, 9), (2, 1, 13), (4099, 1, 1),
+                                    (8191, 1, 1)])
 def test_zech_table_is_log_of_one_plus(params):
     # compared on encodings of gamma^0, gamma^1, ..., walked one product at a
     # time with the construction arithmetic, which never reads the table
