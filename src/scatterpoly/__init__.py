@@ -2,8 +2,8 @@
 
 Core pieces:
 
-* :mod:`scatterpoly.field` -- deterministic construction of F_{q^n} with
-  its Zech-log table;
+* :mod:`scatterpoly.field` -- deterministic construction of F_{q^n}: its
+  parameters, its table-free basis and its Zech-log table;
 * :mod:`scatterpoly.linpoly` -- linearized polynomials and their index-shift
   transforms;
 * :mod:`scatterpoly.cyclotomic` -- coset decompositions and the coset-indexed
@@ -32,7 +32,8 @@ from .errors import (
     WouldBeZero,
     ZeroPolynomial,
 )
-from .field import DEFAULT_CAP, FFElement, FieldCtx, FieldParams, build_field
+from .field import (DEFAULT_CAP, FFElement, FieldBasis, FieldCtx, FieldParams,
+                    build_field, field_basis)
 from .linpoly import (
     LinearizedPolynomial,
     evaluate,

@@ -21,22 +21,19 @@ from .errors import (
     BadIndex,
     EvenCharacteristicRejected,
     FieldTooLarge,
-    HypothesisViolated,
+    NeedsFieldAddition,
     NonPrime,
-    NotABinomial,
-    NotADivisor,
     ParseError,
     ScatterpolyError,
-    ZeroPolynomial,
 )
 from .field import (
     DEFAULT_CAP,
+    FieldBasis,
     FieldCtx,
     FieldParams,
     build_field,
-    check_field_params,
+    field_basis,
     modulus_text,
-    table_limit,
 )
 from .linpoly import parse_poly, parse_poly_dlogs
 from .scatter import ScatterReport, is_exceptional_desk, is_scattered_bruteforce
@@ -45,8 +42,6 @@ from .verify import SUITES, run_suites
 _CSV_COLUMNS = ["p", "m", "n", "poly", "index", "criteria", "oracle", "agree",
                 "witness_y", "witness_z"]
 
-_USAGE_ERRORS = (ParseError, BadIndex, ZeroPolynomial, NotADivisor,
-                 NotABinomial, HypothesisViolated, ValueError, KeyError)
 _CONSTRUCTION_ERRORS = (NonPrime, FieldTooLarge, EvenCharacteristicRejected)
 
 
@@ -75,35 +70,37 @@ def _parse_int_list(text: str) -> list[int]:
 # JSON-friendly views
 
 
-def _fingerprint(ctx: FieldCtx | None, params: FieldParams) -> dict:
+def _fingerprint(field: FieldParams) -> dict:
+    """Sizes, plus modulus and generator when ``materialized`` (within the limit)."""
+    materialized = isinstance(field, FieldBasis)
     base = {
-        "p": params.p,
-        "m": params.m,
-        "n": params.n,
-        "q": params.q,
-        "extension_degree": params.degree,
-        "size": params.size,
-        "order": params.order,
-        "projective_points": params.subfield_index,
-        "materialized": ctx is not None,
+        "p": field.p,
+        "m": field.m,
+        "n": field.n,
+        "q": field.q,
+        "extension_degree": field.degree,
+        "size": field.size,
+        "order": field.order,
+        "projective_points": field.subfield_index,
+        "materialized": materialized,
     }
-    if ctx is not None:
+    if materialized:
         base.update({
-            "modulus": list(ctx.modulus),
-            "modulus_text": modulus_text(ctx),
-            "modulus_encoding": ctx.modulus_encoding,
-            "gamma_coeffs": list(ctx.coeffs(ctx.gamma)),
-            "gamma_encoding": ctx.gamma_encoding,
-            "factorization": [[prime, exp] for prime, exp in ctx.factorization],
+            "modulus": list(field.modulus),
+            "modulus_text": modulus_text(field),
+            "modulus_encoding": field.modulus_encoding,
+            "gamma_coeffs": list(field.gamma_coeffs),
+            "gamma_encoding": field.gamma_encoding,
+            "factorization": [[prime, exp] for prime, exp in field.factorization],
         })
     return base
 
 
-def _element_view(ctx: FieldCtx, elem) -> dict:
-    return {"dlog": elem.dlog, "coeffs": list(ctx.coeffs(elem)), "text": str(elem)}
+def _element_view(basis: FieldBasis, elem) -> dict:
+    return {"dlog": elem.dlog, "coeffs": list(basis.coeffs(elem)), "text": str(elem)}
 
 
-def _report_view(ctx: FieldCtx, report: ScatterReport) -> dict:
+def _report_view(basis: FieldBasis, report: ScatterReport) -> dict:
     out = {
         "scattered": report.scattered,
         "index": report.index,
@@ -113,8 +110,8 @@ def _report_view(ctx: FieldCtx, report: ScatterReport) -> dict:
         "deciding_pair_count": report.deciding_pair_count,
     }
     if report.witness is not None:
-        out["witness"] = {"y": _element_view(ctx, report.witness[0]),
-                          "z": _element_view(ctx, report.witness[1])}
+        out["witness"] = {"y": _element_view(basis, report.witness[0]),
+                          "z": _element_view(basis, report.witness[1])}
     return out
 
 
@@ -139,20 +136,19 @@ def _dump(obj) -> str:
 
 
 def cmd_field_info(args) -> int:
-    params, ctx = _field(args, need_table=True)
-    info = _fingerprint(ctx, params)
+    basis = field_basis(args.p, args.m, args.n, cap=args.cap)
     if args.output == "json":
-        print(_dump(info))
+        print(_dump(_fingerprint(basis)))
         return 0
     factor_text = " * ".join(f"{prime}^{exp}" if exp > 1 else str(prime)
-                             for prime, exp in ctx.factorization) or "1"
-    print(f"field F_{params.q}^{params.n} = F_{params.p}^{params.degree} "
-          f"(p={params.p}, m={params.m}, n={params.n})")
-    print(f"modulus: {modulus_text(ctx)} (encoding {ctx.modulus_encoding})")
-    print(f"generator g: coeffs {list(ctx.coeffs(ctx.gamma))} "
-          f"(encoding {ctx.gamma_encoding}), order {ctx.order}")
-    print(f"group order: {ctx.order} = {factor_text}")
-    print(f"subfield index (q^n-1)/(q-1): {ctx.subfield_index}")
+                             for prime, exp in basis.factorization) or "1"
+    print(f"field F_{basis.q}^{basis.n} = F_{basis.p}^{basis.degree} "
+          f"(p={basis.p}, m={basis.m}, n={basis.n})")
+    print(f"modulus: {modulus_text(basis)} (encoding {basis.modulus_encoding})")
+    print(f"generator g: coeffs {list(basis.gamma_coeffs)} "
+          f"(encoding {basis.gamma_encoding}), order {basis.order}")
+    print(f"group order: {basis.order} = {factor_text}")
+    print(f"subfield index (q^n-1)/(q-1): {basis.subfield_index}")
     return 0
 
 
@@ -160,29 +156,27 @@ def cmd_field_info(args) -> int:
 # requests: field, polynomial, CSV row
 
 
-def _field(args, need_table: bool) -> tuple[FieldParams, FieldCtx | None]:
-    """Validated field parameters, plus tables when the field is within the cap.
+def _field(args, oracle: bool, capped: bool) -> FieldParams:
+    """The request's field: a FieldCtx for the ``oracle``, else a FieldBasis.
 
-    Beyond :func:`field.table_limit` (the cap, ``TABLE_LIMIT`` and the walk's
-    exactness bound) the parameters are still checked, and a request that
-    ``need_table`` fails with FieldTooLarge.
+    Beyond :func:`field.table_limit` the sizes come back alone, or a
+    ``capped`` request fails with FieldTooLarge.
     """
-    params = FieldParams(args.p, args.m, args.n)
-    limit = table_limit(args.p, params.degree, args.cap)
-    if params.size <= limit:
-        return params, build_field(args.p, args.m, args.n, cap=args.cap)
-    check_field_params(args.p, args.m, args.n)
-    if need_table:
-        raise FieldTooLarge(params.size, limit)
-    return params, None
+    try:
+        return (build_field if oracle else field_basis)(args.p, args.m, args.n,
+                                                         cap=args.cap)
+    except FieldTooLarge:
+        if capped:
+            raise
+        return FieldParams(args.p, args.m, args.n)
 
 
-def _poly(ctx: FieldCtx | None, params: FieldParams, text: str):
-    """(polynomial or None beyond the cap, dlog terms, normalized text)."""
-    if ctx is None:
-        terms = parse_poly_dlogs(params.n, params.order, text)
+def _poly(field: FieldParams, text: str):
+    """(polynomial or None without a table, dlog terms, normalized text)."""
+    if not isinstance(field, FieldCtx):
+        terms = parse_poly_dlogs(field.n, field.order, text)
         return None, terms, ",".join(f"{r}:g^{k}" for r, k in terms)
-    poly = parse_poly(ctx, text)
+    poly = parse_poly(field, text)
     return poly, poly.dlog_terms(), str(poly)
 
 
@@ -236,21 +230,28 @@ def build_check_envelope(args) -> tuple[dict, dict]:
 
     timing: dict[str, float] = {}
     t0 = time.perf_counter()
-    params, ctx = _field(args, args.mode in ("oracle", "both") or bool(m_list))
-    if ctx is not None:
+    oracle = args.mode in ("oracle", "both")
+    field = _field(args, oracle, oracle or bool(m_list))
+    try:
+        poly, terms, poly_norm = _poly(field, args.poly)
+    except NeedsFieldAddition:
+        if not isinstance(field, FieldBasis):
+            raise
+        field = build_field(args.p, args.m, args.n, cap=args.cap)
+        poly, terms, poly_norm = _poly(field, args.poly)
+    if isinstance(field, FieldBasis):
         timing["build_s"] = time.perf_counter() - t0
-    poly, terms, poly_norm = _poly(ctx, params, args.poly)
 
     verdicts: list[CriterionVerdict] = []
     if args.mode in ("criteria", "both"):
         t0 = time.perf_counter()
-        verdicts = applicable_criteria(params, terms, t)
+        verdicts = applicable_criteria(field, terms, t)
         timing["criteria_s"] = time.perf_counter() - t0
 
     report = None
-    if args.mode in ("oracle", "both"):
+    if oracle:
         t0 = time.perf_counter()
-        report = is_scattered_bruteforce(ctx, poly, t, jobs=args.jobs,
+        report = is_scattered_bruteforce(field, poly, t, jobs=args.jobs,
                                          census=args.census)
         timing["oracle_s"] = time.perf_counter() - t0
 
@@ -267,7 +268,7 @@ def build_check_envelope(args) -> tuple[dict, dict]:
             })
         timing["tower_s"] = time.perf_counter() - t0
 
-    row = _row(params, poly_norm, t, verdicts, report)
+    row = _row(field, poly_norm, t, verdicts, report)
     envelope = {
         "request": {
             "command": "check",
@@ -276,10 +277,10 @@ def build_check_envelope(args) -> tuple[dict, dict]:
             "index": t, "mode": args.mode, "census": args.census,
             "jobs": args.jobs, "cap": args.cap, "m_list": m_list,
         },
-        "field": _fingerprint(ctx, params),
+        "field": _fingerprint(field),
         "results": {
             "criteria": [_verdict_view(v) for v in verdicts],
-            "oracle": _report_view(ctx, report) if report is not None else None,
+            "oracle": _report_view(field, report) if report is not None else None,
             "agreement": (None if report is None or not verdicts
                           else row["agree"] != "no"),
             "tower": tower,
@@ -342,7 +343,7 @@ def _print_check_text(envelope) -> None:
 # scan
 
 
-def _scan_targets(args, ctx, params):
+def _scan_targets(args, params: FieldParams):
     """Yield (poly_text, poly, dlog_terms, indices) per family member."""
     if args.indices == "all":
         explicit = list(range(params.n))
@@ -374,23 +375,23 @@ def _scan_targets(args, ctx, params):
         raise ParseError(f"unknown family {args.family!r}")
 
     for text in texts:
-        poly, terms, _ = _poly(ctx, params, text)
+        poly, terms, _ = _poly(params, text)
         own = sorted({r for r, _ in terms})
         yield text, poly, terms, own if explicit is None else explicit
 
 
 def cmd_scan(args) -> int:
-    params, ctx = _field(args, need_table=False)
+    field = _field(args, oracle=True, capped=False)
     rows = []
-    for text, poly, terms, indices in _scan_targets(args, ctx, params):
+    for text, poly, terms, indices in _scan_targets(args, field):
         for t in indices:
-            if not 0 <= t < params.n:
-                raise BadIndex(f"index {t} out of range 0..{params.n - 1}")
-            verdicts = applicable_criteria(params, terms, t)
+            if not 0 <= t < field.n:
+                raise BadIndex(f"index {t} out of range 0..{field.n - 1}")
+            verdicts = applicable_criteria(field, terms, t)
             report = None
             if poly is not None:
-                report = is_scattered_bruteforce(ctx, poly, t, jobs=args.jobs)
-            rows.append(_row(params, text, t, verdicts, report))
+                report = is_scattered_bruteforce(field, poly, t, jobs=args.jobs)
+            rows.append(_row(field, text, t, verdicts, report))
 
     if args.output == "json":
         print(_dump({"request": {"command": "scan", "family": args.family,
@@ -501,13 +502,10 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except _CONSTRUCTION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ScatterpolyError as exc:
+    except (ScatterpolyError, ValueError, KeyError) as exc:  # usage and parse problems
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -6,8 +6,8 @@ reports a verdict.  Inapplicability is a first-class outcome, not an error, so
 callers can never mistake "the statement is silent here" for an answer.
 
 All verdicts reduce to integer arithmetic on discrete logs, so every criterion
-takes the field's parameters (a :class:`FieldParams` or a built ``FieldCtx``)
-and the polynomial's (exponent, coefficient dlog) terms, and works for fields
+takes the field's parameters (a :class:`FieldParams`, which every built field
+is) and the polynomial's (exponent, coefficient dlog) terms, and works for fields
 far beyond the exhaustive-scan cap.
 """
 
@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import BadIndex, HypothesisViolated, NotABinomial, WouldBeZero
-from .field import FieldCtx, dlog_order
+from .field import FieldCtx, FieldParams, dlog_order
 from .linpoly import LinearizedPolynomial, shift_down, strip_min_term, t_transform
 
 
@@ -83,7 +83,7 @@ def _binomial_terms(terms):
     return terms
 
 
-def binomial_criterion(params, terms) -> CriterionVerdict:
+def binomial_criterion(params: FieldParams, terms) -> CriterionVerdict:
     """A binomial with |a_2| dividing q^r1 - 1 is scattered of index r1 and of
     index r2 iff gcd(r2 - r1, n) = 1."""
     (r1, _), (r2, a2_dlog) = _binomial_terms(terms)
@@ -100,7 +100,7 @@ def binomial_criterion(params, terms) -> CriterionVerdict:
                             index_verdicts=((r1, verdict), (r2, verdict)))
 
 
-def affine_binomial_criterion(params, terms) -> CriterionVerdict:
+def affine_binomial_criterion(params: FieldParams, terms) -> CriterionVerdict:
     """a_1 x + a_2 x^(q^r) is scattered of index r iff gcd(r, n) = 1.
 
     No order hypotheses at all: a1, a2 may be any nonzero elements.
@@ -171,7 +171,7 @@ def index_shift_reduction(ctx: FieldCtx, s: LinearizedPolynomial, t: int
 # LP-shape membership
 
 
-def lp_membership(params, terms) -> CriterionVerdict:
+def lp_membership(params: FieldParams, terms) -> CriterionVerdict:
     """Classify a binomial against the LP (Lunardon-Polverino) shape.
 
     Membership means x^(q^r) + delta x^(q^(n-r)) after scaling the low
@@ -326,18 +326,18 @@ def exceptional_family_certificate(q: int, n: int, r: int,
 # Subfield membership by exponent
 
 
-def subfield_exponent_criterion(ctx, a: int) -> bool:
+def subfield_exponent_criterion(params: FieldParams, a: int) -> bool:
     """g^a lies in F_q iff (q^n - 1)/(q - 1) divides a."""
     if a < 0:
         raise ValueError("exponent must be nonnegative")
-    return a % ctx.subfield_index == 0
+    return a % params.subfield_index == 0
 
 
 # ---------------------------------------------------------------------------
 # Dispatcher used by the CLI
 
 
-def applicable_criteria(params, terms, t: int) -> list[CriterionVerdict]:
+def applicable_criteria(params: FieldParams, terms, t: int) -> list[CriterionVerdict]:
     """All criteria with something to say about (S, t), given dlog terms."""
     out: list[CriterionVerdict] = []
     if len(terms) == 1:

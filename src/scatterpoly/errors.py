@@ -60,3 +60,7 @@ class BadIndex(ScatterpolyError):
 
 class ParseError(ScatterpolyError):
     pass
+
+
+class NeedsFieldAddition(ParseError):
+    """The text adds coefficients while parsing, which needs the Zech table."""

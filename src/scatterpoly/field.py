@@ -14,8 +14,14 @@ and then keeps one table, the int32 Zech log ``zech[k] = log(1 + g^k)``
 norms and addition are O(1) integer operations on discrete logs.  That is
 what makes the exhaustive scans in :mod:`scatterpoly.scatter` feasible.
 
+Three layers, each a subclass of the one before, describe a field:
+:class:`FieldParams` holds the sizes, all the scan-free criteria read;
+:class:`FieldBasis` (:func:`field_basis`) adds the modulus, factorization and
+generator, found in milliseconds, all the fingerprint reads; :class:`FieldCtx`
+(:func:`build_field`) adds the Zech table, which the oracle and addition read.
+
 An element is its discrete log alone (:class:`FFElement`).  Digits and
-discrete logs meet in one place each way: :meth:`FieldCtx.coeffs` raises the
+discrete logs meet in one place each way: :meth:`FieldBasis.coeffs` raises the
 generator's digits to the discrete log, and :meth:`FieldCtx.element_from_coeffs`
 runs Horner's rule on the digits through the Zech table.
 """
@@ -309,48 +315,14 @@ def _zech_table(p: int, log: np.ndarray) -> np.ndarray:
     """zech[k] = log(1 + g^k), or -1 where 1 + g^k = 0.
 
     Adding 1 changes only the lowest base-p digit of an encoding, so encoding
-    u pairs with u + 1, or with u + 1 - p when that digit is p - 1.  Strided
-    slices of ``log`` pair them without a full-size temporary.
+    u pairs with u + 1, or with u + 1 - p when that digit is p - 1: two slice
+    assignments, the second rewriting those units, with ``log[0] = -1``
+    marking 1 + (-1) = 0.  Neither makes a full-size temporary.
     """
     zech = np.empty(log.size - 1, dtype=np.int32)
-    zech[log[p::p]] = log[p + 1::p]
-    for j in range(1, p):
-        zech[log[j::p]] = log[(j + 1) % p::p]
+    zech[log[1:-1]] = log[2:]
+    zech[log[p - 1::p]] = log[::p]
     return zech
-
-
-@dataclass(frozen=True)
-class FieldParams:
-    """Field parameters without materialized tables.
-
-    Enough for the purely arithmetic criteria (orders, norms and coset data of
-    elements given by discrete log), which is what serves fields beyond the
-    exhaustive-scan cap.
-    """
-
-    p: int
-    m: int
-    n: int
-
-    @property
-    def q(self) -> int:
-        return self.p**self.m
-
-    @property
-    def degree(self) -> int:
-        return self.m * self.n
-
-    @property
-    def size(self) -> int:
-        return self.p ** (self.m * self.n)
-
-    @property
-    def order(self) -> int:
-        return self.size - 1
-
-    @property
-    def subfield_index(self) -> int:
-        return self.order // (self.q - 1)
 
 
 @dataclass(frozen=True)
@@ -358,7 +330,7 @@ class FFElement:
     """One element of F_{q^n}: its discrete log to the field's generator.
 
     ``dlog`` is None exactly for the zero element.  An element does not know
-    its field; :meth:`FieldCtx.coeffs` gives its coefficient vector over F_p.
+    its field; :meth:`FieldBasis.coeffs` gives its coefficient vector over F_p.
     """
 
     dlog: int | None
@@ -376,38 +348,39 @@ def dlog_order(order: int, dlog: int) -> int:
     return order // math.gcd(order, dlog % order)
 
 
-class FieldCtx:
-    """Immutable context for F_{q^n}: its parameters and its Zech-log table.
+class FieldParams:
+    """The sizes of F_p <= F_q <= F_{q^n}, computed once from p, m and n.
 
-    Construct via :func:`build_field`.  Safe to share across threads; no
-    method mutates the context.
+    Enough for the purely arithmetic criteria (orders, norms and coset data of
+    elements given by discrete log), which is what serves fields beyond the
+    exhaustive-scan cap.
     """
 
-    def __init__(self, p: int, m: int, n: int, modulus, factorization, gamma_vec,
-                 zech, log_x, const_logs):
+    def __init__(self, p: int, m: int, n: int):
         self.p = p
         self.m = m
         self.n = n
         self.q = p**m
         self.degree = m * n
-        self.size = p ** (m * n)
+        self.size = p**self.degree
         self.order = self.size - 1
         self.subfield_index = self.order // (self.q - 1)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(p={self.p}, m={self.m}, n={self.n})"
+
+
+class FieldBasis(FieldParams):
+    """F_{q^n} as F_p[x]/(modulus) with its generator's digits; no table.
+
+    Construct via :func:`field_basis`.
+    """
+
+    def __init__(self, p: int, m: int, n: int, modulus, factorization, gamma_coeffs):
+        super().__init__(p, m, n)
         self.modulus = tuple(modulus)
         self.factorization = tuple(factorization)
-        self._gamma_vec = tuple(gamma_vec)
-        self._zech = zech
-        self._x = FFElement(log_x)
-        self._const_logs = const_logs  # log c for the constants c = 1..p-1
-        # -1 = g^(order/2) in odd characteristic; -1 = 1 when p = 2
-        self._neg_shift = self.order // 2 if p > 2 else 0
-        self.gamma = self.element_from_dlog(1)
-
-    # -- representation helpers ------------------------------------------
-
-    @property
-    def params(self) -> FieldParams:
-        return FieldParams(self.p, self.m, self.n)
+        self.gamma_coeffs = tuple(gamma_coeffs)
 
     @property
     def modulus_encoding(self) -> int:
@@ -415,11 +388,7 @@ class FieldCtx:
 
     @property
     def gamma_encoding(self) -> int:
-        return self.encode(self.gamma)
-
-    def encode(self, a: FFElement) -> int:
-        """The integer sum(c_i p^i) of a's coefficient vector; for output."""
-        return _encode(self.coeffs(a), self.p)
+        return _encode(self.gamma_coeffs, self.p)
 
     def coeffs(self, a: FFElement) -> tuple[int, ...]:
         """a's coefficient vector over F_p, constant term first; for output.
@@ -428,7 +397,35 @@ class FieldCtx:
         """
         if a.dlog is None:
             return (0,) * self.degree
-        return tuple(_fixed_powmod(self._gamma_vec, a.dlog, self.modulus, self.p))
+        return tuple(_fixed_powmod(self.gamma_coeffs, a.dlog, self.modulus, self.p))
+
+
+class FieldCtx(FieldBasis):
+    """Immutable context for F_{q^n}: its basis and its Zech-log table.
+
+    Construct via :func:`build_field`.  Safe to share across threads; no
+    method mutates the context.
+    """
+
+    def __init__(self, basis: FieldBasis, zech, log_x, const_logs):
+        super().__init__(basis.p, basis.m, basis.n, basis.modulus,
+                         basis.factorization, basis.gamma_coeffs)
+        self._zech = zech
+        self._x = FFElement(log_x)
+        self._const_logs = const_logs  # log c for the constants c = 1..p-1
+        # -1 = g^(order/2) in odd characteristic; -1 = 1 when p = 2
+        self._neg_shift = self.order // 2 if self.p > 2 else 0
+        self.gamma = self.element_from_dlog(1)
+
+    # -- representation helpers ------------------------------------------
+
+    @property
+    def params(self) -> FieldParams:
+        return self
+
+    def encode(self, a: FFElement) -> int:
+        """The integer sum(c_i p^i) of a's coefficient vector; for output."""
+        return _encode(self.coeffs(a), self.p)
 
     def element_from_dlog(self, k: int) -> FFElement:
         return FFElement(k % self.order)
@@ -512,9 +509,6 @@ class FieldCtx:
     def in_base_subfield(self, a: FFElement) -> bool:
         return a.dlog is None or a.dlog % self.subfield_index == 0
 
-    def __repr__(self) -> str:
-        return f"FieldCtx(p={self.p}, m={self.m}, n={self.n})"
-
 
 def check_field_params(p: int, m: int, n: int, strict: bool = True) -> None:
     """Reject a non-prime p, a nonpositive m or n, and (when ``strict``) p = 2.
@@ -544,13 +538,12 @@ def table_limit(p: int, d: int, cap: int) -> int:
     return limit
 
 
-def build_field(p: int, m: int, n: int, cap: int = DEFAULT_CAP,
-                strict: bool = True) -> FieldCtx:
-    """Construct F_{p^{m*n}} with deterministic modulus, generator and Zech table.
+def field_basis(p: int, m: int, n: int, cap: int = DEFAULT_CAP,
+                strict: bool = True) -> FieldBasis:
+    """The deterministic modulus and generator of F_{p^{m*n}}, without a table.
 
-    The parameters pass :func:`check_field_params` first; pass
-    ``strict=False`` to build even-characteristic fields anyway.
-    """
+    Refuses what :func:`build_field` refuses: see :func:`check_field_params`
+    and :func:`table_limit`."""
     check_field_params(p, m, n, strict)
     d = m * n
     size = p**d
@@ -560,16 +553,24 @@ def build_field(p: int, m: int, n: int, cap: int = DEFAULT_CAP,
 
     modulus = _find_modulus(p, d)
     fact = factorize(size - 1) if size > 2 else ()
-    gamma_vec = _find_generator(p, d, modulus, size - 1, fact)
-    return FieldCtx(p, m, n, modulus, fact, gamma_vec,
-                    *_build_tables(p, d, modulus, gamma_vec))
+    return FieldBasis(p, m, n, modulus, fact, _find_generator(p, d, modulus, size - 1, fact))
 
 
-def modulus_text(ctx: FieldCtx) -> str:
+def build_field(p: int, m: int, n: int, cap: int = DEFAULT_CAP,
+                strict: bool = True) -> FieldCtx:
+    """Construct F_{p^{m*n}}: :func:`field_basis` plus the Zech table.
+
+    Pass ``strict=False`` to build even-characteristic fields anyway."""
+    basis = field_basis(p, m, n, cap, strict)
+    return FieldCtx(basis, *_build_tables(p, basis.degree, basis.modulus,
+                                          basis.gamma_coeffs))
+
+
+def modulus_text(basis: FieldBasis) -> str:
     """Human-readable form of the defining polynomial, e.g. ``x^2 + 1``."""
     parts = []
-    for i in range(len(ctx.modulus) - 1, -1, -1):
-        c = ctx.modulus[i]
+    for i in range(len(basis.modulus) - 1, -1, -1):
+        c = basis.modulus[i]
         if c == 0:
             continue
         if i == 0:

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import (
     DivisionByZero,
     IndexExceedsMinExponent,
+    NeedsFieldAddition,
     ParseError,
     RhoInBaseField,
     WouldBeZero,
@@ -230,17 +231,18 @@ def parse_poly(ctx: FieldCtx, text: str) -> LinearizedPolynomial:
 def parse_poly_dlogs(n: int, order: int, text: str) -> tuple[tuple[int, int], ...]:
     """Parse without a field context (generator powers only).
 
-    Used for fields too large to materialize: exponents are reduced mod n and
-    must be distinct (merging coefficients would need field addition).
+    Used wherever no Zech table is built: exponents are reduced mod n and
+    must be distinct.  NeedsFieldAddition refuses a text that merges or
+    converts coefficients; :func:`parse_poly` accepts it.
     """
     terms: dict[int, int] = {}
     for r, coeff in parse_terms(text):
         if not isinstance(coeff, int):
-            raise ParseError(
+            raise NeedsFieldAddition(
                 "coefficient vectors need a materialized field; use g^k powers")
         r %= n
         if r in terms:
-            raise ParseError(
+            raise NeedsFieldAddition(
                 f"duplicate exponent {r} cannot be merged without field tables")
         terms[r] = coeff % order
     return tuple(sorted(terms.items()))

@@ -283,8 +283,7 @@ def scattered_via_pp(ctx: FieldCtx, s: LinearizedPolynomial, t: int,
 
 
 def is_exceptional_desk(p: int, m: int, n: int, s_terms, t: int, m_list,
-                        cap: int = DEFAULT_CAP, jobs: int = 1,
-                        strict: bool = True) -> list[TowerVerdict]:
+                        cap: int = DEFAULT_CAP, jobs: int = 1) -> list[TowerVerdict]:
     """Run the oracle for the same polynomial across extension steps.
 
     ``s_terms`` are (exponent, dlog) pairs over the base field F_{q^n}; each
@@ -297,7 +296,7 @@ def is_exceptional_desk(p: int, m: int, n: int, s_terms, t: int, m_list,
     for mm in m_list:
         if mm < 1:
             raise ValueError("extension multipliers must be positive")
-        ctx = build_field(p, m, n * mm, cap=cap, strict=strict)
+        ctx = build_field(p, m, n * mm, cap=cap)
         scale = ctx.order // base_order
         terms = [(r, ctx.element_from_dlog(dlog * scale % ctx.order))
                  for r, dlog in s_terms]

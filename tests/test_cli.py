@@ -2,6 +2,9 @@ import csv
 import io
 import json
 
+import pytest
+
+from scatterpoly import field
 from scatterpoly.cli import _CSV_COLUMNS, _row, main
 from scatterpoly.criteria import CriterionVerdict
 from scatterpoly.field import FieldParams
@@ -305,6 +308,36 @@ def test_scan_custom_beyond_cap(capsys):
     code, out, err = run(capsys, "scan", "--p", "4", "--n", "30",
                          "--family", "custom", "--poly", "1:g^0")
     assert code == 2 and "not prime" in err and out == ""
+
+
+class _TableBuilt(Exception):
+    pass
+
+
+def test_table_is_built_only_when_the_request_reads_it(capsys, monkeypatch):
+    def refuse(*args):
+        raise _TableBuilt
+    monkeypatch.setattr(field, "_build_tables", refuse)
+    # g^k coefficients on distinct exponents, and the fingerprint, need no table
+    code, out, _ = run(capsys, "check", "--p", "3", "--n", "13", "--poly", "1:g^0,4:g^5",
+                       "--index", "1", "--mode", "criteria", "--output", "json")
+    assert code == 0 and json.loads(out)["field"]["materialized"]
+    assert run(capsys, "field-info", "--p", "3", "--n", "13")[0] == 0
+    assert run(capsys, "check", "--p", "3", "--n", "13", "--poly", "1:oops",
+               "--index", "1", "--mode", "criteria")[0] == 1
+    # field addition while parsing, the oracle and a scan within the cap read it
+    readers = (
+        ("check", "--p", "3", "--n", "5", "--poly", "1:[1],3:[2]", "--index", "2",
+         "--mode", "criteria"),
+        ("check", "--p", "3", "--n", "4", "--poly", "1:g^0,5:g^0", "--index", "0",
+         "--mode", "criteria"),
+        ("check", "--p", "3", "--n", "4", "--poly", "1:g^0", "--index", "0",
+         "--mode", "both"),
+        ("scan", "--p", "3", "--n", "4", "--family", "pseudoregulus"),
+    )
+    for argv in readers:
+        with pytest.raises(_TableBuilt):
+            main(list(argv))
 
 
 def test_row_agreement_reads_every_verdict():

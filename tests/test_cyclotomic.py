@@ -15,6 +15,7 @@ from scatterpoly import (
     lemma_relation_check,
     normalize,
     parse_poly,
+    verify,
 )
 from scatterpoly.cyclotomic import CoefficientTable
 
@@ -188,3 +189,13 @@ def test_lemma_relation_matches_pointwise(f27):
 def test_lemma_relation_size_guard(f81):
     with pytest.raises(FieldTooLarge):
         lemma_relation_check(f81, normalize(f81, [(1, f81.one())]), limit=10)
+
+
+def test_coset_multiplier_check_runs_on_every_call(f3125, monkeypatch):
+    # a cached verdict would hide a failure from every call after the first
+    s_poly = parse_poly(f3125, "3:g^0,4:g^0")
+    calls = []
+    monkeypatch.setattr(verify, "decompose", lambda *a: calls.append(a) or decompose(*a))
+    assert verify.coset_multipliers_consistent(f3125, s_poly)
+    assert verify.coset_multipliers_consistent(f3125, s_poly)
+    assert len(calls) == 2

@@ -56,8 +56,16 @@ CASES = [
     # criteria mode within and beyond the cap, oracle mode alone
     *(["check", *_BEYOND, "--mode", "criteria", "--output", out]
       for out in ("text", "json", "csv")),
-    ["check", *_TOWER, "--mode", "criteria", "--output", "json"],
+    *(["check", *_TOWER, "--mode", "criteria", "--output", out]
+      for out in ("text", "json", "csv")),
     ["check", *_TOWER, "--mode", "oracle", "--output", "text"],
+    # criteria mode on the paths that read the Zech table, and those that do not
+    ["check", "--p", "3", "--n", "5", "--poly", "1:[1],3:[2]", "--index", "2",
+     "--mode", "criteria"],
+    ["check", "--p", "3", "--n", "4", "--poly", "1:g^0,1:g^0", "--index", "0",
+     "--mode", "criteria", "--output", "csv"],
+    ["check", *_TOWER, "--mode", "criteria", "--m-list", "1,2", "--output", "json"],
+    ["field-info", "--p", "3", "--n", "13", "--output", "json"],
     # scans
     ["scan", "--p", "3", "--n", "4", "--family", "pseudoregulus"],
     ["scan", "--p", "3", "--n", "5", "--family", "pseudoregulus", "--output", "text"],
@@ -76,6 +84,8 @@ CASES = [
     ["check", "--p", "3", "--n", "4", "--poly", "1:oops", "--index", "0"],
     ["check", "--p", "3", "--n", "4", "--poly", "1:[0]", "--index", "0"],
     ["check", "--p", "3", "--n", "4", "--poly", "1:g^0,1:g^40", "--index", "0"],
+    ["check", "--p", "3", "--n", "4", "--poly", "1:g^0,1:g^40", "--index", "0",
+     "--mode", "criteria"],
     ["check", "--p", "3", "--n", "4"],
     ["check", *_TOWER, "--m-list", "1,x"],
     ["check", *_TOWER, "--m-list", "0"],
@@ -93,6 +103,7 @@ CASES = [
      "--mode", "criteria"],
     ["scan", "--p", "4", "--n", "30", "--family", "custom", "--poly", "1:g^0"],
     ["check", "--p", "3", "--n", "5", "--cap", "100", "--poly", "1:g^0", "--index", "0"],
+    ["field-info", "--p", "3", "--n", "5", "--cap", "100"],
 ]
 
 
