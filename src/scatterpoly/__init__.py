@@ -23,6 +23,7 @@ from .errors import (
     FieldTooLarge,
     HypothesisViolated,
     IndexExceedsMinExponent,
+    NeedsFieldAddition,
     NonPrime,
     NotABinomial,
     NotADivisor,
@@ -63,6 +64,7 @@ from .scatter import (
     is_exceptional_desk,
     is_permutation,
     is_scattered_bruteforce,
+    oracle_adds,
     scattered_via_pp,
 )
 from .criteria import (

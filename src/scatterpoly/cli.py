@@ -28,6 +28,7 @@ from .errors import (
 )
 from .field import (
     DEFAULT_CAP,
+    FFElement,
     FieldBasis,
     FieldCtx,
     FieldParams,
@@ -35,8 +36,13 @@ from .field import (
     field_basis,
     modulus_text,
 )
-from .linpoly import parse_poly, parse_poly_dlogs
-from .scatter import ScatterReport, is_exceptional_desk, is_scattered_bruteforce
+from .linpoly import LinearizedPolynomial, parse_poly, parse_poly_dlogs
+from .scatter import (
+    ScatterReport,
+    is_exceptional_desk,
+    is_scattered_bruteforce,
+    oracle_adds,
+)
 from .verify import SUITES, run_suites
 
 _CSV_COLUMNS = ["p", "m", "n", "poly", "index", "criteria", "oracle", "agree",
@@ -156,15 +162,14 @@ def cmd_field_info(args) -> int:
 # requests: field, polynomial, CSV row
 
 
-def _field(args, oracle: bool, capped: bool) -> FieldParams:
-    """The request's field: a FieldCtx for the ``oracle``, else a FieldBasis.
+def _field(args, capped: bool) -> FieldParams:
+    """The request's field without a table: a FieldBasis.
 
     Beyond :func:`field.table_limit` the sizes come back alone, or a
     ``capped`` request fails with FieldTooLarge.
     """
     try:
-        return (build_field if oracle else field_basis)(args.p, args.m, args.n,
-                                                         cap=args.cap)
+        return field_basis(args.p, args.m, args.n, cap=args.cap)
     except FieldTooLarge:
         if capped:
             raise
@@ -172,12 +177,45 @@ def _field(args, oracle: bool, capped: bool) -> FieldParams:
 
 
 def _poly(field: FieldParams, text: str):
-    """(polynomial or None without a table, dlog terms, normalized text)."""
-    if not isinstance(field, FieldCtx):
-        terms = parse_poly_dlogs(field.n, field.order, text)
-        return None, terms, ",".join(f"{r}:g^{k}" for r, k in terms)
-    poly = parse_poly(field, text)
+    """(polynomial, dlog terms, normalized text).
+
+    Without a table, a text that adds coefficients raises NeedsFieldAddition.
+    """
+    if isinstance(field, FieldCtx):
+        poly = parse_poly(field, text)
+    else:
+        poly = LinearizedPolynomial(tuple(
+            (r, FFElement(k)) for r, k in parse_poly_dlogs(field.n, field.order, text)))
     return poly, poly.dlog_terms(), str(poly)
+
+
+def _parse(args, field: FieldParams, texts, oracle_indices):
+    """Parse ``texts``, building the Zech table once, and only if it is read.
+
+    ``oracle_indices(terms)`` gives the indices the oracle scans for one
+    parsed text (it may raise BadIndex).  The table is read when a text adds
+    coefficients while parsing, or when the oracle adds at one of those
+    indices (:func:`scatter.oracle_adds`).  Returns the field and one
+    (polynomial, dlog terms, normalized text, oracle indices) per text.
+    """
+    def parse_all(field):
+        out = []
+        for text in texts:
+            poly, terms, poly_norm = _poly(field, text)
+            out.append((poly, terms, poly_norm, oracle_indices(terms)))
+        return out
+
+    try:
+        parsed = parse_all(field)
+    except NeedsFieldAddition:
+        if not isinstance(field, FieldBasis):
+            raise
+    else:
+        if not isinstance(field, FieldBasis) or not any(
+                oracle_adds(terms, t) for _, terms, _, ts in parsed for t in ts):
+            return field, parsed
+    field = build_field(args.p, args.m, args.n, basis=field)
+    return field, parse_all(field)
 
 
 def _row(params: FieldParams, poly_text: str, t: int,
@@ -231,14 +269,9 @@ def build_check_envelope(args) -> tuple[dict, dict]:
     timing: dict[str, float] = {}
     t0 = time.perf_counter()
     oracle = args.mode in ("oracle", "both")
-    field = _field(args, oracle, oracle or bool(m_list))
-    try:
-        poly, terms, poly_norm = _poly(field, args.poly)
-    except NeedsFieldAddition:
-        if not isinstance(field, FieldBasis):
-            raise
-        field = build_field(args.p, args.m, args.n, cap=args.cap)
-        poly, terms, poly_norm = _poly(field, args.poly)
+    field = _field(args, capped=oracle or bool(m_list))
+    field, [(poly, terms, poly_norm, _)] = _parse(
+        args, field, [args.poly], lambda terms: [t] if oracle else [])
     if isinstance(field, FieldBasis):
         timing["build_s"] = time.perf_counter() - t0
 
@@ -343,8 +376,8 @@ def _print_check_text(envelope) -> None:
 # scan
 
 
-def _scan_targets(args, params: FieldParams):
-    """Yield (poly_text, poly, dlog_terms, indices) per family member."""
+def _scan_family(args, params: FieldParams):
+    """The family's member texts, and the function giving each member's indices."""
     if args.indices == "all":
         explicit = list(range(params.n))
     elif args.indices and args.indices != "own":
@@ -374,22 +407,27 @@ def _scan_targets(args, params: FieldParams):
     else:
         raise ParseError(f"unknown family {args.family!r}")
 
-    for text in texts:
-        poly, terms, _ = _poly(params, text)
-        own = sorted({r for r, _ in terms})
-        yield text, poly, terms, own if explicit is None else explicit
+    def indices(terms):
+        if explicit is None:
+            return sorted({r for r, _ in terms})
+        for t in explicit:
+            if not 0 <= t < params.n:
+                raise BadIndex(f"index {t} out of range 0..{params.n - 1}")
+        return explicit
+
+    return texts, indices
 
 
 def cmd_scan(args) -> int:
-    field = _field(args, oracle=True, capped=False)
+    field = _field(args, capped=False)
+    texts, indices = _scan_family(args, field)
+    field, parsed = _parse(args, field, texts, indices)
     rows = []
-    for text, poly, terms, indices in _scan_targets(args, field):
-        for t in indices:
-            if not 0 <= t < field.n:
-                raise BadIndex(f"index {t} out of range 0..{field.n - 1}")
+    for text, (poly, terms, _, ts) in zip(texts, parsed):
+        for t in ts:
             verdicts = applicable_criteria(field, terms, t)
             report = None
-            if poly is not None:
+            if isinstance(field, FieldBasis):
                 report = is_scattered_bruteforce(field, poly, t, jobs=args.jobs)
             rows.append(_row(field, text, t, verdicts, report))
 

@@ -63,4 +63,10 @@ class ParseError(ScatterpolyError):
 
 
 class NeedsFieldAddition(ParseError):
-    """The text adds coefficients while parsing, which needs the Zech table."""
+    """Adding field elements needs the Zech table, which only build_field makes.
+
+    Raised by ``parse_poly_dlogs`` for a text that adds coefficients while
+    parsing, and by the exhaustive scans (``is_scattered_bruteforce``,
+    ``deciding_pairs``, ``is_permutation``) given a table-free FieldBasis
+    where they must add: see ``scatter.oracle_adds``.
+    """

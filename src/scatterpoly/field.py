@@ -399,6 +399,9 @@ class FieldBasis(FieldParams):
             return (0,) * self.degree
         return tuple(_fixed_powmod(self.gamma_coeffs, a.dlog, self.modulus, self.p))
 
+    def element_from_dlog(self, k: int) -> FFElement:
+        return FFElement(k % self.order)
+
 
 class FieldCtx(FieldBasis):
     """Immutable context for F_{q^n}: its basis and its Zech-log table.
@@ -427,8 +430,9 @@ class FieldCtx(FieldBasis):
         """The integer sum(c_i p^i) of a's coefficient vector; for output."""
         return _encode(self.coeffs(a), self.p)
 
-    def element_from_dlog(self, k: int) -> FFElement:
-        return FFElement(k % self.order)
+    # perfbench counts calls by patching the scalar methods in this class's
+    # own namespace, so the inherited one is bound here too
+    element_from_dlog = FieldBasis.element_from_dlog
 
     def element_from_encoding(self, enc: int) -> FFElement:
         if not 0 <= enc < self.size:
@@ -557,11 +561,14 @@ def field_basis(p: int, m: int, n: int, cap: int = DEFAULT_CAP,
 
 
 def build_field(p: int, m: int, n: int, cap: int = DEFAULT_CAP,
-                strict: bool = True) -> FieldCtx:
+                strict: bool = True, basis: FieldBasis | None = None) -> FieldCtx:
     """Construct F_{p^{m*n}}: :func:`field_basis` plus the Zech table.
 
-    Pass ``strict=False`` to build even-characteristic fields anyway."""
-    basis = field_basis(p, m, n, cap, strict)
+    Pass ``strict=False`` to build even-characteristic fields anyway, and
+    ``basis`` when that :func:`field_basis` call has already been made (it
+    ran the refusals, so ``cap`` and ``strict`` are not read again)."""
+    if basis is None:
+        basis = field_basis(p, m, n, cap, strict)
     return FieldCtx(basis, *_build_tables(p, basis.degree, basis.modulus,
                                           basis.gamma_coeffs))
 

@@ -4,9 +4,17 @@ A polynomial S is scattered of index t when equal values of S(x)/x^(q^t) at
 distinct nonzero points force the points to be F_q-proportional.  The ratio is
 constant on F_q^*-classes, and the class of g^a contains exactly one discrete
 log below e = (q^n-1)/(q-1), so the scan walks the canonical representatives
-g^0 .. g^(e-1), computes each ratio with table lookups, and groups equal
+g^0 .. g^(e-1), computes each ratio in discrete logs, and groups equal
 values with one sort of their int32 ids.  Scattered means every group is a
 singleton.
+
+The own-term rule: S's term at exponent t adds the constant a_t to every
+ratio, a bijection on ratio values, so the scan leaves it out (unless it is
+S's only term) and every collision, witness and count stays the same.  Only
+a sum of the remaining terms reads the Zech table: a monomial, or a binomial
+at t in {r1, r2}, is scanned on discrete logs alone, over a
+:class:`FieldBasis`.  :func:`oracle_adds` is that rule, for choosing the
+field to construct.
 
 The scan streams the representatives in fixed chunks into one int32 array,
 so it holds no full-size int64 temporary.  The chunks can run on worker
@@ -23,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadIndex, FieldTooLarge, HypothesisViolated, ZeroPolynomial
-from .field import DEFAULT_CAP, FFElement, FieldCtx, build_field
+from .field import DEFAULT_CAP, FFElement, FieldBasis, FieldCtx, build_field, field_basis
 from .linpoly import LinearizedPolynomial, evaluate_many, normalize, rho_transform
 
 _CHUNK = 1 << 15
@@ -66,17 +74,19 @@ class DecidingPairCensus:
 class TowerVerdict:
     """Oracle verdict for one extension step of the tower.
 
-    ``ctx`` is the step's own field, the one the witness elements belong to.
+    ``ctx`` is the step's own field, the one the witness elements belong to:
+    a :class:`FieldCtx` when the step's oracle adds (:func:`oracle_adds`),
+    else a :class:`FieldBasis`.
     """
 
     m: int
     extension_degree: int
     field_size: int
     report: ScatterReport
-    ctx: FieldCtx
+    ctx: FieldBasis
 
 
-def _scan(ctx: FieldCtx, kernel, jobs: int, dtype) -> np.ndarray:
+def _scan(ctx: FieldBasis, kernel, jobs: int, dtype) -> np.ndarray:
     """``kernel`` applied to the representatives g^0 .. g^(e-1), in order.
 
     The result has ``dtype``.  Up to one chunk, it is ``kernel(reps)`` itself.
@@ -104,26 +114,53 @@ def _scan(ctx: FieldCtx, kernel, jobs: int, dtype) -> np.ndarray:
     return out
 
 
-def _ratio_ids(ctx: FieldCtx, s: LinearizedPolynomial, t: int,
-               jobs: int) -> np.ndarray:
-    """Ratio values as int32: the ratio's dlog, or q^n-1 when S(x) = 0.
+def _scanned_terms(terms, t: int) -> tuple:
+    """The terms of S that the oracle reads at index t.
 
-    Every id is at most q^n - 1, below ``TABLE_LIMIT = 2^31``.
+    Every term but the one at exponent t, unless that is S's only term: the
+    zero polynomial would be left, and a monomial's ratio is a constant anyway.
+    """
+    return tuple(term for term in terms if term[0] != t) or tuple(terms)
+
+
+def oracle_adds(terms, t: int) -> bool:
+    """Whether the oracle at index t adds field elements, and so reads the Zech table.
+
+    ``terms`` are S's (exponent, coefficient) pairs with distinct exponents,
+    such as its dlog terms.  It adds only when two or more terms lie off t; a
+    :class:`FieldBasis` serves every other request.
+    """
+    return len(_scanned_terms(terms, t)) > 1
+
+
+def _ratio_ids(ctx: FieldBasis, s: LinearizedPolynomial, t: int,
+               jobs: int) -> np.ndarray:
+    """One int32 id per representative; equal ids are equal ratio values.
+
+    The scan drops S's term at exponent t (:func:`_scanned_terms`): it adds
+    a_t to every ratio, a bijection on ratio values, so every collision,
+    witness and count stays the same.  The id is then the dlog of
+    S'(x)/x^(q^t) for the remaining S', or q^n-1 when S'(x) = 0.  Every id
+    is at most q^n - 1, below ``TABLE_LIMIT = 2^31``.
     """
     if not 0 <= t < ctx.n:
         raise BadIndex(f"index {t} out of range 0..{ctx.n - 1}")
-    step = pow(ctx.q, t, ctx.order)
+    scanned = LinearizedPolynomial(_scanned_terms(s.terms, t))
+    order = ctx.order
+    # dividing by x^(q^t) adds a * (order - q^t): nonnegative operands keep
+    # the one % on numpy's fast path
+    step = -pow(ctx.q, t, order) % order
 
     def kernel(dlogs: np.ndarray) -> np.ndarray:
-        num = evaluate_many(ctx, s, dlogs)
-        ids = (num - dlogs * step) % ctx.order
-        ids[num < 0] = ctx.order
+        num = evaluate_many(ctx, scanned, dlogs)
+        ids = (num + dlogs * step) % order
+        ids[num < 0] = order
         return ids
 
     return _scan(ctx, kernel, jobs, np.int32)
 
 
-def _collisions(ctx: FieldCtx, ids: np.ndarray
+def _collisions(ctx: FieldBasis, ids: np.ndarray
                 ) -> tuple[int, np.ndarray | None, np.ndarray]:
     """Equal ratio ids, found with one sort.
 
@@ -146,7 +183,7 @@ def _collisions(ctx: FieldCtx, ids: np.ndarray
     return distinct, marked[ids], repeated
 
 
-def _equal_ratio_pairs(ctx: FieldCtx, e: int, repeated: np.ndarray) -> int:
+def _equal_ratio_pairs(ctx: FieldBasis, e: int, repeated: np.ndarray) -> int:
     """Ordered pairs of distinct nonzero points with equal ratio values.
 
     A value shared by c representatives is taken by m = c(q-1) points, which
@@ -161,7 +198,7 @@ def _equal_ratio_pairs(ctx: FieldCtx, e: int, repeated: np.ndarray) -> int:
     return w * w * square_sum - w * e
 
 
-def is_scattered_bruteforce(ctx: FieldCtx, s: LinearizedPolynomial, t: int,
+def is_scattered_bruteforce(ctx: FieldBasis, s: LinearizedPolynomial, t: int,
                             jobs: int = 1, census: bool = False,
                             limit: int | None = None) -> ScatterReport:
     """Exhaustive decision of scatteredness of index t.
@@ -170,6 +207,9 @@ def is_scattered_bruteforce(ctx: FieldCtx, s: LinearizedPolynomial, t: int,
     the shared values, and any shared value yields a witness.  The witness is
     the first representative whose value is shared and the next one with that
     value: no colliding pair is smaller.
+
+    ``ctx`` may be a :class:`FieldBasis` unless :func:`oracle_adds`; there it
+    must be a :class:`FieldCtx`, and a basis raises NeedsFieldAddition.
     """
     if limit is not None and ctx.size > limit:
         raise FieldTooLarge(ctx.size, limit)
@@ -207,13 +247,14 @@ def _groups_by_head(ids: np.ndarray, shared: np.ndarray | None):
             yield by_value[lo:np.searchsorted(sorted_ids, value, side="right")]
 
 
-def deciding_pairs(ctx: FieldCtx, s: LinearizedPolynomial, t: int,
+def deciding_pairs(ctx: FieldBasis, s: LinearizedPolynomial, t: int,
                    limit: int | None = 64, jobs: int = 1) -> DecidingPairCensus:
     """Census of pairs with equal ratio values, with capped enumeration.
 
     Enumeration walks value groups by their smallest representative and lists
     ordered pairs (y, z) of distinct members in lexicographic dlog order.  Only
-    the groups that hold the first ``limit`` pairs are built.
+    the groups that hold the first ``limit`` pairs are built.  ``ctx`` as for
+    :func:`is_scattered_bruteforce`.
     """
     ids = _ratio_ids(ctx, s, t, jobs)
     _, shared, repeated = _collisions(ctx, ids)
@@ -237,12 +278,13 @@ def deciding_pairs(ctx: FieldCtx, s: LinearizedPolynomial, t: int,
     return DecidingPairCensus(t, equal_ratio, collinear, pairs, truncated)
 
 
-def is_permutation(ctx: FieldCtx, poly: LinearizedPolynomial,
+def is_permutation(ctx: FieldBasis, poly: LinearizedPolynomial,
                    jobs: int = 1) -> bool:
     """Bijectivity of the induced map; for linearized maps, a trivial kernel.
 
     A nonzero root exists iff a canonical representative is one, so the scan
-    covers g^0 .. g^(e-1).
+    covers g^0 .. g^(e-1).  Two or more terms need a :class:`FieldCtx`; a
+    :class:`FieldBasis` serves a monomial and raises NeedsFieldAddition else.
     """
     roots = _scan(ctx, lambda reps: evaluate_many(ctx, poly, reps) < 0, jobs, bool)
     return not roots.any()
@@ -286,17 +328,19 @@ def is_exceptional_desk(p: int, m: int, n: int, s_terms, t: int, m_list,
                         cap: int = DEFAULT_CAP, jobs: int = 1) -> list[TowerVerdict]:
     """Run the oracle for the same polynomial across extension steps.
 
-    ``s_terms`` are (exponent, dlog) pairs over the base field F_{q^n}; each
-    coefficient g_n^a re-embeds into F_{q^(n*m)} as g_{nm}^(a*D) with
-    D = (q^(nm)-1)/(q^n-1), the norm-compatible power map.  A full pass is a
-    finite certificate consistent with exceptionality, never a proof.
+    ``s_terms`` are (exponent, dlog) pairs over the base field F_{q^n}, with
+    distinct exponents; each coefficient g_n^a re-embeds into F_{q^(n*m)} as
+    g_{nm}^(a*D) with D = (q^(nm)-1)/(q^n-1), the norm-compatible power map.
+    Each step builds the Zech table only when :func:`oracle_adds`.  A full
+    pass is a finite certificate consistent with exceptionality, never a proof.
     """
     base_order = p ** (m * n) - 1
+    construct = build_field if oracle_adds(s_terms, t) else field_basis
     verdicts = []
     for mm in m_list:
         if mm < 1:
             raise ValueError("extension multipliers must be positive")
-        ctx = build_field(p, m, n * mm, cap=cap)
+        ctx = construct(p, m, n * mm, cap=cap)
         scale = ctx.order // base_order
         terms = [(r, ctx.element_from_dlog(dlog * scale % ctx.order))
                  for r, dlog in s_terms]

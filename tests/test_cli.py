@@ -325,15 +325,35 @@ def test_table_is_built_only_when_the_request_reads_it(capsys, monkeypatch):
     assert run(capsys, "field-info", "--p", "3", "--n", "13")[0] == 0
     assert run(capsys, "check", "--p", "3", "--n", "13", "--poly", "1:oops",
                "--index", "1", "--mode", "criteria")[0] == 1
-    # field addition while parsing, the oracle and a scan within the cap read it
+    # the oracle scans a monomial, or a binomial at its own exponent, on
+    # discrete logs alone: S's term at t is dropped, and no addition is left
+    idle = (
+        ("check", "--p", "3", "--n", "4", "--poly", "1:g^0", "--index", "0",
+         "--mode", "both"),
+        ("check", "--p", "3", "--n", "4", "--poly", "2:g^0", "--index", "2",
+         "--mode", "both"),
+        ("check", "--p", "3", "--n", "5", "--poly", "1:g^0,3:g^121", "--index", "3",
+         "--mode", "both", "--census"),
+        ("check", "--p", "3", "--n", "5", "--poly", "1:g^0,3:g^121", "--index", "1",
+         "--m-list", "1,2"),
+        ("scan", "--p", "3", "--n", "4", "--family", "pseudoregulus"),
+        ("scan", "--p", "3", "--n", "5", "--family", "binomial"),
+    )
+    for argv in idle:
+        assert run(capsys, *argv)[0] == 0, argv
+    # field addition while parsing, or two terms off t in the oracle, read it
     readers = (
         ("check", "--p", "3", "--n", "5", "--poly", "1:[1],3:[2]", "--index", "2",
          "--mode", "criteria"),
         ("check", "--p", "3", "--n", "4", "--poly", "1:g^0,5:g^0", "--index", "0",
          "--mode", "criteria"),
-        ("check", "--p", "3", "--n", "4", "--poly", "1:g^0", "--index", "0",
+        ("check", "--p", "3", "--n", "4", "--poly", "1:g^0,2:g^0", "--index", "0",
          "--mode", "both"),
-        ("scan", "--p", "3", "--n", "4", "--family", "pseudoregulus"),
+        ("check", "--p", "3", "--n", "5", "--poly", "1:g^0,3:g^121", "--index", "2",
+         "--mode", "criteria", "--m-list", "1"),
+        ("scan", "--p", "3", "--n", "4", "--family", "custom",
+         "--poly", "0:g^1,1:g^0,2:g^0"),
+        ("scan", "--p", "3", "--n", "4", "--family", "binomial", "--indices", "0"),
     )
     for argv in readers:
         with pytest.raises(_TableBuilt):

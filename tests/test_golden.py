@@ -66,6 +66,16 @@ CASES = [
      "--mode", "criteria", "--output", "csv"],
     ["check", *_TOWER, "--mode", "criteria", "--m-list", "1,2", "--output", "json"],
     ["field-info", "--p", "3", "--n", "13", "--output", "json"],
+    # the oracle without S's own term at t: a monomial and a binomial at their
+    # own exponents, and [c0,...] coefficients, which still need the table
+    *(["check", "--p", "3", "--n", "4", "--poly", "2:g^0", "--index", "2",
+       "--mode", "both", "--output", out] for out in ("text", "json")),
+    ["check", *_TOWER[:6], "--index", "1", "--census", "--output", "json"],
+    ["check", *_TOWER[:6], "--index", "3", "--output", "csv"],
+    ["check", *_TOWER[:6], "--index", "1", "--m-list", "1,2", "--output", "json"],
+    ["scan", *_TOWER[:4], "--family", "binomial", "--indices", "own", "--output", "csv"],
+    ["check", *_TOWER[:4], "--poly", "1:[1],3:[2]", "--index", "1", "--mode", "both",
+     "--output", "json"],
     # scans
     ["scan", "--p", "3", "--n", "4", "--family", "pseudoregulus"],
     ["scan", "--p", "3", "--n", "5", "--family", "pseudoregulus", "--output", "text"],

@@ -7,8 +7,11 @@ import pytest
 
 from scatterpoly import (
     BadIndex,
+    FieldBasis,
+    FieldCtx,
     FieldTooLarge,
     HypothesisViolated,
+    NeedsFieldAddition,
     build_field,
     deciding_pairs,
     evaluate,
@@ -16,7 +19,9 @@ from scatterpoly import (
     is_exceptional_desk,
     is_permutation,
     is_scattered_bruteforce,
+    field_basis,
     normalize,
+    oracle_adds,
     parse_poly,
     ratio_map,
     scattered_via_pp,
@@ -336,3 +341,70 @@ def test_pseudoregulus_sweep_small(f81, f243):
                     assert not rep.scattered
                 else:
                     assert rep.scattered == (math.gcd(abs(t - r), ctx.n) == 1)
+
+
+def _kept_term_reference(ctx, s, t):
+    """Witness dlogs, distinct count and value groups, from ratio_map with S's own term kept.
+
+    Every nonzero element is grouped by its ratio value; the groups come in
+    order of their smallest dlog.
+    """
+    e = ctx.subfield_index
+    groups = {}
+    for a in range(ctx.order):
+        groups.setdefault(ratio_map(ctx, s, t, ctx.element_from_dlog(a)), []).append(a)
+    reps = [[a for a in group if a < e] for group in groups.values()]
+    shared = sorted(group for group in reps if len(group) > 1)
+    witness = None if not shared else (shared[0][0], shared[0][1])
+    return witness, len(reps), sorted(groups.values())
+
+
+def test_own_term_drop_matches_kept_reference():
+    """The scan leaves out S's term at t; the kept-term reference must agree.
+
+    A monomial at its own exponent puts every element in one group, some
+    half a million ordered pairs: beyond 4000 pairs the enumeration is
+    compared on its first 4000, and the counts in full.
+    """
+    rng = random.Random(10)
+    for p, m, n in ((3, 1, 4), (3, 1, 5), (5, 1, 4), (3, 2, 3)):
+        ctx = build_field(p, m, n)
+        basis = field_basis(p, m, n)
+        for _ in range(12):
+            t = rng.randrange(n)
+            others = rng.sample([r for r in range(n) if r != t], rng.randint(0, 2))
+            s = normalize(ctx, [(r, ctx.element_from_dlog(rng.randrange(ctx.order)))
+                                for r in [t, *others]])
+            witness, distinct, groups = _kept_term_reference(ctx, s, t)
+            pair_count = sum(len(g) * (len(g) - 1) for g in groups)
+            report = is_scattered_bruteforce(ctx, s, t, census=True)
+            got = None if report.witness is None else tuple(w.dlog for w in report.witness)
+            assert (report.scattered, got) == (witness is None, witness), (str(s), t)
+            assert report.distinct_ratio_values == distinct
+            assert report.deciding_pair_count == pair_count
+            limit = None if pair_count <= 4000 else 4000
+            census = deciding_pairs(ctx, s, t, limit=limit)
+            pairs = itertools.islice(((y, z) for g in groups for y in g for z in g
+                                      if y != z), limit)
+            assert [(y.dlog, z.dlog) for y, z in census.pairs] == list(pairs)
+            assert census.equal_ratio_pairs == pair_count
+            if not oracle_adds(s.dlog_terms(), t):
+                assert is_scattered_bruteforce(basis, s, t, census=True) == report
+                assert deciding_pairs(basis, s, t, limit=limit) == census
+
+
+def test_basis_refuses_a_scan_that_adds():
+    basis = field_basis(3, 1, 4)
+    s = normalize(basis, [(1, basis.element_from_dlog(0)), (2, basis.element_from_dlog(3))])
+    assert oracle_adds(s.dlog_terms(), 0) and not oracle_adds(s.dlog_terms(), 1)
+    for scan in (lambda: is_scattered_bruteforce(basis, s, 0),
+                 lambda: deciding_pairs(basis, s, 0),
+                 lambda: is_permutation(basis, s)):
+        with pytest.raises(NeedsFieldAddition, match="build_field"):
+            scan()
+    assert is_permutation(basis, normalize(basis, [(1, basis.element_from_dlog(5))]))
+    # the tower builds a step's table only where its oracle adds
+    minus_one = 3**5 // 2
+    for t, kind in ((1, FieldBasis), (2, FieldCtx)):
+        step, = is_exceptional_desk(3, 1, 5, ((1, 0), (3, minus_one)), t, (1,))
+        assert type(step.ctx) is kind
