@@ -17,6 +17,7 @@ from scatterpoly.field import (
     _encode,
     _fixed_mulmod,
     factorize,
+    field_basis,
     is_prime,
     modulus_text,
     table_limit,
@@ -335,3 +336,19 @@ def test_add_sub_neg_match_coefficient_arithmetic(params):
             cb = ctx.coeffs(b)
             assert ctx.coeffs(ctx.add(a, b)) == tuple((x + y) % p for x, y in zip(ca, cb))
             assert ctx.coeffs(ctx.sub(a, b)) == tuple((x - y) % p for x, y in zip(ca, cb))
+
+
+# (modulus_encoding, gamma_encoding) of each field, recorded before the basis
+# search moved to a Frobenius matrix; any change here changes every discrete
+# log, witness and fingerprint of that field
+@pytest.mark.parametrize("params,pinned", [
+    ((3, 1, 4), (5, 3)), ((3, 1, 6), (5, 3)), ((3, 1, 9), (64, 3)),
+    ((3, 1, 12), (11, 14)), ((3, 1, 13), (7, 3)), ((3, 1, 15), (11, 5)),
+    ((3, 1, 16), (37, 4)), ((5, 1, 4), (2, 6)), ((5, 1, 9), (38, 5)),
+    ((7, 1, 7), (43, 14)), ((3, 2, 3), (5, 3)), ((2, 1, 13), (27, 2)),
+    ((101, 1, 2), (2, 102)), ((1009, 1, 2), (11, 1018)), ((4099, 1, 1), (0, 2)),
+    ((8191, 1, 1), (0, 17)),
+])
+def test_basis_is_pinned(params, pinned):
+    basis = field_basis(*params, cap=2**31, strict=params[0] != 2)
+    assert (basis.modulus_encoding, basis.gamma_encoding) == pinned
