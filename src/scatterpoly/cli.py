@@ -291,8 +291,8 @@ def build_check_envelope(args) -> tuple[dict, dict]:
     tower = []
     if m_list:
         t0 = time.perf_counter()
-        for verdict in is_exceptional_desk(args.p, args.m, args.n, terms, t,
-                                           m_list, cap=args.cap, jobs=args.jobs):
+        for verdict in is_exceptional_desk(args.p, args.m, args.n, terms, t, m_list,
+                                           cap=args.cap, jobs=args.jobs, base=field):
             tower.append({
                 "m": verdict.m,
                 "extension_degree": verdict.extension_degree,

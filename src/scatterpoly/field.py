@@ -14,6 +14,14 @@ and then keeps one table, the int32 Zech log ``zech[k] = log(1 + g^k)``
 norms and addition are O(1) integer operations on discrete logs.  That is
 what makes the exhaustive scans in :mod:`scatterpoly.scatter` feasible.
 
+For degree >= 2 both searches run on the Frobenius matrix of the modulus,
+whose row i is x^(p*i): the Rabin test reads x^(p^k) from iterated products
+with it, and the generator test raises a candidate to order/l by Horner's
+rule over the base-p digits of order/l (a prime field's generator test is a
+plain modular power).  The table walk (:func:`_log_table`) multiplies digit
+vectors only for one power per F_p-line and reaches the other p - 2 by
+scaling digits with the norm of the generator, a constant of F_p.
+
 Three layers, each a subclass of the one before, describe a field:
 :class:`FieldParams` holds the sizes, all the scan-free criteria read;
 :class:`FieldBasis` (:func:`field_basis`) adds the modulus, factorization and
@@ -53,9 +61,11 @@ TABLE_LIMIT = 1 << 31
 # passes, so the bound refuses only prime fields, those with p > 94906266.
 WALK_LIMIT = 1 << 53
 # Integers up to 2^24 are exact in float32: the walk runs in float32 while its
-# sums stay below this, and encodes in float32 while p^d does not exceed it.
+# sums stay below this, and forms half-encodings in float32 while
+# p^ceil(d/2) does not exceed it.
 _FLOAT32_EXACT = 1 << 24
 _TABLE_BLOCK = 4096
+_ZECH_BLOCK = 16384
 
 
 def is_prime(num: int) -> bool:
@@ -172,21 +182,54 @@ def _poly_gcd(a, b, p):
     return a
 
 
+def _frobenius_matrix(mod, p: int) -> np.ndarray:
+    """Row i holds x^(p*i) mod `mod` (degree >= 2), so v @ F = v^p.
+
+    Every digit of v lies in F_p and is its own p-th power, so
+    (sum v_i x^i)^p = sum v_i x^(p*i): raising to the p-th power is linear.
+    """
+    d = len(mod) - 1
+    step = _mult_matrix(_fixed_powmod([0, 1] + [0] * (d - 2), p, mod, p), mod, p)
+    frob = np.zeros((d, d), dtype=np.int64)
+    frob[0, 0] = 1
+    for i in range(1, d):
+        frob[i] = frob[i - 1] @ step % p
+    return frob
+
+
 def _is_irreducible(mod, p: int) -> bool:
-    """Rabin irreducibility test for a monic polynomial over F_p."""
+    """Rabin irreducibility test for a monic polynomial over F_p.
+
+    x^(p^k) is x times the k-th power of the Frobenius matrix, one
+    vector-matrix product per k.
+    """
     d = len(mod) - 1
     if d == 1:
         return True
-    x = [0, 1] + [0] * (d - 2)
-    if _fixed_powmod(x, p**d, mod, p) != x:
+    frob = _frobenius_matrix(mod, p)
+    x = np.zeros(d, dtype=np.int64)
+    x[1] = 1
+    powers = [x]  # x^(p^k) for k = 0 .. d
+    for _ in range(d):
+        powers.append(powers[-1] @ frob % p)
+    if not np.array_equal(powers[d], x):
         return False
     for prime, _ in factorize(d):
-        h = _fixed_powmod(x, p ** (d // prime), mod, p)
-        diff = [(hi - xi) % p for hi, xi in zip(h, x)]
-        g = _poly_gcd(diff, mod, p)
-        if len(g) > 1:
+        diff = ((powers[d // prime] - x) % p).tolist()
+        if len(_poly_gcd(diff, mod, p)) > 1:
             return False
     return True
+
+
+def _has_nonzero_root(coeffs, p: int) -> bool:
+    """Whether x^d + sum c_i x^i vanishes at some r in 1..p-1 (Horner's rule)."""
+    for r in range(1, p):
+        value = 1
+        for c in reversed(coeffs):
+            value = (value * r + c) % p
+        if not value:
+            return True
+    return False
 
 
 def _find_modulus(p: int, d: int) -> tuple[int, ...]:
@@ -196,9 +239,8 @@ def _find_modulus(p: int, d: int) -> tuple[int, ...]:
         coeffs = _digits(enc, p, d)
         if coeffs[0] == 0:
             continue  # divisible by x
-        if any(sum(c * pow(r, i, p) for i, c in enumerate(coeffs + [1])) % p == 0
-               for r in range(p)):
-            continue  # has a root in F_p
+        if _has_nonzero_root(coeffs, p):
+            continue
         candidate = coeffs + [1]
         if _is_irreducible(candidate, p):
             return tuple(candidate)
@@ -207,12 +249,38 @@ def _find_modulus(p: int, d: int) -> tuple[int, ...]:
 
 def _find_generator(p: int, d: int, mod, group_order: int,
                     factorization) -> list[int]:
-    one = [1] + [0] * (d - 1)
-    # when d > 1 the constants 1..p-1 lie in F_p^* and cannot have full order
-    for enc in range(p if d > 1 else 1, p**d):
+    """The nonzero element of smallest encoding with full multiplicative order.
+
+    A candidate v passes when v^(order/l) != 1 for every prime l of the
+    order.  For d >= 2 each such power runs Horner's rule over the base-p
+    digits of order/l: raise to the p-th power (the Frobenius matrix), then
+    multiply by v^digit.  Each v^digit is one square-and-multiply power,
+    made once per candidate and digit; the p powers of v are never all made,
+    which for large p would cost more than the whole test.
+    """
+    if d == 1:
+        for g in range(1, p):
+            if all(pow(g, group_order // prime, p) != 1 for prime, _ in factorization):
+                return [g]
+        raise RuntimeError("no primitive element found")
+    frob = _frobenius_matrix(mod, p)
+    exponents = [_digits(group_order // prime, p, d)[::-1] for prime, _ in factorization]
+    one = np.zeros(d, dtype=np.int64)
+    one[0] = 1
+    # the constants 1..p-1 lie in F_p^* and cannot have full order
+    for enc in range(p, p**d):
         vec = _digits(enc, p, d)
-        if all(_fixed_powmod(vec, group_order // prime, mod, p) != one
-               for prime, _ in factorization):
+        steps = {0: frob}  # digit -> matrix of w -> w^p * vec^digit
+        for digits in exponents:
+            acc = one
+            for digit in digits:
+                if digit not in steps:
+                    steps[digit] = frob @ _mult_matrix(
+                        _fixed_powmod(vec, digit, mod, p), mod, p) % p
+                acc = acc @ steps[digit] % p
+            if np.array_equal(acc, one):
+                break
+        else:
             return vec
     raise RuntimeError("no primitive element found (modulus not irreducible?)")
 
@@ -250,30 +318,45 @@ def _build_tables(p: int, d: int, mod, gamma_vec):
 def _log_table(p: int, d: int, mod, gamma_vec) -> np.ndarray:
     """log[enc] = k where gamma^k has encoding enc; -1 where no power lands.
 
-    The walk visits gamma^0, gamma^1, ... in blocks of ``_TABLE_BLOCK``
-    powers and scatters each block straight into the table.  Each block is
-    the previous one times gamma^block, a floating-point product on BLAS,
-    reduced by ``y - p * floor(y / p)``.  Two bounds keep every step exact:
+    For d >= 2 the walk visits one power per F_p-line, gamma^0 .. gamma^(e1-1)
+    with e1 = (p^d - 1)/(p - 1).  gamma^e1 is the norm of gamma to F_p, a
+    constant c0, so gamma^(k + j*e1) = c0^j * gamma^k: each base-p digit of
+    the encoding is multiplied by c0^j mod p, with no product and no
+    reduction.  An encoding is held as two half-encodings, the low
+    h = ceil(d/2) digits and the rest, each below p^h; one lookup of p^h
+    entries multiplies every digit of a half by c0, and is applied p - 2
+    times.  For d = 1 (e1 = 1) the walk visits every power.
+
+    The walk runs in blocks of ``_TABLE_BLOCK`` powers and scatters each block
+    and its multiples straight into the table.  Each block is the previous
+    one times gamma^block, a floating-point product on BLAS, reduced by
+    ``y - p * floor(y / p)``.  Two bounds keep every step exact:
 
       * the product: each sum is at most d * (p - 1)^2.  While that is below
         2^24, the sum, ``floor(y / p)``, the multiple of p and the difference
         are all integers below 2^24, exact in float32, which moves half the
         bytes of float64.  Otherwise the walk runs in float64, exact below
         ``WALK_LIMIT`` = 2^53, which :func:`table_limit` enforces.
-      * the encoding ``digits @ (1, p, ..., p^(d-1))``: each partial sum is
-        below p^d, so it runs in float32 while p^d <= 2^24 and in float64
-        above.
+      * the half-encodings, one small product of the digits with a d x 2
+        matrix of powers of p: each partial sum is below p^h, so it runs in
+        float32 while p^h <= 2^24 and in float64 above.
 
     The block buffers are allocated once, so no block allocates for the
-    product or the reduction, and they are freed on return, before the Zech
-    table is allocated.
+    product, the reduction or the encodings, and they are freed on return,
+    before the Zech table is allocated.
     """
     size = p**d
     n_units = size - 1
+    per_line = p - 1 if d > 1 else 1  # powers c0^j * gamma^k reached per walked k
+    e1 = n_units // per_line
+    h = (d + 1) // 2
+    half_size = p**h
     walk_dtype = np.float32 if d * (p - 1) ** 2 < _FLOAT32_EXACT else np.float64
-    enc_dtype = np.float32 if size <= _FLOAT32_EXACT else np.float64
-    ppow = np.array([p**i for i in range(d)], dtype=enc_dtype)
-    block = min(n_units, _TABLE_BLOCK)
+    half_dtype = np.float32 if half_size <= _FLOAT32_EXACT else np.float64
+    split = np.zeros((2, d), dtype=half_dtype)
+    split[0, :h] = [p**i for i in range(h)]
+    split[1, h:] = [p**i for i in range(d - h)]
+    block = min(e1, _TABLE_BLOCK)
 
     # gamma^0 .. gamma^(block-1) by doubling: step_m multiplies by gamma^filled
     small = np.zeros((block, d), dtype=np.int64)
@@ -287,23 +370,45 @@ def _log_table(p: int, d: int, mod, gamma_vec) -> np.ndarray:
         step_m = step_m @ step_m % p
 
     big_step = _fixed_powmod(gamma_vec, block, mod, p)
-    big_m = _mult_matrix(big_step, mod, p).astype(walk_dtype)
+    big_m = _mult_matrix(big_step, mod, p).T.astype(walk_dtype)
+    if per_line > 1:
+        c0 = _fixed_powmod(gamma_vec, e1, mod, p)
+        if not c0[0] or any(c0[1:]):
+            raise RuntimeError("the norm of gamma is not in F_p^*: modulus not irreducible")
+        # scale[u]: the half-encoding u with every digit multiplied by c0
+        u = np.arange(half_size)
+        scale = np.zeros(half_size, dtype=np.intp)
+        for i in range(h):
+            scale += u // p**i % p * c0[0] % p * p**i
 
     log = np.full(size, -1, dtype=np.int32)
     powers = np.arange(block, dtype=np.int32)
-    cur = small.astype(walk_dtype)
+    cur = small.T.astype(walk_dtype, order="C")  # column k: the digits of one power
+    del small
     prod = np.empty_like(cur)
     quot = np.empty_like(cur)
-    enc = np.empty(block, dtype=enc_dtype)
+    halves = np.zeros((2, block), dtype=half_dtype)
+    pair = np.empty((2, block), dtype=np.intp)
+    scaled = np.empty_like(pair)
+    enc = np.empty(block, dtype=np.intp)
     idx = 0
-    while idx < n_units:
-        cnt = min(block, n_units - idx)
-        np.matmul(cur[:cnt], ppow, out=enc[:cnt])
-        log[enc[:cnt].astype(np.intp)] = powers[:cnt]
+    while idx < e1:
+        cnt = min(block, e1 - idx)
+        np.matmul(split, cur[:, :cnt], out=halves[:, :cnt])
+        a, b = pair[:, :cnt], scaled[:, :cnt]
+        a[...] = halves[:, :cnt]
+        for j in range(per_line):
+            if j:
+                np.take(scale, a, out=b, mode="clip")
+                a, b = b, a
+                powers += e1
+            np.multiply(a[1], half_size, out=enc[:cnt])
+            enc[:cnt] += a[0]
+            log[enc[:cnt]] = powers[:cnt]
         idx += cnt
-        if idx < n_units:
-            powers += block
-            np.matmul(cur, big_m, out=prod)
+        if idx < e1:
+            powers += block - (per_line - 1) * e1
+            np.matmul(big_m, cur, out=prod)
             np.divide(prod, p, out=quot)
             np.floor(quot, out=quot)
             np.multiply(quot, p, out=quot)
@@ -315,13 +420,19 @@ def _zech_table(p: int, log: np.ndarray) -> np.ndarray:
     """zech[k] = log(1 + g^k), or -1 where 1 + g^k = 0.
 
     Adding 1 changes only the lowest base-p digit of an encoding, so encoding
-    u pairs with u + 1, or with u + 1 - p when that digit is p - 1: two slice
-    assignments, the second rewriting those units, with ``log[0] = -1``
-    marking 1 + (-1) = 0.  Neither makes a full-size temporary.
+    u pairs with u + 1, or with u + 1 - p when that digit is p - 1: two
+    scatters, the second rewriting those units, with ``log[0] = -1`` marking
+    1 + (-1) = 0.  numpy scatters faster on native (intp) indices than on
+    int32 ones, so each scatter converts its int32 index slice in blocks of
+    ``_ZECH_BLOCK``, and no full-size temporary exists.
     """
     zech = np.empty(log.size - 1, dtype=np.int32)
-    zech[log[1:-1]] = log[2:]
-    zech[log[p - 1::p]] = log[::p]
+    index = np.empty(_ZECH_BLOCK, dtype=np.intp)
+    for keys, values in ((log[1:-1], log[2:]), (log[p - 1::p], log[::p])):
+        for lo in range(0, keys.size, _ZECH_BLOCK):
+            cnt = min(_ZECH_BLOCK, keys.size - lo)
+            index[:cnt] = keys[lo:lo + cnt]
+            zech[index[:cnt]] = values[lo:lo + cnt]
     return zech
 
 

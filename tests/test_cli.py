@@ -360,6 +360,29 @@ def test_table_is_built_only_when_the_request_reads_it(capsys, monkeypatch):
             main(list(argv))
 
 
+def test_tower_reuses_the_base_field(capsys, monkeypatch):
+    built = []
+    build_tables = field._build_tables
+
+    def spy(p, d, *args):
+        built.append((p, d))
+        return build_tables(p, d, *args)
+    monkeypatch.setattr(field, "_build_tables", spy)
+    # the oracle adds (two terms off t): the check's own table serves m = 1
+    code, out, _ = run(capsys, "check", "--p", "3", "--n", "4", "--poly",
+                       "0:g^1,1:g^0,2:g^0", "--index", "0", "--m-list", "1,2",
+                       "--output", "json")
+    assert code == 0 and built == [(3, 4), (3, 8)]
+    steps = json.loads(out)["results"]["tower"]
+    assert [step["m"] for step in steps] == [1, 2]
+    # criteria mode holds no table, so the tower builds its own for m = 1
+    built.clear()
+    code, _, _ = run(capsys, "check", "--p", "3", "--n", "4", "--poly",
+                     "0:g^1,1:g^0,2:g^0", "--index", "0", "--mode", "criteria",
+                     "--m-list", "1")
+    assert code == 0 and built == [(3, 4)]
+
+
 def test_row_agreement_reads_every_verdict():
     params = FieldParams(3, 1, 4)
     report = ScatterReport(True, 1, None, 40, 40)

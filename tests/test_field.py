@@ -14,6 +14,7 @@ from scatterpoly.field import (
     DEFAULT_CAP,
     TABLE_LIMIT,
     WALK_LIMIT,
+    _build_tables,
     _encode,
     _fixed_mulmod,
     factorize,
@@ -293,13 +294,17 @@ def test_degenerate_binary_field():
     assert ctx.in_base_subfield(ctx.one())
 
 
-# F_3^9 walks four full blocks of 4096 powers and a partial one; F_2^13 walks
-# one full block and 4095 more powers.  These walk in float32.  F_4099 and
-# F_8191 (d * (p - 1)^2 >= 2^24) walk in float64, one full block and 2 or 4094
-# more powers; a float32 walk would miss units of F_8191.
+# For d >= 2 the walk visits one power per F_p-line, (p^d - 1)/(p - 1) of
+# them, and reaches the other p - 2 multiples by scaling digits.  F_3^9 walks
+# two full blocks of 4096 powers and a partial one; F_5^7 walks four full
+# blocks and a partial one, each with three multiples; F_101^2 one block of
+# 102 powers with 99 multiples.  F_2^13 (no multiples) walks one full block
+# and 4095 more powers.  These walk in float32.  F_4099 and F_8191
+# (d * (p - 1)^2 >= 2^24) walk every power in float64, one full block and 2
+# or 4094 more powers; a float32 walk would miss units of F_8191.
 @pytest.mark.parametrize("params", [(2, 1, 5), (3, 1, 4), (3, 2, 3), (5, 1, 3),
-                                    (7, 1, 3), (3, 1, 9), (2, 1, 13), (4099, 1, 1),
-                                    (8191, 1, 1)])
+                                    (7, 1, 3), (3, 1, 9), (5, 1, 7), (101, 1, 2),
+                                    (2, 1, 13), (4099, 1, 1), (8191, 1, 1)])
 def test_zech_table_is_log_of_one_plus(params):
     # compared on encodings of gamma^0, gamma^1, ..., walked one product at a
     # time with the construction arithmetic, which never reads the table
@@ -321,6 +326,16 @@ def test_zech_table_is_log_of_one_plus(params):
     # 1 + g^k = 0 exactly at g^k = -1
     assert zech.index(-1) == ctx.minus_one().dlog
     assert zech.count(-1) == 1
+
+
+@pytest.mark.parametrize("params", [(5, 1, 3), (3, 1, 4), (7, 1, 2)])
+def test_tables_refuse_a_non_primitive_generator(params):
+    # g^2 has half the order: its powers and their F_p multiples miss units
+    basis = field_basis(*params)
+    p, d = basis.p, basis.degree
+    square = _fixed_mulmod(basis.gamma_coeffs, basis.gamma_coeffs, basis.modulus, p)
+    with pytest.raises(RuntimeError):
+        _build_tables(p, d, basis.modulus, square)
 
 
 @pytest.mark.parametrize("params", [(3, 1, 2), (2, 1, 4)])

@@ -1,9 +1,9 @@
 """Peak allocations per field element of the table build and the oracle.
 
 numpy reports its array allocations to ``tracemalloc``, so the readings are
-deterministic.  On F_3^12 the build peaks at 8.1 bytes per element (the
-int32 log and Zech tables) and the oracle at 4.5-7.0 (int32 ratio ids and
-their sorted copy).  The bounds fail a build that also holds a full antilog
+deterministic.  On F_3^12 and F_5^8 the build peaks at 8.3-8.4 bytes per
+element (the int32 log and Zech tables) and the oracle at 4.5-7.0 (int32
+ratio ids and their sorted copy).  The bounds fail a build that also holds a full antilog
 array (14.4) and an oracle that holds e-length int64 temporaries or counts
 over all q^n values (16.5-26.5).
 """
@@ -40,6 +40,12 @@ def traced_f3_12():
 
 def test_build_peak(traced_f3_12):
     ctx, peak = traced_f3_12
+    assert peak / ctx.size < BUILD_BOUND
+
+
+def test_build_peak_with_f_p_multiples():
+    # F_5^8 walks a quarter of its powers and scales digits for the rest
+    ctx, peak = _traced(lambda: build_field(5, 1, 8))
     assert peak / ctx.size < BUILD_BOUND
 
 
