@@ -74,19 +74,34 @@ def evaluate(ctx: FieldCtx, s: LinearizedPolynomial, x: FFElement) -> FFElement:
     return acc
 
 
+def _wrap(v: np.ndarray, order: int) -> np.ndarray:
+    """Reduce int64 ``v`` in 0 .. 2*order-1 mod ``order``, in place.
+
+    min(v, v - order) on the uint64 view: v - order wraps above v exactly
+    when v < order.  Unlike a masked subtraction it has no branch to
+    mispredict on the random-looking values of a scan.
+    """
+    u = v.view(np.uint64)
+    np.minimum(u, u - order, out=u)
+    return v
+
+
 def _log_sum(ctx: FieldBasis, logs) -> np.ndarray:
     """Discrete logs of the elementwise sums of g^v over the arrays v in ``logs``.
 
     -1 marks a zero sum.  The terms themselves must be nonzero, with logs in
-    0 .. order-1.  Addition stays in the log domain: g^u + g^v =
-    g^(u + zech[v - u]), one gather per point and term.  Only a
-    :class:`FieldCtx` holds the Zech table; summing two or more arrays over
-    a bare :class:`FieldBasis` raises NeedsFieldAddition.
+    0 .. order-1, and each array is the sum's own: it is overwritten.
+    Addition stays in the log domain: g^u + g^v = g^(u + zech[v - u]), one
+    gather per point and term.  Only a :class:`FieldCtx` holds the Zech
+    table; summing two or more arrays over a bare :class:`FieldBasis` raises
+    NeedsFieldAddition.
 
     No ``%`` runs, which costs several times more on operands of mixed sign.
     ``v - u`` lies in -order+1 .. order-1, and numpy reads a negative index
     from the end of the table, which is the wrap mod the order.  ``u +
-    zech[.]`` stays below 2 * order, so one conditional subtraction wraps it.
+    zech[.]`` stays below 2 * order, so :func:`_wrap` reduces it.  Every step
+    writes into the two term arrays, so a sum of any length allocates only
+    the int32 gather, two masks and the wrap's temporary.
     """
     order = ctx.order
     acc = None
@@ -100,28 +115,92 @@ def _log_sum(ctx: FieldBasis, logs) -> np.ndarray:
                 "with build_field, not field_basis")
         zero = acc < 0
         any_zero = zero.any()
-        diff = v - acc
         if any_zero:
-            diff[zero] = 0  # a zero sum so far: its total is v, set below
+            v_at_zero = v[zero]  # a zero sum so far: its total is v
+        diff = np.subtract(v, acc, out=v)
+        if any_zero:
+            diff[zero] = 0
         z = ctx._zech[diff]
-        total = acc + z
-        total -= order * (total >= order)
-        total[z < 0] = -1
+        del v, diff  # freed before the wrap allocates
+        acc += z
+        _wrap(acc, order)
+        acc[z < 0] = -1
         if any_zero:
-            total[zero] = v[zero]
-        acc = total
+            acc[zero] = v_at_zero
+        del z
     return acc
 
 
-def evaluate_many(ctx: FieldBasis, s: LinearizedPolynomial,
-                  dlogs: np.ndarray) -> np.ndarray:
+# the length of the progressions TermLogs keeps per term: a run of points is
+# built as blocks of this many, each a shifted copy of the same multiples
+_BLOCK = 1 << 12
+
+
+class TermLogs:
+    """The logs of S's terms on runs of consecutive points, with no ``%`` per point.
+
+    A term's log at g^a, c_i + a * d_i mod order (see :func:`evaluate_many`),
+    is an arithmetic progression in a.  Each term keeps the multiples j * d_i mod
+    order for j < ``_BLOCK`` and the block steps b * _BLOCK * d_i mod order
+    for the blocks of a run of ``run`` points, the longest run a scan asks
+    for.  A run a = start .. start+count-1 then costs, per term, the Python
+    int (c_i + start * d_i) mod order added to the block steps, the block
+    offsets added to the multiples in one broadcast, and one :func:`_wrap`
+    of each sum.  A term keeps 32 KiB whatever the run, and the object only
+    reads it, so threads can share it.
+
+    Overflow bounds, all in int64 and with order < ``TABLE_LIMIT = 2^31``:
+    j * d_i < 2^12 * 2^31 and b * (_BLOCK * d_i mod order) < run * 2^31 /
+    2^12; a block offset or a point's log before :func:`_wrap` is a sum of
+    two residues, below 2 * order <= 2^32.
+    """
+
+    def __init__(self, ctx: FieldBasis, s: LinearizedPolynomial,
+                 index: int | None, run: int):
+        q, order = ctx.q, ctx.order
+        shift = 0 if index is None else pow(q, index, order)
+        self.order = order
+        self.steps = [(coeff.dlog, (pow(q, r, order) - shift) % order) for r, coeff in s.terms]
+        j = np.arange(_BLOCK, dtype=np.int64)
+        b = np.arange(-(-run // _BLOCK), dtype=np.int64)
+        self.multiples = [j * d % order for _, d in self.steps]
+        self.block_steps = [b * (_BLOCK * d % order) % order for _, d in self.steps]
+
+    def at(self, dlogs: np.ndarray):
+        """Each term's logs at ``dlogs``, in 0 .. order-1, one fresh array per term.
+
+        ``dlogs`` must be consecutive, dlogs[0] .. dlogs[0] + len - 1, and
+        at most ``run`` long.  No array stays bound here once yielded, so
+        the consumer alone decides how many are alive.
+        """
+        order = self.order
+        start, count = int(dlogs[0]), dlogs.size
+        blocks = -(-count // _BLOCK)
+        for (c, d), multiples, block_steps in zip(self.steps, self.multiples,
+                                                  self.block_steps):
+            offsets = _wrap(block_steps[:blocks, None] + (c + start * d) % order, order)
+            yield _wrap((offsets + multiples).reshape(-1)[:count], order)
+
+
+def evaluate_many(ctx: FieldBasis, s: LinearizedPolynomial, dlogs: np.ndarray, *,
+                  index: int | None = None, terms: TermLogs | None = None) -> np.ndarray:
     """Discrete logs of S(g^a) for a whole vector of discrete logs a; -1 for 0.
 
-    The bulk path behind the exhaustive scans: term i at g^a is
-    g^(dlog(a_i) + a * q^(r_i)), and the terms are summed with :func:`_log_sum`.
-    A monomial adds nothing, so a :class:`FieldBasis` serves it.
+    The bulk path behind the exhaustive scans: term i at g^a is g^(c_i + a *
+    d_i) with c_i = dlog(a_i) and d_i = q^(r_i) mod order, and the terms are
+    summed with :func:`_log_sum`.  With ``index=t`` every term is divided by
+    (g^a)^(q^t), so d_i = q^(r_i) - q^t mod order and the sum is the log of
+    the ratio S(g^a)/(g^a)^(q^t).  Each term takes one ``%`` pass over
+    ``dlogs``, unless a scan passes ``terms``, the :class:`TermLogs` of (ctx,
+    s, index) that it built once, with consecutive ``dlogs``.  A monomial
+    adds nothing, so a :class:`FieldBasis` serves it.  On the ``%`` path a *
+    d_i + c_i < 2^31 * 2^31 + 2^31 fits int64.
     """
-    return _log_sum(ctx, ((coeff.dlog + dlogs * pow(ctx.q, r, ctx.order)) % ctx.order
+    if terms is not None:
+        return _log_sum(ctx, terms.at(dlogs))
+    q, order = ctx.q, ctx.order
+    shift = 0 if index is None else pow(q, index, order)
+    return _log_sum(ctx, ((coeff.dlog + dlogs * ((pow(q, r, order) - shift) % order)) % order
                           for r, coeff in s.terms))
 
 

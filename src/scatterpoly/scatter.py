@@ -6,7 +6,9 @@ constant on F_q^*-classes, and the class of g^a contains exactly one discrete
 log below e = (q^n-1)/(q-1), so the scan walks the canonical representatives
 g^0 .. g^(e-1), computes each ratio in discrete logs, and groups equal
 values with one sort of their int32 ids.  Scattered means every group is a
-singleton.
+singleton.  Each term is divided by x^(q^t) on its own, so the terms sum to
+the ratio and no pass of its own computes it; a term's logs are an
+arithmetic progression along the representatives (:class:`TermLogs`).
 
 The own-term rule: S's term at exponent t adds the constant a_t to every
 ratio, a bijection on ratio values, so the scan leaves it out (unless it is
@@ -17,9 +19,12 @@ at t in {r1, r2}, is scanned on discrete logs alone, over a
 field to construct.
 
 The scan streams the representatives in fixed chunks into one int32 array,
-so it holds no full-size int64 temporary.  The chunks can run on worker
-threads (numpy releases the GIL on the bulk operations); each writes its own
-slice, and the field context is shared read-only.
+so it holds no full-size int64 temporary, and builds each chunk's term logs
+from the progressions with no ``%`` per point.  The chunks can run on
+worker threads (numpy releases the GIL on the bulk operations); each writes
+its own slice, and the field context and the progressions are shared
+read-only.  The witness and the shared-value mask come from the sorted ids
+alone, by binary search: nothing is sized by the field's order.
 """
 
 from __future__ import annotations
@@ -32,9 +37,12 @@ import numpy as np
 
 from .errors import BadIndex, FieldTooLarge, HypothesisViolated, ZeroPolynomial
 from .field import DEFAULT_CAP, FFElement, FieldBasis, FieldCtx, build_field, field_basis
-from .linpoly import LinearizedPolynomial, evaluate_many, normalize, rho_transform
+from .linpoly import LinearizedPolynomial, TermLogs, evaluate_many, normalize, rho_transform
 
 _CHUNK = 1 << 15
+# the representatives in the witness search's first window; each next window
+# is twice as long, up to a chunk
+_WITNESS_WINDOW = 64
 
 
 @dataclass(frozen=True)
@@ -86,23 +94,30 @@ class TowerVerdict:
     ctx: FieldBasis
 
 
-def _scan(ctx: FieldBasis, kernel, jobs: int, dtype) -> np.ndarray:
-    """``kernel`` applied to the representatives g^0 .. g^(e-1), in order.
+def _scan(ctx: FieldBasis, s: LinearizedPolynomial, index: int | None, kernel,
+          jobs: int, dtype) -> np.ndarray:
+    """``kernel(reps, terms)`` applied to the representatives g^0 .. g^(e-1), in order.
 
-    The result has ``dtype``.  Up to one chunk, it is ``kernel(reps)`` itself.
+    ``terms`` is what the kernel passes on to ``evaluate_many`` for S at
+    ``index``.  The result has ``dtype``.  Up to one chunk, it is
+    ``kernel(reps, None)`` itself: each term takes a single ``%`` pass, as
+    building progressions would cost a desk-sized scan more than it saves.
     Beyond that the representatives stream through ``kernel`` in chunks of
     ``_CHUNK``, each result stored into one preallocated array, so no
-    temporary of the kernel spans the whole range.  With ``jobs > 1`` the
-    chunks run on a thread pool; they write disjoint slices.
+    temporary of the kernel spans the whole range, and every chunk reads
+    the same :class:`TermLogs`.  With ``jobs > 1`` the chunks run on a
+    thread pool; they write disjoint slices, and each chunk finds its own
+    place in the progressions.
     """
     e = ctx.subfield_index
     if e <= _CHUNK:
-        return kernel(np.arange(e, dtype=np.int64)).astype(dtype, copy=False)
+        return kernel(np.arange(e, dtype=np.int64), None).astype(dtype, copy=False)
+    terms = TermLogs(ctx, s, index, run=_CHUNK)
     out = np.empty(e, dtype=dtype)
 
     def run(start: int) -> None:
         stop = min(start + _CHUNK, e)
-        out[start:stop] = kernel(np.arange(start, stop, dtype=np.int64))
+        out[start:stop] = kernel(np.arange(start, stop, dtype=np.int64), terms)
 
     starts = range(0, e, _CHUNK)
     if jobs <= 1:
@@ -147,45 +162,73 @@ def _ratio_ids(ctx: FieldBasis, s: LinearizedPolynomial, t: int,
         raise BadIndex(f"index {t} out of range 0..{ctx.n - 1}")
     scanned = LinearizedPolynomial(_scanned_terms(s.terms, t))
     order = ctx.order
-    # dividing by x^(q^t) adds a * (order - q^t), so the one % sees
-    # nonnegative operands: on a 32768-element int64 chunk it takes 3.6 ns
-    # per element, against 9.8 on mixed signs.  numpy's // by a scalar uses
-    # libdivide and its % does not, so x - x // m * m takes 1.6 ns and sped
-    # up F_3^13's ratio ids by 25-30%; but its two extra calls per chunk cost
-    # the small desk arrays more, and desk-sweep's decisions_per_s fell by
-    # about 12%, so the % stays.
-    step = -pow(ctx.q, t, order) % order
+    # each term is divided by x^(q^t) on its own (index=t), so the sum is
+    # the ratio and no pass of its own computes the id
+    can_vanish = scanned.k > 1
 
-    def kernel(dlogs: np.ndarray) -> np.ndarray:
-        num = evaluate_many(ctx, scanned, dlogs)
-        ids = (num + dlogs * step) % order
-        ids[num < 0] = order
+    def kernel(dlogs: np.ndarray, terms: TermLogs | None) -> np.ndarray:
+        ids = evaluate_many(ctx, scanned, dlogs, index=t, terms=terms)
+        if can_vanish:
+            ids[ids < 0] = order
         return ids
 
-    return _scan(ctx, kernel, jobs, np.int32)
+    return _scan(ctx, scanned, t, kernel, jobs, np.int32)
 
 
-def _collisions(ctx: FieldBasis, ids: np.ndarray
-                ) -> tuple[int, np.ndarray | None, np.ndarray]:
+def _collisions(ids: np.ndarray) -> tuple[int, np.ndarray]:
     """Equal ratio ids, found with one sort.
 
-    Returns the number of distinct values, the mask of representatives whose
-    value is shared (None when every value is distinct), and ``repeated``:
-    the sorted ids that equal their predecessor, so a value shared by c
-    representatives appears c - 1 times in it.
+    Returns the number of distinct values and ``repeated``: the sorted ids
+    that equal their predecessor, so a value shared by c representatives
+    appears c - 1 times in it.
     """
-    # ndarray methods, not np.sort or np.argmax: at desk sizes the wrappers
-    # cost as much as the work
+    # ndarray methods, not np.sort: at desk sizes the wrappers cost as much
+    # as the work
     srt = ids.copy()
     srt.sort()
     repeated = srt[1:][srt[1:] == srt[:-1]]
-    del srt
-    distinct = ids.size - repeated.size
+    return ids.size - repeated.size, repeated
+
+
+def _in_repeated(ids: np.ndarray, repeated: np.ndarray) -> np.ndarray:
+    """The mask of ``ids`` whose value is in ``repeated``, which is not empty.
+
+    One binary search per id; its int64 positions are as long as ``ids``.
+    """
+    pos = repeated.searchsorted(ids)
+    np.minimum(pos, repeated.size - 1, out=pos)
+    return repeated[pos] == ids
+
+
+def _shared(ids: np.ndarray, repeated: np.ndarray) -> np.ndarray:
+    """The mask of representatives whose value is shared.
+
+    Searched a chunk at a time, so the search positions never span all of
+    ``ids``.
+    """
     if not repeated.size:
-        return distinct, None, repeated
-    marked = np.zeros(ctx.order + 1, dtype=bool)
-    marked[repeated] = True
-    return distinct, marked[ids], repeated
+        return np.zeros(ids.size, dtype=bool)
+    return np.concatenate([_in_repeated(ids[start:start + _CHUNK], repeated)
+                           for start in range(0, ids.size, _CHUNK)])
+
+
+def _witness(ids: np.ndarray, repeated: np.ndarray) -> tuple[int, int]:
+    """The smallest colliding pair (y, z) of representatives; ``repeated`` is not empty.
+
+    y is the first representative whose value is shared.  It is searched
+    for in windows of ``_WITNESS_WINDOW`` representatives, each next window
+    twice as long up to ``_CHUNK``, so a witness among the first few
+    representatives costs no pass over all of them.  z is the next
+    representative with y's value.
+    """
+    start, size = 0, _WITNESS_WINDOW
+    while start < ids.size:
+        hits = _in_repeated(ids[start:start + size], repeated)
+        if hits.any():
+            y = start + int(hits.argmax())
+            return y, y + 1 + int((ids[y + 1:] == ids[y]).argmax())
+        start, size = start + size, min(2 * size, _CHUNK)
+    raise ValueError("no repeated value is among the ids")
 
 
 def _equal_ratio_pairs(ctx: FieldBasis, e: int, repeated: np.ndarray) -> int:
@@ -220,25 +263,22 @@ def is_scattered_bruteforce(ctx: FieldBasis, s: LinearizedPolynomial, t: int,
         raise FieldTooLarge(ctx.size, limit)
     e = ctx.subfield_index
     ids = _ratio_ids(ctx, s, t, jobs)
-    distinct, shared, repeated = _collisions(ctx, ids)
+    distinct, repeated = _collisions(ids)
     pair_count = _equal_ratio_pairs(ctx, e, repeated) if census else None
 
-    if shared is None:
+    if not repeated.size:
         return ScatterReport(True, t, None, e, distinct, pair_count)
-    y = int(shared.argmax())
-    z = y + 1 + int((ids[y + 1:] == ids[y]).argmax())
+    y, z = _witness(ids, repeated)
     return ScatterReport(False, t, (ctx.element_from_dlog(y), ctx.element_from_dlog(z)),
                          e, distinct, pair_count)
 
 
-def _groups_by_head(ids: np.ndarray, shared: np.ndarray | None):
+def _groups_by_head(ids: np.ndarray, shared: np.ndarray):
     """Representatives of each value group, groups in order of their smallest one.
 
     Lazy: a singleton is one representative outside ``shared``, and larger
     groups are read off one stable sort of the representatives in ``shared``.
     """
-    if shared is None:
-        shared = np.zeros(ids.size, dtype=bool)
     members = np.flatnonzero(shared)
     by_value = members[np.argsort(ids[members], kind="stable")]
     sorted_ids = ids[by_value]
@@ -262,7 +302,8 @@ def deciding_pairs(ctx: FieldBasis, s: LinearizedPolynomial, t: int,
     :func:`is_scattered_bruteforce`.
     """
     ids = _ratio_ids(ctx, s, t, jobs)
-    _, shared, repeated = _collisions(ctx, ids)
+    _, repeated = _collisions(ids)
+    shared = _shared(ids, repeated)
     e = ctx.subfield_index
     q = ctx.q
     equal_ratio = _equal_ratio_pairs(ctx, e, repeated)
@@ -291,7 +332,9 @@ def is_permutation(ctx: FieldBasis, poly: LinearizedPolynomial,
     covers g^0 .. g^(e-1).  Two or more terms need a :class:`FieldCtx`; a
     :class:`FieldBasis` serves a monomial and raises NeedsFieldAddition else.
     """
-    roots = _scan(ctx, lambda reps: evaluate_many(ctx, poly, reps) < 0, jobs, bool)
+    roots = _scan(ctx, poly, None,
+                  lambda reps, terms: evaluate_many(ctx, poly, reps, terms=terms) < 0,
+                  jobs, bool)
     return not roots.any()
 
 

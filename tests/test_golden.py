@@ -76,6 +76,11 @@ CASES = [
     ["scan", *_TOWER[:4], "--family", "binomial", "--indices", "own", "--output", "csv"],
     ["check", *_TOWER[:4], "--poly", "1:[1],3:[2]", "--index", "1", "--mode", "both",
      "--output", "json"],
+    # F_3^11: the scan spans three chunks, the last one partial; a monomial,
+    # a binomial at its own exponent and a 3-term instance that is not scattered
+    *(["check", "--p", "3", "--n", "11", "--poly", poly, "--index", t, "--census",
+       "--output", "json"]
+      for poly, t in (("3:g^5", "1"), ("1:g^0,4:g^7", "4"), ("1:g^0,2:g^5,4:g^7", "1"))),
     # scans
     ["scan", "--p", "3", "--n", "4", "--family", "pseudoregulus"],
     ["scan", "--p", "3", "--n", "5", "--family", "pseudoregulus", "--output", "text"],

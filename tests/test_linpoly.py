@@ -13,6 +13,7 @@ from scatterpoly import (
     build_field,
     evaluate,
     evaluate_many,
+    field_basis,
     normalize,
     parse_poly,
     ratio_map,
@@ -21,7 +22,8 @@ from scatterpoly import (
     strip_min_term,
     t_transform,
 )
-from scatterpoly.linpoly import parse_poly_dlogs
+from scatterpoly.field import TABLE_LIMIT
+from scatterpoly.linpoly import LinearizedPolynomial, TermLogs, parse_poly_dlogs
 
 from naive_oracle import naive_evaluate
 
@@ -86,6 +88,37 @@ def test_evaluate_many_matches_naive(f81, f81_tower):
                 assert got[k] == (-1 if value.is_zero else value.dlog), (str(s), k)
             zeros += int(np.count_nonzero(got < 0))
         assert zeros >= ctx.q - 1
+
+
+def test_term_logs_near_the_table_limit():
+    """Progressions at an order just below TABLE_LIMIT, checked against Python ints.
+
+    F_3^19 has order 3^19 - 1 > 2^30, so a log before the wrap can exceed
+    2^31.  The runs start at 0, at the last scan chunk (which ends at e),
+    just below e and just below the order, and one is partial.
+    """
+    basis = field_basis(3, 1, 19, cap=TABLE_LIMIT)
+    order, e, run = basis.order, basis.subfield_index, 1 << 15
+    assert 2**30 < order < TABLE_LIMIT
+    s = LinearizedPolynomial(tuple((r, basis.element_from_dlog(c)) for r, c in
+                                   ((0, order - 1), (7, 123456789), (18, e + 3))))
+    last = e // run * run
+    runs = ((0, run), (last, e - last), (e - run, run), (e - 5, 5), (order - run, run))
+    for index in (None, 0, 7, 18):
+        shift = 0 if index is None else 3**index
+        terms = TermLogs(basis, s, index, run=run)
+        for start, count in runs:
+            dlogs = np.arange(start, start + count, dtype=np.int64)
+            points = np.arange(start, start + count, dtype=object)
+            for (r, coeff), logs in zip(s.terms, terms.at(dlogs)):
+                want = (coeff.dlog + points * (3**r - shift)) % order
+                assert logs.dtype == np.int64
+                assert logs.tolist() == want.tolist(), (index, start, r)
+            # a monomial adds nothing, so the basis evaluates it
+            monomial = LinearizedPolynomial(s.terms[2:])
+            got = evaluate_many(basis, monomial, dlogs, index=index,
+                                terms=TermLogs(basis, monomial, index, run=run))
+            assert got.tolist() == ((e + 3 + points * (3**18 - shift)) % order).tolist()
 
 
 def test_evaluate_additive(f27):

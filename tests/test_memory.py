@@ -2,10 +2,12 @@
 
 numpy reports its array allocations to ``tracemalloc``, so the readings are
 deterministic.  On F_3^12 and F_5^8 the build peaks at 8.3-8.4 bytes per
-element (the int32 log and Zech tables) and the oracle at 4.5-7.0 (int32
-ratio ids and their sorted copy).  The bounds fail a build that also holds a full antilog
-array (14.4) and an oracle that holds e-length int64 temporaries or counts
-over all q^n values (16.5-26.5).
+element (the int32 log and Zech tables) and the oracle at 4.5-6.5 (int32
+ratio ids, their sorted copy and the repeated ids; while the scan runs,
+its chunk temporaries and 32 KiB of progressions per term add about 2 to
+the ids).  The bounds fail a build that also holds a full antilog array
+(14.4) and an oracle that holds e-length int64 temporaries or counts over
+all q^n values (16.5-26.5).
 """
 
 import tracemalloc

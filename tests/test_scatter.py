@@ -27,7 +27,7 @@ from scatterpoly import (
     scattered_via_pp,
 )
 
-from scatterpoly.scatter import _ratio_ids
+from scatterpoly.scatter import _CHUNK, _WITNESS_WINDOW, _collisions, _ratio_ids, _witness
 
 from naive_oracle import naive_deciding_pair_count, naive_is_scattered
 
@@ -147,6 +147,21 @@ def _reference_oracle(ctx, s, t, limit):
     return num, witness, values.size, census, pairs
 
 
+def _check_against_reference(ctx, s, t):
+    """The oracle and deciding_pairs at jobs 1 and 2 against the reference; returns S's logs."""
+    num, witness, distinct, census, pairs = _reference_oracle(ctx, s, t, 40)
+    for jobs in (1, 2):
+        report = is_scattered_bruteforce(ctx, s, t, jobs=jobs, census=True)
+        got = report.witness and tuple(x.dlog for x in report.witness)
+        assert got == witness, (str(s), t, jobs)
+        assert report.distinct_ratio_values == distinct, (str(s), t, jobs)
+        assert report.deciding_pair_count == census, (str(s), t, jobs)
+        listed = deciding_pairs(ctx, s, t, limit=40, jobs=jobs)
+        assert listed.equal_ratio_pairs == census
+        assert [(y.dlog, z.dlog) for y, z in listed.pairs] == pairs, (str(s), t, jobs)
+    return num
+
+
 def test_streamed_oracle_matches_reference():
     # e = 88573 spans three scan chunks, the last one partial
     big = build_field(3, 1, 11)
@@ -155,19 +170,71 @@ def test_streamed_oracle_matches_reference():
     for text in ("1:g^0", "1:g^0,3:g^5", "1:g^0,2:g^5,4:g^7", "0:g^71427,1:g^0"):
         s = parse_poly(big, text)
         for t in (0, 1):
-            num, witness, distinct, census, pairs = _reference_oracle(big, s, t, 40)
-            for jobs in (1, 2):
-                report = is_scattered_bruteforce(big, s, t, jobs=jobs, census=True)
-                got = report.witness and tuple(x.dlog for x in report.witness)
-                assert got == witness, (text, t, jobs)
-                assert report.distinct_ratio_values == distinct
-                assert report.deciding_pair_count == census
-                listed = deciding_pairs(big, s, t, limit=40, jobs=jobs)
-                assert listed.equal_ratio_pairs == census
-                assert [(y.dlog, z.dlog) for y, z in listed.pairs] == pairs
+            num = _check_against_reference(big, s, t)
         for jobs in (1, 2):
             assert is_permutation(big, s, jobs=jobs) == (not np.any(num < 0))
     assert not is_permutation(big, parse_poly(big, "0:g^71427,1:g^0"), jobs=2)
+
+
+@pytest.mark.parametrize("p,m,n", [(3, 1, 11), (3, 2, 6)])
+def test_scan_kernel_matches_reference(p, m, n):
+    """The chunked scan against one whole-range evaluate_many, at every index.
+
+    F_3^11 (e = 88573) and F_9^6 (e = 66430) span three chunks, the last one
+    partial.  Random instances of 1-4 terms sit at every t; x^(q^r) - x
+    plus a third term has a zero partial sum on F_q, and x^q - c x vanishes
+    at one representative of the last chunk.
+    """
+    ctx = build_field(p, m, n)
+    assert 2 * _CHUNK < ctx.subfield_index < 3 * _CHUNK
+    rng = random.Random(12)
+    late = ctx.subfield_index - 7
+    minus_one, one = ctx.minus_one(), ctx.one()
+    fixed = [
+        normalize(ctx, [(0, minus_one), (2, one), (4, ctx.element_from_dlog(5))]),
+        normalize(ctx, [(0, minus_one), (1, one), (3, ctx.gamma), (5, one)]),
+        normalize(ctx, [(0, ctx.element_from_dlog(late * (ctx.q - 1) % ctx.order)),
+                        (1, minus_one)]),
+    ]
+    for t in range(n):
+        k = rng.randint(1, 4)
+        exps = rng.sample(range(n), k)
+        s = normalize(ctx, [(r, ctx.element_from_dlog(rng.randrange(ctx.order)))
+                            for r in exps])
+        for poly in (s, fixed[t % len(fixed)]):
+            num = _check_against_reference(ctx, poly, t)
+            for jobs in (1, 2):
+                assert is_permutation(ctx, poly, jobs=jobs) == (not np.any(num < 0))
+    assert not is_permutation(ctx, fixed[2], jobs=2)
+
+
+def test_witness_search_reaches_the_last_representatives():
+    # the only shared value sits at the last two representatives: at the
+    # start of the second and third windows, astride a window's end, and
+    # past the windows capped at a chunk
+    w = _WITNESS_WINDOW
+    for size in (2, w + 1, w + 2, 3 * w + 2, 1000, 3 * _CHUNK + 5):
+        ids = np.arange(size, dtype=np.int32)
+        ids[-1] = ids[-2]
+        distinct, repeated = _collisions(ids)
+        assert distinct == size - 1
+        assert _witness(ids, repeated) == (size - 2, size - 1)
+    # the first shared value decides, not the smallest one
+    ids = np.array([9, 4, 7, 4, 9], dtype=np.int32)
+    assert _witness(ids, _collisions(ids)[1]) == (0, 4)
+
+
+@pytest.mark.parametrize("p,m,n,text,t,pair,distinct,census", [
+    # recorded with the order-sized mask the witness search replaced
+    (3, 2, 4, "1:g^3778,2:g^1963,3:g^4895", 0, (265, 409), 811, 51680),
+    (5, 1, 5, "1:g^1694,2:g^2981,3:g^1430", 4, (244, 278), 766, 10812),
+])
+def test_witness_past_the_first_window(p, m, n, text, t, pair, distinct, census):
+    ctx = build_field(p, m, n)
+    report = is_scattered_bruteforce(ctx, parse_poly(ctx, text), t, census=True)
+    assert tuple(x.dlog for x in report.witness) == pair
+    assert pair[0] >= 2 * _WITNESS_WINDOW
+    assert (report.distinct_ratio_values, report.deciding_pair_count) == (distinct, census)
 
 
 def _random_instances(ctx, rng, count):
