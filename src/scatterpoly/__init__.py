@@ -3,7 +3,7 @@
 Core pieces:
 
 * :mod:`scatterpoly.field` -- deterministic construction of F_{q^n}: its
-  parameters, its table-free basis and its Zech-log table;
+  parameters, and its context, whose Zech-log table is built on first use;
 * :mod:`scatterpoly.linpoly` -- linearized polynomials and their index-shift
   transforms;
 * :mod:`scatterpoly.cyclotomic` -- coset decompositions and the coset-indexed
@@ -33,8 +33,7 @@ from .errors import (
     WouldBeZero,
     ZeroPolynomial,
 )
-from .field import (DEFAULT_CAP, FFElement, FieldBasis, FieldCtx, FieldParams,
-                    build_field, field_basis)
+from .field import DEFAULT_CAP, FFElement, FieldCtx, FieldParams, build_field, field_basis
 from .linpoly import (
     LinearizedPolynomial,
     evaluate,
@@ -64,7 +63,6 @@ from .scatter import (
     is_exceptional_desk,
     is_permutation,
     is_scattered_bruteforce,
-    oracle_adds,
     scattered_via_pp,
 )
 from .criteria import (

@@ -21,7 +21,6 @@ from .errors import (
     BadIndex,
     EvenCharacteristicRejected,
     FieldTooLarge,
-    NeedsFieldAddition,
     NonPrime,
     ParseError,
     ScatterpolyError,
@@ -29,20 +28,13 @@ from .errors import (
 from .field import (
     DEFAULT_CAP,
     FFElement,
-    FieldBasis,
     FieldCtx,
     FieldParams,
-    build_field,
     field_basis,
     modulus_text,
 )
 from .linpoly import LinearizedPolynomial, parse_poly, parse_poly_dlogs
-from .scatter import (
-    ScatterReport,
-    is_exceptional_desk,
-    is_scattered_bruteforce,
-    oracle_adds,
-)
+from .scatter import ScatterReport, is_exceptional_desk, is_scattered_bruteforce
 from .verify import SUITES, run_suites
 
 _CSV_COLUMNS = ["p", "m", "n", "poly", "index", "criteria", "oracle", "agree",
@@ -78,7 +70,7 @@ def _parse_int_list(text: str) -> list[int]:
 
 def _fingerprint(field: FieldParams) -> dict:
     """Sizes, plus modulus and generator when ``materialized`` (within the limit)."""
-    materialized = isinstance(field, FieldBasis)
+    materialized = isinstance(field, FieldCtx)
     base = {
         "p": field.p,
         "m": field.m,
@@ -102,11 +94,11 @@ def _fingerprint(field: FieldParams) -> dict:
     return base
 
 
-def _element_view(basis: FieldBasis, elem) -> dict:
+def _element_view(basis: FieldCtx, elem) -> dict:
     return {"dlog": elem.dlog, "coeffs": list(basis.coeffs(elem)), "text": str(elem)}
 
 
-def _report_view(basis: FieldBasis, report: ScatterReport) -> dict:
+def _report_view(basis: FieldCtx, report: ScatterReport) -> dict:
     out = {
         "scattered": report.scattered,
         "index": report.index,
@@ -163,7 +155,7 @@ def cmd_field_info(args) -> int:
 
 
 def _field(args, capped: bool) -> FieldParams:
-    """The request's field without a table: a FieldBasis.
+    """The request's field: a FieldCtx, which builds its table only if read.
 
     Beyond :func:`field.table_limit` the sizes come back alone, or a
     ``capped`` request fails with FieldTooLarge.
@@ -179,7 +171,8 @@ def _field(args, capped: bool) -> FieldParams:
 def _poly(field: FieldParams, text: str):
     """(polynomial, dlog terms, normalized text).
 
-    Without a table, a text that adds coefficients raises NeedsFieldAddition.
+    Beyond the table limit, a text that adds coefficients raises
+    NeedsFieldAddition.
     """
     if isinstance(field, FieldCtx):
         poly = parse_poly(field, text)
@@ -187,35 +180,6 @@ def _poly(field: FieldParams, text: str):
         poly = LinearizedPolynomial(tuple(
             (r, FFElement(k)) for r, k in parse_poly_dlogs(field.n, field.order, text)))
     return poly, poly.dlog_terms(), str(poly)
-
-
-def _parse(args, field: FieldParams, texts, oracle_indices):
-    """Parse ``texts``, building the Zech table once, and only if it is read.
-
-    ``oracle_indices(terms)`` gives the indices the oracle scans for one
-    parsed text (it may raise BadIndex).  The table is read when a text adds
-    coefficients while parsing, or when the oracle adds at one of those
-    indices (:func:`scatter.oracle_adds`).  Returns the field and one
-    (polynomial, dlog terms, normalized text, oracle indices) per text.
-    """
-    def parse_all(field):
-        out = []
-        for text in texts:
-            poly, terms, poly_norm = _poly(field, text)
-            out.append((poly, terms, poly_norm, oracle_indices(terms)))
-        return out
-
-    try:
-        parsed = parse_all(field)
-    except NeedsFieldAddition:
-        if not isinstance(field, FieldBasis):
-            raise
-    else:
-        if not isinstance(field, FieldBasis) or not any(
-                oracle_adds(terms, t) for _, terms, _, ts in parsed for t in ts):
-            return field, parsed
-    field = build_field(args.p, args.m, args.n, basis=field)
-    return field, parse_all(field)
 
 
 def _row(params: FieldParams, poly_text: str, t: int,
@@ -270,10 +234,8 @@ def build_check_envelope(args) -> tuple[dict, dict]:
     t0 = time.perf_counter()
     oracle = args.mode in ("oracle", "both")
     field = _field(args, capped=oracle or bool(m_list))
-    field, [(poly, terms, poly_norm, _)] = _parse(
-        args, field, [args.poly], lambda terms: [t] if oracle else [])
-    if isinstance(field, FieldBasis):
-        timing["build_s"] = time.perf_counter() - t0
+    poly, terms, poly_norm = _poly(field, args.poly)
+    build_s = time.perf_counter() - t0
 
     verdicts: list[CriterionVerdict] = []
     if args.mode in ("criteria", "both"):
@@ -284,9 +246,15 @@ def build_check_envelope(args) -> tuple[dict, dict]:
     report = None
     if oracle:
         t0 = time.perf_counter()
+        table_s = field.table_s
         report = is_scattered_bruteforce(field, poly, t, jobs=args.jobs,
                                          census=args.census)
-        timing["oracle_s"] = time.perf_counter() - t0
+        # a table the oracle built counts as construction, not as scanning
+        table_s = field.table_s - table_s
+        timing["oracle_s"] = time.perf_counter() - t0 - table_s
+        build_s += table_s
+    if isinstance(field, FieldCtx):
+        timing["build_s"] = build_s
 
     tower = []
     if m_list:
@@ -421,13 +389,13 @@ def _scan_family(args, params: FieldParams):
 def cmd_scan(args) -> int:
     field = _field(args, capped=False)
     texts, indices = _scan_family(args, field)
-    field, parsed = _parse(args, field, texts, indices)
     rows = []
-    for text, (poly, terms, _, ts) in zip(texts, parsed):
-        for t in ts:
+    for text in texts:
+        poly, terms, _ = _poly(field, text)
+        for t in indices(terms):
             verdicts = applicable_criteria(field, terms, t)
             report = None
-            if isinstance(field, FieldBasis):
+            if isinstance(field, FieldCtx):
                 report = is_scattered_bruteforce(field, poly, t, jobs=args.jobs)
             rows.append(_row(field, text, t, verdicts, report))
 

@@ -63,10 +63,9 @@ class ParseError(ScatterpolyError):
 
 
 class NeedsFieldAddition(ParseError):
-    """Adding field elements needs the Zech table, which only build_field makes.
+    """Adding field elements needs a field context; beyond the table limit there is none.
 
-    Raised by ``parse_poly_dlogs`` for a text that adds coefficients while
-    parsing, and by the exhaustive scans (``is_scattered_bruteforce``,
-    ``deciding_pairs``, ``is_permutation``) given a table-free FieldBasis
-    where they must add: see ``scatter.oracle_adds``.
+    Raised by ``parse_poly_dlogs``, which parses without one, for a text that
+    adds coefficients while parsing: a coefficient vector or a repeated
+    exponent.  A field context builds its Zech table when it first adds.
     """

@@ -22,14 +22,16 @@ plain modular power).  The table walk (:func:`_log_table`) multiplies digit
 vectors only for one power per F_p-line and reaches the other p - 2 by
 scaling digits with the norm of the generator, a constant of F_p.
 
-Three layers, each a subclass of the one before, describe a field:
-:class:`FieldParams` holds the sizes, all the scan-free criteria read;
-:class:`FieldBasis` (:func:`field_basis`) adds the modulus, factorization and
-generator, found in milliseconds, all the fingerprint reads; :class:`FieldCtx`
-(:func:`build_field`) adds the Zech table, which the oracle and addition read.
+Two layers describe a field: :class:`FieldParams` holds the sizes, all the
+scan-free criteria read; :class:`FieldCtx` adds the modulus, factorization and
+generator, found in milliseconds, all the fingerprint reads, and the Zech
+table, which the oracle and addition read.  :func:`field_basis` returns a
+context whose table is not built yet, :func:`build_field` one whose table is;
+the former builds it, through :func:`build_field`, the first time something
+reads it.
 
 An element is its discrete log alone (:class:`FFElement`).  Digits and
-discrete logs meet in one place each way: :meth:`FieldBasis.coeffs` raises the
+discrete logs meet in one place each way: :meth:`FieldCtx.coeffs` raises the
 generator's digits to the discrete log, and :meth:`FieldCtx.element_from_coeffs`
 runs Horner's rule on the digits through the Zech table.
 """
@@ -37,7 +39,9 @@ runs Horner's rule on the digits through the Zech table.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -441,7 +445,7 @@ class FFElement:
     """One element of F_{q^n}: its discrete log to the field's generator.
 
     ``dlog`` is None exactly for the zero element.  An element does not know
-    its field; :meth:`FieldBasis.coeffs` gives its coefficient vector over F_p.
+    its field; :meth:`FieldCtx.coeffs` gives its coefficient vector over F_p.
     """
 
     dlog: int | None
@@ -481,17 +485,51 @@ class FieldParams:
         return f"{type(self).__name__}(p={self.p}, m={self.m}, n={self.n})"
 
 
-class FieldBasis(FieldParams):
-    """F_{q^n} as F_p[x]/(modulus) with its generator's digits; no table.
+class FieldCtx(FieldParams):
+    """F_{q^n} as F_p[x]/(modulus) with its generator's digits and its Zech-log table.
 
-    Construct via :func:`field_basis`.
+    Construct via :func:`field_basis` (no table yet) or :func:`build_field`.
+    The Zech table, log x and the logs of the constants 1..p-1 are built
+    together, by :func:`build_field`, the first time one of them is read;
+    ``table_s`` is the seconds that took, 0.0 while they are missing.
+
+    Thread safety: no method mutates a context whose table is built, so it
+    is safe to share across threads.  A missing table is built by the thread
+    that reads it, and nothing stops two threads building it at once
+    (``cached_property`` holds no lock since Python 3.12), so a caller that
+    starts threads which add reads the table first: the scans in
+    :mod:`scatterpoly.scatter` do.
     """
+
+    table_s = 0.0
 
     def __init__(self, p: int, m: int, n: int, modulus, factorization, gamma_coeffs):
         super().__init__(p, m, n)
         self.modulus = tuple(modulus)
         self.factorization = tuple(factorization)
         self.gamma_coeffs = tuple(gamma_coeffs)
+        # -1 = g^(order/2) in odd characteristic; -1 = 1 when p = 2
+        self._neg_shift = self.order // 2 if self.p > 2 else 0
+        self.gamma = self.element_from_dlog(1)
+
+    # build_field sets all three in the instance, which then shadows these
+    @cached_property
+    def _zech(self) -> np.ndarray:
+        return build_field(self.p, self.m, self.n, basis=self)._zech
+
+    @cached_property
+    def _x(self) -> FFElement:
+        return build_field(self.p, self.m, self.n, basis=self)._x
+
+    @cached_property
+    def _const_logs(self) -> tuple[int, ...]:
+        return build_field(self.p, self.m, self.n, basis=self)._const_logs
+
+    # -- representation helpers ------------------------------------------
+
+    @property
+    def params(self) -> FieldParams:
+        return self
 
     @property
     def modulus_encoding(self) -> int:
@@ -510,40 +548,12 @@ class FieldBasis(FieldParams):
             return (0,) * self.degree
         return tuple(_fixed_powmod(self.gamma_coeffs, a.dlog, self.modulus, self.p))
 
-    def element_from_dlog(self, k: int) -> FFElement:
-        return FFElement(k % self.order)
-
-
-class FieldCtx(FieldBasis):
-    """Immutable context for F_{q^n}: its basis and its Zech-log table.
-
-    Construct via :func:`build_field`.  Safe to share across threads; no
-    method mutates the context.
-    """
-
-    def __init__(self, basis: FieldBasis, zech, log_x, const_logs):
-        super().__init__(basis.p, basis.m, basis.n, basis.modulus,
-                         basis.factorization, basis.gamma_coeffs)
-        self._zech = zech
-        self._x = FFElement(log_x)
-        self._const_logs = const_logs  # log c for the constants c = 1..p-1
-        # -1 = g^(order/2) in odd characteristic; -1 = 1 when p = 2
-        self._neg_shift = self.order // 2 if self.p > 2 else 0
-        self.gamma = self.element_from_dlog(1)
-
-    # -- representation helpers ------------------------------------------
-
-    @property
-    def params(self) -> FieldParams:
-        return self
-
     def encode(self, a: FFElement) -> int:
         """The integer sum(c_i p^i) of a's coefficient vector; for output."""
         return _encode(self.coeffs(a), self.p)
 
-    # perfbench counts calls by patching the scalar methods in this class's
-    # own namespace, so the inherited one is bound here too
-    element_from_dlog = FieldBasis.element_from_dlog
+    def element_from_dlog(self, k: int) -> FFElement:
+        return FFElement(k % self.order)
 
     def element_from_encoding(self, enc: int) -> FFElement:
         if not 0 <= enc < self.size:
@@ -654,8 +664,8 @@ def table_limit(p: int, d: int, cap: int) -> int:
 
 
 def field_basis(p: int, m: int, n: int, cap: int = DEFAULT_CAP,
-                strict: bool = True) -> FieldBasis:
-    """The deterministic modulus and generator of F_{p^{m*n}}, without a table.
+                strict: bool = True) -> FieldCtx:
+    """F_{p^{m*n}} with its deterministic modulus and generator; no table yet.
 
     Refuses what :func:`build_field` refuses: see :func:`check_field_params`
     and :func:`table_limit`."""
@@ -668,23 +678,27 @@ def field_basis(p: int, m: int, n: int, cap: int = DEFAULT_CAP,
 
     modulus = _find_modulus(p, d)
     fact = factorize(size - 1) if size > 2 else ()
-    return FieldBasis(p, m, n, modulus, fact, _find_generator(p, d, modulus, size - 1, fact))
+    return FieldCtx(p, m, n, modulus, fact, _find_generator(p, d, modulus, size - 1, fact))
 
 
 def build_field(p: int, m: int, n: int, cap: int = DEFAULT_CAP,
-                strict: bool = True, basis: FieldBasis | None = None) -> FieldCtx:
-    """Construct F_{p^{m*n}}: :func:`field_basis` plus the Zech table.
+                strict: bool = True, basis: FieldCtx | None = None) -> FieldCtx:
+    """Construct F_{p^{m*n}}: :func:`field_basis`, then its Zech table.
 
     Pass ``strict=False`` to build even-characteristic fields anyway, and
-    ``basis`` when that :func:`field_basis` call has already been made (it
-    ran the refusals, so ``cap`` and ``strict`` are not read again)."""
-    if basis is None:
-        basis = field_basis(p, m, n, cap, strict)
-    return FieldCtx(basis, *_build_tables(p, basis.degree, basis.modulus,
-                                          basis.gamma_coeffs))
+    ``basis`` when that :func:`field_basis` call has already been made: the
+    table is built into it, and it is returned (it ran the refusals, so
+    ``cap`` and ``strict`` are not read again)."""
+    ctx = field_basis(p, m, n, cap, strict) if basis is None else basis
+    t0 = time.perf_counter()
+    ctx._zech, log_x, ctx._const_logs = _build_tables(p, ctx.degree, ctx.modulus,
+                                                      ctx.gamma_coeffs)
+    ctx._x = FFElement(log_x)
+    ctx.table_s = time.perf_counter() - t0
+    return ctx
 
 
-def modulus_text(basis: FieldBasis) -> str:
+def modulus_text(basis: FieldCtx) -> str:
     """Human-readable form of the defining polynomial, e.g. ``x^2 + 1``."""
     parts = []
     for i in range(len(basis.modulus) - 1, -1, -1):

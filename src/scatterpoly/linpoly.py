@@ -22,7 +22,7 @@ from .errors import (
     WouldBeZero,
     ZeroPolynomial,
 )
-from .field import FFElement, FieldBasis, FieldCtx
+from .field import FFElement, FieldCtx
 
 
 @dataclass(frozen=True)
@@ -86,15 +86,14 @@ def _wrap(v: np.ndarray, order: int) -> np.ndarray:
     return v
 
 
-def _log_sum(ctx: FieldBasis, logs) -> np.ndarray:
+def _log_sum(ctx: FieldCtx, logs) -> np.ndarray:
     """Discrete logs of the elementwise sums of g^v over the arrays v in ``logs``.
 
     -1 marks a zero sum.  The terms themselves must be nonzero, with logs in
     0 .. order-1, and each array is the sum's own: it is overwritten.
     Addition stays in the log domain: g^u + g^v = g^(u + zech[v - u]), one
-    gather per point and term.  Only a :class:`FieldCtx` holds the Zech
-    table; summing two or more arrays over a bare :class:`FieldBasis` raises
-    NeedsFieldAddition.
+    gather per point and term; a sum of two or more arrays reads the Zech
+    table, and so builds it if it is missing.
 
     No ``%`` runs, which costs several times more on operands of mixed sign.
     ``v - u`` lies in -order+1 .. order-1, and numpy reads a negative index
@@ -109,10 +108,6 @@ def _log_sum(ctx: FieldBasis, logs) -> np.ndarray:
         if acc is None:
             acc = v
             continue
-        if not isinstance(ctx, FieldCtx):
-            raise NeedsFieldAddition(
-                "adding field elements needs the Zech table; construct the field "
-                "with build_field, not field_basis")
         zero = acc < 0
         any_zero = zero.any()
         if any_zero:
@@ -155,7 +150,7 @@ class TermLogs:
     two residues, below 2 * order <= 2^32.
     """
 
-    def __init__(self, ctx: FieldBasis, s: LinearizedPolynomial,
+    def __init__(self, ctx: FieldCtx, s: LinearizedPolynomial,
                  index: int | None, run: int):
         q, order = ctx.q, ctx.order
         shift = 0 if index is None else pow(q, index, order)
@@ -182,7 +177,7 @@ class TermLogs:
             yield _wrap((offsets + multiples).reshape(-1)[:count], order)
 
 
-def evaluate_many(ctx: FieldBasis, s: LinearizedPolynomial, dlogs: np.ndarray, *,
+def evaluate_many(ctx: FieldCtx, s: LinearizedPolynomial, dlogs: np.ndarray, *,
                   index: int | None = None, terms: TermLogs | None = None) -> np.ndarray:
     """Discrete logs of S(g^a) for a whole vector of discrete logs a; -1 for 0.
 
@@ -193,7 +188,7 @@ def evaluate_many(ctx: FieldBasis, s: LinearizedPolynomial, dlogs: np.ndarray, *
     the ratio S(g^a)/(g^a)^(q^t).  Each term takes one ``%`` pass over
     ``dlogs``, unless a scan passes ``terms``, the :class:`TermLogs` of (ctx,
     s, index) that it built once, with consecutive ``dlogs``.  A monomial
-    adds nothing, so a :class:`FieldBasis` serves it.  On the ``%`` path a *
+    adds nothing, so it never reads the Zech table.  On the ``%`` path a *
     d_i + c_i < 2^31 * 2^31 + 2^31 fits int64.
     """
     if terms is not None:
@@ -324,9 +319,10 @@ def parse_poly(ctx: FieldCtx, text: str) -> LinearizedPolynomial:
 def parse_poly_dlogs(n: int, order: int, text: str) -> tuple[tuple[int, int], ...]:
     """Parse without a field context (generator powers only).
 
-    Used wherever no Zech table is built: exponents are reduced mod n and
-    must be distinct.  NeedsFieldAddition refuses a text that merges or
-    converts coefficients; :func:`parse_poly` accepts it.
+    Used for fields beyond :func:`field.table_limit`, which get no field
+    context: exponents are reduced mod n and must be distinct.
+    NeedsFieldAddition refuses a text that merges or converts coefficients;
+    :func:`parse_poly` accepts it.
     """
     terms: dict[int, int] = {}
     for r, coeff in parse_terms(text):

@@ -14,17 +14,17 @@ The own-term rule: S's term at exponent t adds the constant a_t to every
 ratio, a bijection on ratio values, so the scan leaves it out (unless it is
 S's only term) and every collision, witness and count stays the same.  Only
 a sum of the remaining terms reads the Zech table: a monomial, or a binomial
-at t in {r1, r2}, is scanned on discrete logs alone, over a
-:class:`FieldBasis`.  :func:`oracle_adds` is that rule, for choosing the
-field to construct.
+at t in {r1, r2}, is scanned on discrete logs alone, and a field from
+:func:`field.field_basis` builds its table only for a scan that adds.
 
 The scan streams the representatives in fixed chunks into one int32 array,
 so it holds no full-size int64 temporary, and builds each chunk's term logs
 from the progressions with no ``%`` per point.  The chunks can run on
 worker threads (numpy releases the GIL on the bulk operations); each writes
 its own slice, and the field context and the progressions are shared
-read-only.  The witness and the shared-value mask come from the sorted ids
-alone, by binary search: nothing is sized by the field's order.
+read-only: a scan that adds reads the Zech table before it starts, so no
+worker builds it.  The witness and the shared-value mask come from the
+sorted ids alone, by binary search: nothing is sized by the field's order.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadIndex, FieldTooLarge, HypothesisViolated, ZeroPolynomial
-from .field import DEFAULT_CAP, FFElement, FieldBasis, FieldCtx, build_field, field_basis
+from .field import DEFAULT_CAP, FFElement, FieldCtx, field_basis
 from .linpoly import LinearizedPolynomial, TermLogs, evaluate_many, normalize, rho_transform
 
 _CHUNK = 1 << 15
@@ -82,19 +82,18 @@ class DecidingPairCensus:
 class TowerVerdict:
     """Oracle verdict for one extension step of the tower.
 
-    ``ctx`` is the step's own field, the one the witness elements belong to:
-    a :class:`FieldCtx` when the step's oracle adds (:func:`oracle_adds`),
-    else a :class:`FieldBasis`.
+    ``ctx`` is the step's own field, the one the witness elements belong to;
+    its Zech table is built only if the step's oracle adds.
     """
 
     m: int
     extension_degree: int
     field_size: int
     report: ScatterReport
-    ctx: FieldBasis
+    ctx: FieldCtx
 
 
-def _scan(ctx: FieldBasis, s: LinearizedPolynomial, index: int | None, kernel,
+def _scan(ctx: FieldCtx, s: LinearizedPolynomial, index: int | None, kernel,
           jobs: int, dtype) -> np.ndarray:
     """``kernel(reps, terms)`` applied to the representatives g^0 .. g^(e-1), in order.
 
@@ -107,8 +106,12 @@ def _scan(ctx: FieldBasis, s: LinearizedPolynomial, index: int | None, kernel,
     temporary of the kernel spans the whole range, and every chunk reads
     the same :class:`TermLogs`.  With ``jobs > 1`` the chunks run on a
     thread pool; they write disjoint slices, and each chunk finds its own
-    place in the progressions.
+    place in the progressions.  A kernel that sums two or more terms reads
+    the Zech table, so it is read here first: a missing one is built once,
+    before the output array and the pool exist.
     """
+    if s.k > 1:
+        ctx._zech
     e = ctx.subfield_index
     if e <= _CHUNK:
         return kernel(np.arange(e, dtype=np.int64), None).astype(dtype, copy=False)
@@ -138,17 +141,7 @@ def _scanned_terms(terms, t: int) -> tuple:
     return tuple(term for term in terms if term[0] != t) or tuple(terms)
 
 
-def oracle_adds(terms, t: int) -> bool:
-    """Whether the oracle at index t adds field elements, and so reads the Zech table.
-
-    ``terms`` are S's (exponent, coefficient) pairs with distinct exponents,
-    such as its dlog terms.  It adds only when two or more terms lie off t; a
-    :class:`FieldBasis` serves every other request.
-    """
-    return len(_scanned_terms(terms, t)) > 1
-
-
-def _ratio_ids(ctx: FieldBasis, s: LinearizedPolynomial, t: int,
+def _ratio_ids(ctx: FieldCtx, s: LinearizedPolynomial, t: int,
                jobs: int) -> np.ndarray:
     """One int32 id per representative; equal ids are equal ratio values.
 
@@ -231,7 +224,7 @@ def _witness(ids: np.ndarray, repeated: np.ndarray) -> tuple[int, int]:
     raise ValueError("no repeated value is among the ids")
 
 
-def _equal_ratio_pairs(ctx: FieldBasis, e: int, repeated: np.ndarray) -> int:
+def _equal_ratio_pairs(ctx: FieldCtx, e: int, repeated: np.ndarray) -> int:
     """Ordered pairs of distinct nonzero points with equal ratio values.
 
     A value shared by c representatives is taken by m = c(q-1) points, which
@@ -246,7 +239,7 @@ def _equal_ratio_pairs(ctx: FieldBasis, e: int, repeated: np.ndarray) -> int:
     return w * w * square_sum - w * e
 
 
-def is_scattered_bruteforce(ctx: FieldBasis, s: LinearizedPolynomial, t: int,
+def is_scattered_bruteforce(ctx: FieldCtx, s: LinearizedPolynomial, t: int,
                             jobs: int = 1, census: bool = False,
                             limit: int | None = None) -> ScatterReport:
     """Exhaustive decision of scatteredness of index t.
@@ -255,9 +248,6 @@ def is_scattered_bruteforce(ctx: FieldBasis, s: LinearizedPolynomial, t: int,
     the shared values, and any shared value yields a witness.  The witness is
     the first representative whose value is shared and the next one with that
     value: no colliding pair is smaller.
-
-    ``ctx`` may be a :class:`FieldBasis` unless :func:`oracle_adds`; there it
-    must be a :class:`FieldCtx`, and a basis raises NeedsFieldAddition.
     """
     if limit is not None and ctx.size > limit:
         raise FieldTooLarge(ctx.size, limit)
@@ -292,14 +282,13 @@ def _groups_by_head(ids: np.ndarray, shared: np.ndarray):
             yield by_value[lo:np.searchsorted(sorted_ids, value, side="right")]
 
 
-def deciding_pairs(ctx: FieldBasis, s: LinearizedPolynomial, t: int,
+def deciding_pairs(ctx: FieldCtx, s: LinearizedPolynomial, t: int,
                    limit: int | None = 64, jobs: int = 1) -> DecidingPairCensus:
     """Census of pairs with equal ratio values, with capped enumeration.
 
     Enumeration walks value groups by their smallest representative and lists
     ordered pairs (y, z) of distinct members in lexicographic dlog order.  Only
-    the groups that hold the first ``limit`` pairs are built.  ``ctx`` as for
-    :func:`is_scattered_bruteforce`.
+    the groups that hold the first ``limit`` pairs are built.
     """
     ids = _ratio_ids(ctx, s, t, jobs)
     _, repeated = _collisions(ids)
@@ -324,13 +313,12 @@ def deciding_pairs(ctx: FieldBasis, s: LinearizedPolynomial, t: int,
     return DecidingPairCensus(t, equal_ratio, collinear, pairs, truncated)
 
 
-def is_permutation(ctx: FieldBasis, poly: LinearizedPolynomial,
+def is_permutation(ctx: FieldCtx, poly: LinearizedPolynomial,
                    jobs: int = 1) -> bool:
     """Bijectivity of the induced map; for linearized maps, a trivial kernel.
 
     A nonzero root exists iff a canonical representative is one, so the scan
-    covers g^0 .. g^(e-1).  Two or more terms need a :class:`FieldCtx`; a
-    :class:`FieldBasis` serves a monomial and raises NeedsFieldAddition else.
+    covers g^0 .. g^(e-1).
     """
     roots = _scan(ctx, poly, None,
                   lambda reps, terms: evaluate_many(ctx, poly, reps, terms=terms) < 0,
@@ -374,27 +362,23 @@ def scattered_via_pp(ctx: FieldCtx, s: LinearizedPolynomial, t: int,
 
 def is_exceptional_desk(p: int, m: int, n: int, s_terms, t: int, m_list,
                         cap: int = DEFAULT_CAP, jobs: int = 1,
-                        base: FieldBasis | None = None) -> list[TowerVerdict]:
+                        base: FieldCtx | None = None) -> list[TowerVerdict]:
     """Run the oracle for the same polynomial across extension steps.
 
     ``s_terms`` are (exponent, dlog) pairs over the base field F_{q^n}, with
     distinct exponents; each coefficient g_n^a re-embeds into F_{q^(n*m)} as
     g_{nm}^(a*D) with D = (q^(nm)-1)/(q^n-1), the norm-compatible power map.
-    Each step builds the Zech table only when :func:`oracle_adds`.  ``base``,
-    F_{q^n} as the caller already holds it, serves the step m = 1 when it has
-    what that step reads (a FieldCtx when the oracle adds).  A full pass is a
-    finite certificate consistent with exceptionality, never a proof.
+    Each step's field builds its Zech table only if the oracle adds.
+    ``base``, F_{q^n} as the caller already holds it, serves the step m = 1.
+    A full pass is a finite certificate consistent with exceptionality,
+    never a proof.
     """
     base_order = p ** (m * n) - 1
-    adds = oracle_adds(s_terms, t)
-    construct = build_field if adds else field_basis
-    if not isinstance(base, FieldCtx if adds else FieldBasis):
-        base = None
     verdicts = []
     for mm in m_list:
         if mm < 1:
             raise ValueError("extension multipliers must be positive")
-        ctx = base if mm == 1 and base is not None else construct(p, m, n * mm, cap=cap)
+        ctx = base if mm == 1 and base is not None else field_basis(p, m, n * mm, cap=cap)
         scale = ctx.order // base_order
         terms = [(r, ctx.element_from_dlog(dlog * scale % ctx.order))
                  for r, dlog in s_terms]

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import time
 
 import pytest
 
@@ -134,6 +135,8 @@ def test_check_deterministic_json(capsys):
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
+# it once saw a RuntimeWarning from the table walk's encoding product
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_envelope_round_trips(capsys):
     code, out, _ = run(capsys, "check", "--p", "3", "--n", "5",
                        "--poly", "1:g^0,3:g^121", "--index", "2",
@@ -381,6 +384,20 @@ def test_tower_reuses_the_base_field(capsys, monkeypatch):
                      "0:g^1,1:g^0,2:g^0", "--index", "0", "--mode", "criteria",
                      "--m-list", "1")
     assert code == 0 and built == [(3, 4)]
+
+
+def test_build_s_covers_a_table_the_oracle_builds(capsys, monkeypatch):
+    build_tables = field._build_tables
+
+    def slow(*args):
+        time.sleep(0.2)
+        return build_tables(*args)
+    monkeypatch.setattr(field, "_build_tables", slow)
+    # parsing reads no table; the oracle adds (two terms off t) and builds it
+    code, out, _ = run(capsys, "check", "--p", "3", "--n", "4", "--poly",
+                       "0:g^1,1:g^0,2:g^0", "--index", "0", "--output", "json")
+    timing = json.loads(out)["timing"]
+    assert code == 0 and timing["build_s"] >= 0.2 > timing["oracle_s"]
 
 
 def test_row_agreement_reads_every_verdict():

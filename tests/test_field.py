@@ -26,6 +26,10 @@ from scatterpoly.field import (
 
 from naive_oracle import naive_mul, naive_pow
 
+# the table walk once warned of an invalid value in its encoding product
+# (RuntimeWarning from np.matmul) that no rerun reproduced; fail if it recurs
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def test_f9_deterministic_construction(f9):
     # smallest-encoding irreducible quadratic over F_3 is x^2 + 1

@@ -1,17 +1,15 @@
 import itertools
 import math
 import random
+import threading
 
 import numpy as np
 import pytest
 
 from scatterpoly import (
     BadIndex,
-    FieldBasis,
-    FieldCtx,
     FieldTooLarge,
     HypothesisViolated,
-    NeedsFieldAddition,
     build_field,
     deciding_pairs,
     evaluate,
@@ -21,12 +19,12 @@ from scatterpoly import (
     is_scattered_bruteforce,
     field_basis,
     normalize,
-    oracle_adds,
     parse_poly,
     ratio_map,
     scattered_via_pp,
 )
 
+from scatterpoly import field
 from scatterpoly.scatter import _CHUNK, _WITNESS_WINDOW, _collisions, _ratio_ids, _witness
 
 from naive_oracle import naive_deciding_pair_count, naive_is_scattered
@@ -436,7 +434,6 @@ def test_own_term_drop_matches_kept_reference():
     rng = random.Random(10)
     for p, m, n in ((3, 1, 4), (3, 1, 5), (5, 1, 4), (3, 2, 3)):
         ctx = build_field(p, m, n)
-        basis = field_basis(p, m, n)
         for _ in range(12):
             t = rng.randrange(n)
             others = rng.sample([r for r in range(n) if r != t], rng.randint(0, 2))
@@ -455,23 +452,67 @@ def test_own_term_drop_matches_kept_reference():
                                       if y != z), limit)
             assert [(y.dlog, z.dlog) for y, z in census.pairs] == list(pairs)
             assert census.equal_ratio_pairs == pair_count
-            if not oracle_adds(s.dlog_terms(), t):
-                assert is_scattered_bruteforce(basis, s, t, census=True) == report
-                assert deciding_pairs(basis, s, t, limit=limit) == census
+            # a field without a table answers alike, and builds one only
+            # when two or more terms lie off t
+            basis = field_basis(p, m, n)
+            assert is_scattered_bruteforce(basis, s, t, census=True) == report
+            assert deciding_pairs(basis, s, t, limit=limit) == census
+            assert ("_zech" in vars(basis)) == (len(others) > 1)
 
 
-def test_basis_refuses_a_scan_that_adds():
+def test_basis_answers_as_a_built_field():
+    """A field_basis field builds its table only when something adds.
+
+    Monomial scans and the binomial's scans at its own exponents leave it
+    without one; each answer that adds builds it, and every answer equals
+    build_field's.
+    """
+    ctx = build_field(3, 1, 4)
     basis = field_basis(3, 1, 4)
     s = normalize(basis, [(1, basis.element_from_dlog(0)), (2, basis.element_from_dlog(3))])
-    assert oracle_adds(s.dlog_terms(), 0) and not oracle_adds(s.dlog_terms(), 1)
-    for scan in (lambda: is_scattered_bruteforce(basis, s, 0),
-                 lambda: deciding_pairs(basis, s, 0),
-                 lambda: is_permutation(basis, s)):
-        with pytest.raises(NeedsFieldAddition, match="build_field"):
-            scan()
-    assert is_permutation(basis, normalize(basis, [(1, basis.element_from_dlog(5))]))
+    monomial = normalize(basis, [(1, basis.element_from_dlog(5))])
+    for t in (1, 2):
+        assert (is_scattered_bruteforce(basis, s, t, census=True)
+                == is_scattered_bruteforce(ctx, s, t, census=True))
+        assert deciding_pairs(basis, s, t) == deciding_pairs(ctx, s, t)
+    for t in range(4):
+        assert (is_scattered_bruteforce(basis, monomial, t, census=True)
+                == is_scattered_bruteforce(ctx, monomial, t, census=True))
+        assert deciding_pairs(basis, monomial, t) == deciding_pairs(ctx, monomial, t)
+    assert is_permutation(basis, monomial)
+    assert "_zech" not in vars(basis)
+    answers = (
+        lambda f: is_scattered_bruteforce(f, s, 0, census=True),
+        lambda f: deciding_pairs(f, s, 0),
+        lambda f: is_permutation(f, s),
+        lambda f: normalize(f, [(1, f.element_from_dlog(0)), (5, f.element_from_dlog(7))]),
+        lambda f: f.element_from_coeffs([1, 2, 0, 1]),
+    )
+    for answer in answers:
+        basis = field_basis(3, 1, 4)
+        assert answer(basis) == answer(ctx)
+        assert isinstance(vars(basis)["_zech"], np.ndarray)
     # the tower builds a step's table only where its oracle adds
     minus_one = 3**5 // 2
-    for t, kind in ((1, FieldBasis), (2, FieldCtx)):
+    for t, adds in ((1, False), (2, True)):
         step, = is_exceptional_desk(3, 1, 5, ((1, 0), (3, minus_one)), t, (1,))
-        assert type(step.ctx) is kind
+        assert ("_zech" in vars(step.ctx)) == adds
+
+
+def test_scan_at_two_jobs_builds_the_table_once(monkeypatch):
+    """The scan builds a missing table before its pool starts, not in a worker."""
+    ctx = build_field(3, 1, 11)
+    built = []
+    build_tables = field._build_tables
+
+    def spy(p, d, *args):
+        built.append((p, d, threading.current_thread() is threading.main_thread()))
+        return build_tables(p, d, *args)
+    monkeypatch.setattr(field, "_build_tables", spy)
+    basis = field_basis(3, 1, 11)
+    assert basis.subfield_index > 2 * _CHUNK  # the scan runs on the pool
+    s = normalize(basis, [(0, basis.element_from_dlog(5)), (2, basis.element_from_dlog(0)),
+                          (7, basis.element_from_dlog(11))])
+    report = is_scattered_bruteforce(basis, s, 1, jobs=2, census=True)
+    assert built == [(3, 11, True)]
+    assert report == is_scattered_bruteforce(ctx, s, 1, census=True)
