@@ -27,13 +27,12 @@ from .errors import (
 )
 from .field import (
     DEFAULT_CAP,
-    FFElement,
     FieldCtx,
     FieldParams,
     field_basis,
     modulus_text,
 )
-from .linpoly import LinearizedPolynomial, parse_poly, parse_poly_dlogs
+from .linpoly import parse_poly
 from .scatter import ScatterReport, is_exceptional_desk, is_scattered_bruteforce
 from .verify import SUITES, run_suites
 
@@ -168,20 +167,6 @@ def _field(args, capped: bool) -> FieldParams:
         return FieldParams(args.p, args.m, args.n)
 
 
-def _poly(field: FieldParams, text: str):
-    """(polynomial, dlog terms, normalized text).
-
-    Beyond the table limit, a text that adds coefficients raises
-    NeedsFieldAddition.
-    """
-    if isinstance(field, FieldCtx):
-        poly = parse_poly(field, text)
-    else:
-        poly = LinearizedPolynomial(tuple(
-            (r, FFElement(k)) for r, k in parse_poly_dlogs(field.n, field.order, text)))
-    return poly, poly.dlog_terms(), str(poly)
-
-
 def _row(params: FieldParams, poly_text: str, t: int,
          verdicts: list[CriterionVerdict], report: ScatterReport | None) -> dict:
     """One CSV row for ``check`` and ``scan``.
@@ -234,7 +219,8 @@ def build_check_envelope(args) -> tuple[dict, dict]:
     t0 = time.perf_counter()
     oracle = args.mode in ("oracle", "both")
     field = _field(args, capped=oracle or bool(m_list))
-    poly, terms, poly_norm = _poly(field, args.poly)
+    poly = parse_poly(field, args.poly)
+    terms, poly_norm = poly.dlog_terms(), str(poly)
     build_s = time.perf_counter() - t0
 
     verdicts: list[CriterionVerdict] = []
@@ -391,7 +377,8 @@ def cmd_scan(args) -> int:
     texts, indices = _scan_family(args, field)
     rows = []
     for text in texts:
-        poly, terms, _ = _poly(field, text)
+        poly = parse_poly(field, text)
+        terms = poly.dlog_terms()
         for t in indices(terms):
             verdicts = applicable_criteria(field, terms, t)
             report = None

@@ -65,7 +65,7 @@ def pseudoregulus_criterion(n: int, r: int, t: int) -> CriterionVerdict:
     if not (0 <= r < n and 0 <= t < n):
         raise BadIndex(f"need 0 <= r,t < n, got r={r}, t={t}, n={n}")
     hyp = Hypothesis("index-differs-from-exponent", t != r,
-                     f"t={t}, r={r}")
+                     f"t={t}, r={r}" if t != r else f"t = r = {t}")
     if t == r:
         return CriterionVerdict("pseudoregulus", False, None, (hyp,))
     verdict = math.gcd(abs(t - r), n) == 1
@@ -341,14 +341,7 @@ def applicable_criteria(params: FieldParams, terms, t: int) -> list[CriterionVer
     """All criteria with something to say about (S, t), given dlog terms."""
     out: list[CriterionVerdict] = []
     if len(terms) == 1:
-        r1 = terms[0][0]
-        if t != r1:
-            out.append(pseudoregulus_criterion(params.n, r1, t))
-        else:
-            out.append(CriterionVerdict(
-                "pseudoregulus", False, None,
-                (Hypothesis("index-differs-from-exponent", False,
-                            f"t = r = {t}"),)))
+        out.append(pseudoregulus_criterion(params.n, terms[0][0], t))
     elif len(terms) == 2:
         out.append(binomial_criterion(params, terms))
         if terms[0][0] == 0 and t == terms[1][0]:

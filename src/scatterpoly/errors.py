@@ -65,7 +65,7 @@ class ParseError(ScatterpolyError):
 class NeedsFieldAddition(ParseError):
     """Adding field elements needs a field context; beyond the table limit there is none.
 
-    Raised by ``parse_poly_dlogs``, which parses without one, for a text that
-    adds coefficients while parsing: a coefficient vector or a repeated
-    exponent.  A field context builds its Zech table when it first adds.
+    Raised by ``parse_poly`` on a bare ``FieldParams`` for a text that adds
+    coefficients while parsing: a coefficient vector or a repeated exponent.
+    A field context builds its Zech table when it first adds.
     """

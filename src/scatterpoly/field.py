@@ -305,7 +305,7 @@ def _mult_matrix(vec, mod, p: int) -> np.ndarray:
 
 
 def _build_tables(p: int, d: int, mod, gamma_vec):
-    """Zech-log table of F_p[x]/(mod) with generator gamma, log x and log 1..p-1.
+    """Zech-log table of F_p[x]/(mod) with generator gamma, and log x.
 
     The int32 log table (every entry is below ``TABLE_LIMIT``) is a
     temporary: it is checked for bijectivity, gives the Zech table and is
@@ -316,7 +316,7 @@ def _build_tables(p: int, d: int, mod, gamma_vec):
     if int(np.count_nonzero(log >= 0)) != p**d - 1:
         raise RuntimeError("the powers of gamma miss a unit: log table not bijective")
     log_x = int(log[p]) if d > 1 else None
-    return _zech_table(p, log), log_x, tuple(int(v) for v in log[1:p])
+    return _zech_table(p, log), log_x
 
 
 def _log_table(p: int, d: int, mod, gamma_vec) -> np.ndarray:
@@ -489,9 +489,9 @@ class FieldCtx(FieldParams):
     """F_{q^n} as F_p[x]/(modulus) with its generator's digits and its Zech-log table.
 
     Construct via :func:`field_basis` (no table yet) or :func:`build_field`.
-    The Zech table, log x and the logs of the constants 1..p-1 are built
-    together, by :func:`build_field`, the first time one of them is read;
-    ``table_s`` is the seconds that took, 0.0 while they are missing.
+    The Zech table and log x are built together, by :func:`build_field`, the
+    first time either is read; ``table_s`` is the seconds that took, 0.0
+    while they are missing.
 
     Thread safety: no method mutates a context whose table is built, so it
     is safe to share across threads.  A missing table is built by the thread
@@ -512,7 +512,7 @@ class FieldCtx(FieldParams):
         self._neg_shift = self.order // 2 if self.p > 2 else 0
         self.gamma = self.element_from_dlog(1)
 
-    # build_field sets all three in the instance, which then shadows these
+    # build_field sets both in the instance, which then shadows these
     @cached_property
     def _zech(self) -> np.ndarray:
         return build_field(self.p, self.m, self.n, basis=self)._zech
@@ -520,10 +520,6 @@ class FieldCtx(FieldParams):
     @cached_property
     def _x(self) -> FFElement:
         return build_field(self.p, self.m, self.n, basis=self)._x
-
-    @cached_property
-    def _const_logs(self) -> tuple[int, ...]:
-        return build_field(self.p, self.m, self.n, basis=self)._const_logs
 
     # -- representation helpers ------------------------------------------
 
@@ -561,15 +557,22 @@ class FieldCtx(FieldParams):
         return self.element_from_coeffs(_digits(enc, self.p, self.degree))
 
     def element_from_coeffs(self, coeffs) -> FFElement:
-        """sum c_i x^i by Horner's rule: multiply by x, add the next digit."""
+        """sum c_i x^i by Horner's rule: multiply by x, add the next digit.
+
+        A digit c is built from 0 by double-and-add over the bits of c, each
+        step one addition through the Zech table.
+        """
         vec = [c % self.p for c in coeffs]
         if len(vec) > self.degree:
             raise ValueError("coefficient vector longer than the field degree")
         acc = self.zero()
         for c in reversed(vec):
-            acc = self.mul(acc, self._x)
-            if c:
-                acc = self._add_dlogs(acc, self._const_logs[c - 1])
+            digit = self.zero()
+            for bit in f"{c:b}":
+                digit = self.add(digit, digit)
+                if bit == "1":
+                    digit = self._add_dlogs(digit, 0)
+            acc = self.add(self.mul(acc, self._x), digit)
         return acc
 
     def zero(self) -> FFElement:
@@ -691,8 +694,7 @@ def build_field(p: int, m: int, n: int, cap: int = DEFAULT_CAP,
     ``cap`` and ``strict`` are not read again)."""
     ctx = field_basis(p, m, n, cap, strict) if basis is None else basis
     t0 = time.perf_counter()
-    ctx._zech, log_x, ctx._const_logs = _build_tables(p, ctx.degree, ctx.modulus,
-                                                      ctx.gamma_coeffs)
+    ctx._zech, log_x = _build_tables(p, ctx.degree, ctx.modulus, ctx.gamma_coeffs)
     ctx._x = FFElement(log_x)
     ctx.table_s = time.perf_counter() - t0
     return ctx

@@ -22,7 +22,7 @@ from .errors import (
     WouldBeZero,
     ZeroPolynomial,
 )
-from .field import FFElement, FieldCtx
+from .field import FFElement, FieldCtx, FieldParams
 
 
 @dataclass(frozen=True)
@@ -303,35 +303,29 @@ def parse_terms(text: str) -> list[tuple[int, int | list[int]]]:
     return result
 
 
-def parse_poly(ctx: FieldCtx, text: str) -> LinearizedPolynomial:
+def parse_poly(field: FieldParams, text: str) -> LinearizedPolynomial:
+    """Parse the text format over either field layer.
+
+    ``g^k`` terms on distinct exponents (mod n) need only the sizes, so a
+    :class:`FieldParams` parses them.  A coefficient vector, or two exponents
+    equal mod n, adds field elements: a :class:`FieldCtx` does that through
+    its Zech table, and a bare :class:`FieldParams` raises
+    NeedsFieldAddition at the first such term.
+    """
+    adds = isinstance(field, FieldCtx)
     raw = []
     for r, coeff in parse_terms(text):
         if isinstance(coeff, int):
-            elem = ctx.element_from_dlog(coeff % ctx.order)
-        else:
-            elem = ctx.element_from_coeffs(coeff)
+            elem = FFElement(coeff % field.order)
+        elif adds:
+            elem = field.element_from_coeffs(coeff)
             if elem.is_zero:
                 raise ParseError(f"zero coefficient in term {r}:{coeff}")
-        raw.append((r, elem))
-    return normalize(ctx, raw)
-
-
-def parse_poly_dlogs(n: int, order: int, text: str) -> tuple[tuple[int, int], ...]:
-    """Parse without a field context (generator powers only).
-
-    Used for fields beyond :func:`field.table_limit`, which get no field
-    context: exponents are reduced mod n and must be distinct.
-    NeedsFieldAddition refuses a text that merges or converts coefficients;
-    :func:`parse_poly` accepts it.
-    """
-    terms: dict[int, int] = {}
-    for r, coeff in parse_terms(text):
-        if not isinstance(coeff, int):
+        else:
             raise NeedsFieldAddition(
                 "coefficient vectors need a materialized field; use g^k powers")
-        r %= n
-        if r in terms:
+        if not adds and any((r - s) % field.n == 0 for s, _ in raw):
             raise NeedsFieldAddition(
-                f"duplicate exponent {r} cannot be merged without field tables")
-        terms[r] = coeff % order
-    return tuple(sorted(terms.items()))
+                f"duplicate exponent {r % field.n} cannot be merged without field tables")
+        raw.append((r, elem))
+    return normalize(field, raw)

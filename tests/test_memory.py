@@ -1,13 +1,13 @@
 """Peak allocations per field element of the table build and the oracle.
 
 numpy reports its array allocations to ``tracemalloc``, so the readings are
-deterministic.  On F_3^12 and F_5^8 the build peaks at 8.3-8.4 bytes per
-element (the int32 log and Zech tables) and the oracle at 4.5-6.5 (int32
-ratio ids, their sorted copy and the repeated ids; while the scan runs,
-its chunk temporaries and 32 KiB of progressions per term add about 2 to
-the ids).  The bounds fail a build that also holds a full antilog array
-(14.4) and an oracle that holds e-length int64 temporaries or counts over
-all q^n values (16.5-26.5).
+deterministic.  On F_3^12, F_5^8 and F_1000003 the build peaks at 8.1-8.4
+bytes per element (the int32 log and Zech tables) and the oracle at 4.5-6.5
+(int32 ratio ids, their sorted copy and the repeated ids; while the scan
+runs, its chunk temporaries and 32 KiB of progressions per term add about 2
+to the ids).  The bounds fail a build that also holds a full antilog array
+(14.4) or a Python int per element (48.7), and an oracle that holds
+e-length int64 temporaries or counts over all q^n values (16.5-26.5).
 """
 
 import tracemalloc
@@ -48,6 +48,12 @@ def test_build_peak(traced_f3_12):
 def test_build_peak_with_f_p_multiples():
     # F_5^8 walks a quarter of its powers and scales digits for the rest
     ctx, peak = _traced(lambda: build_field(5, 1, 8))
+    assert peak / ctx.size < BUILD_BOUND
+
+
+def test_build_peak_prime_field():
+    # a prime field walks every power; its build holds the same two int32 tables
+    ctx, peak = _traced(lambda: build_field(1000003, 1, 1))
     assert peak / ctx.size < BUILD_BOUND
 
 
