@@ -233,8 +233,7 @@ def build_check_envelope(args) -> tuple[dict, dict]:
     if oracle:
         t0 = time.perf_counter()
         table_s = field.table_s
-        report = is_scattered_bruteforce(field, poly, t, jobs=args.jobs,
-                                         census=args.census)
+        report = is_scattered_bruteforce(field, poly, t, census=args.census)
         # a table the oracle built counts as construction, not as scanning
         table_s = field.table_s - table_s
         timing["oracle_s"] = time.perf_counter() - t0 - table_s
@@ -246,11 +245,11 @@ def build_check_envelope(args) -> tuple[dict, dict]:
     if m_list:
         t0 = time.perf_counter()
         for verdict in is_exceptional_desk(args.p, args.m, args.n, terms, t, m_list,
-                                           cap=args.cap, jobs=args.jobs, base=field):
+                                           cap=args.cap, base=field):
             tower.append({
                 "m": verdict.m,
-                "extension_degree": verdict.extension_degree,
-                "field_size": verdict.field_size,
+                "extension_degree": verdict.ctx.n,
+                "field_size": verdict.ctx.size,
                 "report": _report_view(verdict.ctx, verdict.report),
             })
         timing["tower_s"] = time.perf_counter() - t0
@@ -383,7 +382,7 @@ def cmd_scan(args) -> int:
             verdicts = applicable_criteria(field, terms, t)
             report = None
             if isinstance(field, FieldCtx):
-                report = is_scattered_bruteforce(field, poly, t, jobs=args.jobs)
+                report = is_scattered_bruteforce(field, poly, t)
             rows.append(_row(field, text, t, verdicts, report))
 
     if args.output == "json":
@@ -410,7 +409,7 @@ def cmd_scan(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
-        results = run_suites(args.suite, jobs=args.jobs)
+        results = run_suites(args.suite)
     except KeyError as exc:
         raise ParseError(exc.args[0]) from exc
     if args.output == "json":
@@ -460,7 +459,9 @@ def build_parser() -> _Parser:
     check.add_argument("--mode", choices=("oracle", "criteria", "both"),
                        default="both")
     check.add_argument("--output", choices=("text", "json", "csv"), default="text")
-    check.add_argument("--jobs", type=int, default=1)
+    check.add_argument("--jobs", type=int, default=1,
+                       help="ignored: the scan is serial; kept so existing "
+                            "command lines still parse and echo it")
     check.add_argument("--census", action="store_true",
                        help="also count deciding pairs")
     check.add_argument("--m-list", dest="m_list", default="",
@@ -479,13 +480,11 @@ def build_parser() -> _Parser:
                       help="coefficient dlogs for the binomial family "
                            "(default: 0 and the dlog of -1)")
     scan.add_argument("--output", choices=("csv", "json", "text"), default="csv")
-    scan.add_argument("--jobs", type=int, default=1)
     scan.set_defaults(func=cmd_scan)
 
     verify = sub.add_parser("verify", help="run a named verification suite")
     verify.add_argument("--suite", required=True,
                         help=f"one of: {', '.join(SUITES)}")
-    verify.add_argument("--jobs", type=int, default=1)
     verify.add_argument("--output", choices=("text", "json"), default="text")
     verify.set_defaults(func=cmd_verify)
     return parser

@@ -492,13 +492,6 @@ class FieldCtx(FieldParams):
     The Zech table and log x are built together, by :func:`build_field`, the
     first time either is read; ``table_s`` is the seconds that took, 0.0
     while they are missing.
-
-    Thread safety: no method mutates a context whose table is built, so it
-    is safe to share across threads.  A missing table is built by the thread
-    that reads it, and nothing stops two threads building it at once
-    (``cached_property`` holds no lock since Python 3.12), so a caller that
-    starts threads which add reads the table first: the scans in
-    :mod:`scatterpoly.scatter` do.
     """
 
     table_s = 0.0

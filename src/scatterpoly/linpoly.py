@@ -141,8 +141,7 @@ class TermLogs:
     for.  A run a = start .. start+count-1 then costs, per term, the Python
     int (c_i + start * d_i) mod order added to the block steps, the block
     offsets added to the multiples in one broadcast, and one :func:`_wrap`
-    of each sum.  A term keeps 32 KiB whatever the run, and the object only
-    reads it, so threads can share it.
+    of each sum.  A term keeps 32 KiB whatever the run.
 
     Overflow bounds, all in int64 and with order < ``TABLE_LIMIT = 2^31``:
     j * d_i < 2^12 * 2^31 and b * (_BLOCK * d_i mod order) < run * 2^31 /

@@ -19,23 +19,19 @@ at t in {r1, r2}, is scanned on discrete logs alone, and a field from
 
 The scan streams the representatives in fixed chunks into one int32 array,
 so it holds no full-size int64 temporary, and builds each chunk's term logs
-from the progressions with no ``%`` per point.  The chunks can run on
-worker threads (numpy releases the GIL on the bulk operations); each writes
-its own slice, and the field context and the progressions are shared
-read-only: a scan that adds reads the Zech table before it starts, so no
-worker builds it.  The witness and the shared-value mask come from the
-sorted ids alone, by binary search: nothing is sized by the field's order.
+from the progressions with no ``%`` per point.  The witness and the
+shared-value mask come from the sorted ids alone, by binary search: nothing
+is sized by the field's order.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadIndex, FieldTooLarge, HypothesisViolated, ZeroPolynomial
+from .errors import BadIndex, HypothesisViolated, ZeroPolynomial
 from .field import DEFAULT_CAP, FFElement, FieldCtx, field_basis
 from .linpoly import LinearizedPolynomial, TermLogs, evaluate_many, normalize, rho_transform
 
@@ -83,18 +79,17 @@ class TowerVerdict:
     """Oracle verdict for one extension step of the tower.
 
     ``ctx`` is the step's own field, the one the witness elements belong to;
-    its Zech table is built only if the step's oracle adds.
+    its degree and size are the step's.  Its Zech table is built only if the
+    step's oracle adds.
     """
 
     m: int
-    extension_degree: int
-    field_size: int
     report: ScatterReport
     ctx: FieldCtx
 
 
 def _scan(ctx: FieldCtx, s: LinearizedPolynomial, index: int | None, kernel,
-          jobs: int, dtype) -> np.ndarray:
+          dtype) -> np.ndarray:
     """``kernel(reps, terms)`` applied to the representatives g^0 .. g^(e-1), in order.
 
     ``terms`` is what the kernel passes on to ``evaluate_many`` for S at
@@ -104,11 +99,12 @@ def _scan(ctx: FieldCtx, s: LinearizedPolynomial, index: int | None, kernel,
     Beyond that the representatives stream through ``kernel`` in chunks of
     ``_CHUNK``, each result stored into one preallocated array, so no
     temporary of the kernel spans the whole range, and every chunk reads
-    the same :class:`TermLogs`.  With ``jobs > 1`` the chunks run on a
-    thread pool; they write disjoint slices, and each chunk finds its own
-    place in the progressions.  A kernel that sums two or more terms reads
-    the Zech table, so it is read here first: a missing one is built once,
-    before the output array and the pool exist.
+    the same :class:`TermLogs`.  A kernel that sums two or more terms reads
+    the Zech table, so it is read here first: a missing table is then built
+    before the output array exists, and the build's temporaries are freed
+    before the output is allocated.  Read inside the first chunk instead,
+    the build would peak on top of the output, at about 12 bytes per field
+    element rather than 9.
     """
     if s.k > 1:
         ctx._zech
@@ -117,18 +113,9 @@ def _scan(ctx: FieldCtx, s: LinearizedPolynomial, index: int | None, kernel,
         return kernel(np.arange(e, dtype=np.int64), None).astype(dtype, copy=False)
     terms = TermLogs(ctx, s, index, run=_CHUNK)
     out = np.empty(e, dtype=dtype)
-
-    def run(start: int) -> None:
+    for start in range(0, e, _CHUNK):
         stop = min(start + _CHUNK, e)
         out[start:stop] = kernel(np.arange(start, stop, dtype=np.int64), terms)
-
-    starts = range(0, e, _CHUNK)
-    if jobs <= 1:
-        for start in starts:
-            run(start)
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(run, starts))
     return out
 
 
@@ -141,8 +128,7 @@ def _scanned_terms(terms, t: int) -> tuple:
     return tuple(term for term in terms if term[0] != t) or tuple(terms)
 
 
-def _ratio_ids(ctx: FieldCtx, s: LinearizedPolynomial, t: int,
-               jobs: int) -> np.ndarray:
+def _ratio_ids(ctx: FieldCtx, s: LinearizedPolynomial, t: int) -> np.ndarray:
     """One int32 id per representative; equal ids are equal ratio values.
 
     The scan drops S's term at exponent t (:func:`_scanned_terms`): it adds
@@ -165,7 +151,7 @@ def _ratio_ids(ctx: FieldCtx, s: LinearizedPolynomial, t: int,
             ids[ids < 0] = order
         return ids
 
-    return _scan(ctx, scanned, t, kernel, jobs, np.int32)
+    return _scan(ctx, scanned, t, kernel, np.int32)
 
 
 def _collisions(ids: np.ndarray) -> tuple[int, np.ndarray]:
@@ -240,19 +226,19 @@ def _equal_ratio_pairs(ctx: FieldCtx, e: int, repeated: np.ndarray) -> int:
 
 
 def is_scattered_bruteforce(ctx: FieldCtx, s: LinearizedPolynomial, t: int,
-                            jobs: int = 1, census: bool = False,
-                            limit: int | None = None) -> ScatterReport:
+                            jobs: int = 1, census: bool = False) -> ScatterReport:
     """Exhaustive decision of scatteredness of index t.
 
     One ratio evaluation per projective point; one sort of the ratio ids finds
     the shared values, and any shared value yields a witness.  The witness is
     the first representative whose value is shared and the next one with that
     value: no colliding pair is smaller.
+
+    ``jobs`` is accepted and ignored: the scan is serial.  The keyword stays
+    only because perfbench's ``jobs_probe`` still passes it.
     """
-    if limit is not None and ctx.size > limit:
-        raise FieldTooLarge(ctx.size, limit)
     e = ctx.subfield_index
-    ids = _ratio_ids(ctx, s, t, jobs)
+    ids = _ratio_ids(ctx, s, t)
     distinct, repeated = _collisions(ids)
     pair_count = _equal_ratio_pairs(ctx, e, repeated) if census else None
 
@@ -283,14 +269,14 @@ def _groups_by_head(ids: np.ndarray, shared: np.ndarray):
 
 
 def deciding_pairs(ctx: FieldCtx, s: LinearizedPolynomial, t: int,
-                   limit: int | None = 64, jobs: int = 1) -> DecidingPairCensus:
+                   limit: int | None = 64) -> DecidingPairCensus:
     """Census of pairs with equal ratio values, with capped enumeration.
 
     Enumeration walks value groups by their smallest representative and lists
     ordered pairs (y, z) of distinct members in lexicographic dlog order.  Only
     the groups that hold the first ``limit`` pairs are built.
     """
-    ids = _ratio_ids(ctx, s, t, jobs)
+    ids = _ratio_ids(ctx, s, t)
     _, repeated = _collisions(ids)
     shared = _shared(ids, repeated)
     e = ctx.subfield_index
@@ -313,8 +299,7 @@ def deciding_pairs(ctx: FieldCtx, s: LinearizedPolynomial, t: int,
     return DecidingPairCensus(t, equal_ratio, collinear, pairs, truncated)
 
 
-def is_permutation(ctx: FieldCtx, poly: LinearizedPolynomial,
-                   jobs: int = 1) -> bool:
+def is_permutation(ctx: FieldCtx, poly: LinearizedPolynomial) -> bool:
     """Bijectivity of the induced map; for linearized maps, a trivial kernel.
 
     A nonzero root exists iff a canonical representative is one, so the scan
@@ -322,12 +307,12 @@ def is_permutation(ctx: FieldCtx, poly: LinearizedPolynomial,
     """
     roots = _scan(ctx, poly, None,
                   lambda reps, terms: evaluate_many(ctx, poly, reps, terms=terms) < 0,
-                  jobs, bool)
+                  bool)
     return not roots.any()
 
 
 def scattered_via_pp(ctx: FieldCtx, s: LinearizedPolynomial, t: int,
-                     strict: bool = True, jobs: int = 1) -> bool:
+                     strict: bool = True) -> bool:
     """Scatteredness of index t via permutation behavior of the rho transforms.
 
     Valid when every coefficient's order divides q^t - 1 and 0 < t < r_1
@@ -355,13 +340,13 @@ def scattered_via_pp(ctx: FieldCtx, s: LinearizedPolynomial, t: int,
             transformed = rho_transform(ctx, s, t, rho)
         except ZeroPolynomial:
             return False
-        if not is_permutation(ctx, transformed, jobs=jobs):
+        if not is_permutation(ctx, transformed):
             return False
     return True
 
 
 def is_exceptional_desk(p: int, m: int, n: int, s_terms, t: int, m_list,
-                        cap: int = DEFAULT_CAP, jobs: int = 1,
+                        cap: int = DEFAULT_CAP,
                         base: FieldCtx | None = None) -> list[TowerVerdict]:
     """Run the oracle for the same polynomial across extension steps.
 
@@ -383,6 +368,6 @@ def is_exceptional_desk(p: int, m: int, n: int, s_terms, t: int, m_list,
         terms = [(r, ctx.element_from_dlog(dlog * scale % ctx.order))
                  for r, dlog in s_terms]
         poly = normalize(ctx, terms)
-        report = is_scattered_bruteforce(ctx, poly, t, jobs=jobs)
-        verdicts.append(TowerVerdict(mm, ctx.n, ctx.size, report, ctx))
+        report = is_scattered_bruteforce(ctx, poly, t)
+        verdicts.append(TowerVerdict(mm, report, ctx))
     return verdicts

@@ -222,11 +222,20 @@ def test_verify_unknown_suite(capsys):
 
 
 def test_jobs_flag(capsys):
+    # check still accepts --jobs, ignores it and echoes it; scan and verify
+    # no longer take it
     code, out, _ = run(capsys, "check", "--p", "5", "--n", "5",
                        "--poly", "3:g^0,4:g^0", "--index", "3",
                        "--jobs", "4", "--output", "json")
     assert code == 0
-    assert json.loads(out)["results"]["oracle"]["scattered"] is True
+    data = json.loads(out)
+    assert data["results"]["oracle"]["scattered"] is True
+    assert data["request"]["jobs"] == 4
+    code, _, err = run(capsys, "scan", "--p", "3", "--n", "4",
+                       "--family", "pseudoregulus", "--jobs", "2")
+    assert code == 1 and "--jobs" in err
+    code, _, err = run(capsys, "verify", "--suite", "lp", "--jobs", "2")
+    assert code == 1 and "--jobs" in err
 
 
 def test_cap_env_override(capsys, monkeypatch):

@@ -5,16 +5,18 @@ deterministic.  On F_3^12, F_5^8 and F_1000003 the build peaks at 8.1-8.4
 bytes per element (the int32 log and Zech tables) and the oracle at 4.5-6.5
 (int32 ratio ids, their sorted copy and the repeated ids; while the scan
 runs, its chunk temporaries and 32 KiB of progressions per term add about 2
-to the ids).  The bounds fail a build that also holds a full antilog array
-(14.4) or a Python int per element (48.7), and an oracle that holds
-e-length int64 temporaries or counts over all q^n values (16.5-26.5).
+to the ids).  An oracle that builds its own table peaks at 8.75, the
+build's peak, on F_3^12.  The bounds fail a build that also holds a full
+antilog array (14.4) or a Python int per element (48.7), an oracle that
+holds e-length int64 temporaries or counts over all q^n values (16.5-26.5),
+and an oracle that builds its table on top of its ids (11.9).
 """
 
 import tracemalloc
 
 import pytest
 
-from scatterpoly import build_field, is_scattered_bruteforce, parse_poly
+from scatterpoly import build_field, field, field_basis, is_scattered_bruteforce, parse_poly
 
 BUILD_BOUND = 10.0
 ORACLE_BOUND = 9.0
@@ -69,3 +71,22 @@ def test_oracle_peak(traced_f3_12, text, t, scattered, census):
     report, peak = _traced(lambda: is_scattered_bruteforce(ctx, s, t, census=census))
     assert report.scattered == scattered
     assert peak / ctx.size < ORACLE_BOUND
+
+
+def test_oracle_peak_with_its_table_build(traced_f3_12, monkeypatch):
+    # a trinomial off t adds, so a field without a table builds it inside
+    # the oracle, once, and before the scan allocates its ids
+    ctx, _ = traced_f3_12
+    built = []
+    build_tables = field._build_tables
+
+    def spy(p, d, *args):
+        built.append((p, d))
+        return build_tables(p, d, *args)
+    monkeypatch.setattr(field, "_build_tables", spy)
+    basis = field_basis(3, 1, 12)
+    s = parse_poly(basis, "1:g^0,2:g^5,4:g^7")
+    report, peak = _traced(lambda: is_scattered_bruteforce(basis, s, 1))
+    assert built == [(3, 12)]
+    assert peak / basis.size < BUILD_BOUND
+    assert report == is_scattered_bruteforce(ctx, s, 1)
