@@ -68,7 +68,7 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def _fingerprint(field: FieldParams) -> dict:
-    """Sizes, plus modulus and generator when ``materialized`` (within the limit)."""
+    """Sizes (``shown_sizes``), plus modulus and generator when ``materialized``."""
     materialized = isinstance(field, FieldCtx)
     base = {
         "p": field.p,
@@ -76,9 +76,7 @@ def _fingerprint(field: FieldParams) -> dict:
         "n": field.n,
         "q": field.q,
         "extension_degree": field.degree,
-        "size": field.size,
-        "order": field.order,
-        "projective_points": field.subfield_index,
+        **field.shown_sizes(),
         "materialized": materialized,
     }
     if materialized:

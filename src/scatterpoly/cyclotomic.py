@@ -98,7 +98,7 @@ def lemma_relation_check(ctx: FieldCtx, s_poly: LinearizedPolynomial,
                          limit: int = DEFAULT_CAP) -> bool:
     """Full-domain check that S agrees with its coset-indexed form everywhere."""
     if ctx.size > limit:
-        raise FieldTooLarge(ctx.size, limit)
+        raise FieldTooLarge(ctx, limit)
     r1, s, f_terms = factorize_poly(ctx, s_poly)
     decomp = decompose(ctx, s)
     table = coefficient_table(ctx, decomp, r1, f_terms)

@@ -12,9 +12,11 @@ class NonPrime(ScatterpolyError):
 
 
 class FieldTooLarge(ScatterpolyError):
-    def __init__(self, size: int, cap: int):
-        super().__init__(f"field size {size} exceeds cap {cap}")
-        self.size = size
+    """The size of ``field``, a ``FieldParams``, exceeds ``cap``; see its ``shown_sizes``."""
+
+    def __init__(self, field, cap: int):
+        super().__init__(f"field size {field.shown_sizes()['size']} exceeds cap {cap}")
+        self.size = field.size
         self.cap = cap
 
 

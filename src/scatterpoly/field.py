@@ -68,6 +68,9 @@ WALK_LIMIT = 1 << 53
 # sums stay below this, and forms half-encodings in float32 while
 # p^ceil(d/2) does not exceed it.
 _FLOAT32_EXACT = 1 << 24
+# Sizes of more decimal digits than Python's default int-to-text limit are
+# shown in p^degree: decimal conversion is quadratic in the length.
+SHOWN_DIGITS = 4300
 _TABLE_BLOCK = 4096
 _ZECH_BLOCK = 16384
 
@@ -484,6 +487,19 @@ class FieldParams:
     def __repr__(self) -> str:
         return f"{type(self).__name__}(p={self.p}, m={self.m}, n={self.n})"
 
+    def shown_sizes(self) -> dict[str, int | str]:
+        """``size``, ``order`` and ``projective_points`` as outputs show them.
+
+        Integers up to ``SHOWN_DIGITS`` digits; beyond, text such as
+        ``3^10000``, ``3^10000 - 1`` and ``(3^10000 - 1)/2`` (over q - 1).
+        """
+        if self.size < 10**SHOWN_DIGITS:
+            return {"size": self.size, "order": self.order,
+                    "projective_points": self.subfield_index}
+        power = f"{self.p}^{self.degree}"
+        return {"size": power, "order": f"{power} - 1",
+                "projective_points": f"({power} - 1)/{self.q - 1}"}
+
 
 class FieldCtx(FieldParams):
     """F_{q^n} as F_p[x]/(modulus) with its generator's digits and its Zech-log table.
@@ -670,7 +686,7 @@ def field_basis(p: int, m: int, n: int, cap: int = DEFAULT_CAP,
     size = p**d
     limit = table_limit(p, d, cap)
     if size > limit:
-        raise FieldTooLarge(size, limit)
+        raise FieldTooLarge(FieldParams(p, m, n), limit)
 
     modulus = _find_modulus(p, d)
     fact = factorize(size - 1) if size > 2 else ()

@@ -17,11 +17,13 @@ a sum of the remaining terms reads the Zech table: a monomial, or a binomial
 at t in {r1, r2}, is scanned on discrete logs alone, and a field from
 :func:`field.field_basis` builds its table only for a scan that adds.
 
-The scan streams the representatives in fixed chunks into one int32 array,
-so it holds no full-size int64 temporary, and builds each chunk's term logs
-from the progressions with no ``%`` per point.  The witness and the
-shared-value mask come from the sorted ids alone, by binary search: nothing
-is sized by the field's order.
+One scan, :func:`_scan`, serves the oracle, the census and
+:func:`is_permutation`: it streams the representatives in chunks into one
+int32 array of ids, with no full-size int64 temporary and no ``%`` per
+point.  The representatives whose value is shared come in order from binary
+searches of the sorted ids (:func:`_shared_reps`): the witness is the first
+of them, and the census walks them lazily.  Nothing but the ids and their
+sorted copy is sized by the field's order.
 """
 
 from __future__ import annotations
@@ -88,70 +90,52 @@ class TowerVerdict:
     ctx: FieldCtx
 
 
-def _scan(ctx: FieldCtx, s: LinearizedPolynomial, index: int | None, kernel,
-          dtype) -> np.ndarray:
-    """``kernel(reps, terms)`` applied to the representatives g^0 .. g^(e-1), in order.
+def _scan(ctx: FieldCtx, s: LinearizedPolynomial, index: int | None) -> np.ndarray:
+    """int32 ids of S at the representatives g^0 .. g^(e-1), in order.
 
-    ``terms`` is what the kernel passes on to ``evaluate_many`` for S at
-    ``index``.  The result has ``dtype``.  Up to one chunk, it is
-    ``kernel(reps, None)`` itself: each term takes a single ``%`` pass, as
-    building progressions would cost a desk-sized scan more than it saves.
-    Beyond that the representatives stream through ``kernel`` in chunks of
-    ``_CHUNK``, each result stored into one preallocated array, so no
-    temporary of the kernel spans the whole range, and every chunk reads
-    the same :class:`TermLogs`.  A kernel that sums two or more terms reads
-    the Zech table, so it is read here first: a missing table is then built
-    before the output array exists, and the build's temporaries are freed
-    before the output is allocated.  Read inside the first chunk instead,
-    the build would peak on top of the output, at about 12 bytes per field
+    An id is the discrete log of S(x), or of S(x)/x^(q^index) given an
+    ``index``, and q^n - 1 (below ``TABLE_LIMIT = 2^31``) where that is zero.
+    Up to one chunk each term takes a single ``%`` pass, which costs a desk
+    scan less than progressions; beyond, chunks of ``_CHUNK`` read one
+    :class:`TermLogs`, so no temporary spans the whole range.  A sum of two
+    or more terms reads the Zech table here first, so a missing table is
+    built, and its temporaries freed, before the ids exist: built inside the
+    first chunk, it would peak on top of them, at about 12 bytes per field
     element rather than 9.
     """
     if s.k > 1:
         ctx._zech
+
+    def chunk_ids(start: int, stop: int, terms: TermLogs | None) -> np.ndarray:
+        chunk = evaluate_many(ctx, s, np.arange(start, stop, dtype=np.int64),
+                              index=index, terms=terms)
+        if s.k > 1:  # a monomial never vanishes
+            chunk[chunk < 0] = ctx.order
+        return chunk
+
     e = ctx.subfield_index
     if e <= _CHUNK:
-        return kernel(np.arange(e, dtype=np.int64), None).astype(dtype, copy=False)
+        return chunk_ids(0, e, None).astype(np.int32)
     terms = TermLogs(ctx, s, index, run=_CHUNK)
-    out = np.empty(e, dtype=dtype)
+    ids = np.empty(e, dtype=np.int32)
     for start in range(0, e, _CHUNK):
         stop = min(start + _CHUNK, e)
-        out[start:stop] = kernel(np.arange(start, stop, dtype=np.int64), terms)
-    return out
-
-
-def _scanned_terms(terms, t: int) -> tuple:
-    """The terms of S that the oracle reads at index t.
-
-    Every term but the one at exponent t, unless that is S's only term: the
-    zero polynomial would be left, and a monomial's ratio is a constant anyway.
-    """
-    return tuple(term for term in terms if term[0] != t) or tuple(terms)
+        ids[start:stop] = chunk_ids(start, stop, terms)
+    return ids
 
 
 def _ratio_ids(ctx: FieldCtx, s: LinearizedPolynomial, t: int) -> np.ndarray:
     """One int32 id per representative; equal ids are equal ratio values.
 
-    The scan drops S's term at exponent t (:func:`_scanned_terms`): it adds
-    a_t to every ratio, a bijection on ratio values, so every collision,
-    witness and count stays the same.  The id is then the dlog of
-    S'(x)/x^(q^t) for the remaining S', or q^n-1 when S'(x) = 0.  Every id
-    is at most q^n - 1, below ``TABLE_LIMIT = 2^31``.
+    The scan drops S's term at exponent t, unless it is S's only term: it
+    adds a_t to every ratio, a bijection on ratio values, so every
+    collision, witness and count stays the same.  The ids are then those of
+    S'(x)/x^(q^t) for the remaining S' (:func:`_scan`).
     """
     if not 0 <= t < ctx.n:
         raise BadIndex(f"index {t} out of range 0..{ctx.n - 1}")
-    scanned = LinearizedPolynomial(_scanned_terms(s.terms, t))
-    order = ctx.order
-    # each term is divided by x^(q^t) on its own (index=t), so the sum is
-    # the ratio and no pass of its own computes the id
-    can_vanish = scanned.k > 1
-
-    def kernel(dlogs: np.ndarray, terms: TermLogs | None) -> np.ndarray:
-        ids = evaluate_many(ctx, scanned, dlogs, index=t, terms=terms)
-        if can_vanish:
-            ids[ids < 0] = order
-        return ids
-
-    return _scan(ctx, scanned, t, kernel, np.int32)
+    scanned = tuple(term for term in s.terms if term[0] != t) or s.terms
+    return _scan(ctx, LinearizedPolynomial(scanned), t)
 
 
 def _collisions(ids: np.ndarray) -> tuple[int, np.ndarray]:
@@ -169,45 +153,29 @@ def _collisions(ids: np.ndarray) -> tuple[int, np.ndarray]:
     return ids.size - repeated.size, repeated
 
 
-def _in_repeated(ids: np.ndarray, repeated: np.ndarray) -> np.ndarray:
-    """The mask of ``ids`` whose value is in ``repeated``, which is not empty.
+def _shared_reps(ids: np.ndarray, repeated: np.ndarray):
+    """The representatives whose value is shared, in increasing order.
 
-    One binary search per id; its int64 positions are as long as ``ids``.
+    One binary search of ``repeated`` per id, in windows of
+    ``_WITNESS_WINDOW`` representatives, each next window twice as long up
+    to ``_CHUNK``: a consumer that stops among the first few representatives
+    costs no pass over all of them, and the int64 search positions never
+    span all of ``ids``.
     """
-    pos = repeated.searchsorted(ids)
-    np.minimum(pos, repeated.size - 1, out=pos)
-    return repeated[pos] == ids
-
-
-def _shared(ids: np.ndarray, repeated: np.ndarray) -> np.ndarray:
-    """The mask of representatives whose value is shared.
-
-    Searched a chunk at a time, so the search positions never span all of
-    ``ids``.
-    """
-    if not repeated.size:
-        return np.zeros(ids.size, dtype=bool)
-    return np.concatenate([_in_repeated(ids[start:start + _CHUNK], repeated)
-                           for start in range(0, ids.size, _CHUNK)])
+    start, size = 0, _WITNESS_WINDOW
+    while repeated.size and start < ids.size:
+        window = ids[start:start + size]
+        pos = repeated.searchsorted(window)
+        np.minimum(pos, repeated.size - 1, out=pos)
+        for y in np.flatnonzero(repeated[pos] == window):
+            yield start + int(y)
+        start, size = start + size, min(2 * size, _CHUNK)
 
 
 def _witness(ids: np.ndarray, repeated: np.ndarray) -> tuple[int, int]:
-    """The smallest colliding pair (y, z) of representatives; ``repeated`` is not empty.
-
-    y is the first representative whose value is shared.  It is searched
-    for in windows of ``_WITNESS_WINDOW`` representatives, each next window
-    twice as long up to ``_CHUNK``, so a witness among the first few
-    representatives costs no pass over all of them.  z is the next
-    representative with y's value.
-    """
-    start, size = 0, _WITNESS_WINDOW
-    while start < ids.size:
-        hits = _in_repeated(ids[start:start + size], repeated)
-        if hits.any():
-            y = start + int(hits.argmax())
-            return y, y + 1 + int((ids[y + 1:] == ids[y]).argmax())
-        start, size = start + size, min(2 * size, _CHUNK)
-    raise ValueError("no repeated value is among the ids")
+    """The smallest colliding pair: the first shared representative, and the next of its value."""
+    y = next(_shared_reps(ids, repeated))
+    return y, y + 1 + int((ids[y + 1:] == ids[y]).argmax())
 
 
 def _equal_ratio_pairs(ctx: FieldCtx, e: int, repeated: np.ndarray) -> int:
@@ -249,48 +217,38 @@ def is_scattered_bruteforce(ctx: FieldCtx, s: LinearizedPolynomial, t: int,
                          e, distinct, pair_count)
 
 
-def _groups_by_head(ids: np.ndarray, shared: np.ndarray):
-    """Representatives of each value group, groups in order of their smallest one.
-
-    Lazy: a singleton is one representative outside ``shared``, and larger
-    groups are read off one stable sort of the representatives in ``shared``.
-    """
-    members = np.flatnonzero(shared)
-    by_value = members[np.argsort(ids[members], kind="stable")]
-    sorted_ids = ids[by_value]
-    for y in range(ids.size):
-        if not shared[y]:
-            yield (y,)
-            continue
-        value = ids[y]
-        lo = int(np.searchsorted(sorted_ids, value))
-        if by_value[lo] == y:  # y heads its group
-            yield by_value[lo:np.searchsorted(sorted_ids, value, side="right")]
-
-
 def deciding_pairs(ctx: FieldCtx, s: LinearizedPolynomial, t: int,
                    limit: int | None = 64) -> DecidingPairCensus:
     """Census of pairs with equal ratio values, with capped enumeration.
 
     Enumeration walks value groups by their smallest representative and lists
     ordered pairs (y, z) of distinct members in lexicographic dlog order.  Only
-    the groups that hold the first ``limit`` pairs are built.
+    the groups that hold the first ``limit`` pairs are built, a shared value's
+    by one pass over the ids from its first representative.
     """
     ids = _ratio_ids(ctx, s, t)
     _, repeated = _collisions(ids)
-    shared = _shared(ids, repeated)
     e = ctx.subfield_index
     q = ctx.q
     equal_ratio = _equal_ratio_pairs(ctx, e, repeated)
     collinear = ctx.order * (q - 2)
 
     def ordered_pairs():
-        for reps in _groups_by_head(ids, shared):
+        # value groups in order of their smallest representative
+        shared = _shared_reps(ids, repeated)
+        next_shared = next(shared, e)
+        heads = set()  # the values whose group is already out
+        for y in range(e):
+            reps = (y,)
+            if y == next_shared:
+                next_shared = next(shared, e)
+                value = int(ids[y])
+                if value in heads:
+                    continue
+                heads.add(value)
+                reps = y + np.flatnonzero(ids[y:] == value)
             members = sorted(int(rep) + i * e for rep in reps for i in range(q - 1))
-            for y in members:
-                for z in members:
-                    if y != z:
-                        yield y, z
+            yield from ((a, b) for a in members for b in members if a != b)
 
     wanted = equal_ratio if limit is None else max(0, min(limit, equal_ratio))
     pairs = tuple((ctx.element_from_dlog(y), ctx.element_from_dlog(z))
@@ -300,15 +258,12 @@ def deciding_pairs(ctx: FieldCtx, s: LinearizedPolynomial, t: int,
 
 
 def is_permutation(ctx: FieldCtx, poly: LinearizedPolynomial) -> bool:
-    """Bijectivity of the induced map; for linearized maps, a trivial kernel.
+    """Bijectivity of the induced map; for linearized maps, no nonzero root.
 
     A nonzero root exists iff a canonical representative is one, so the scan
-    covers g^0 .. g^(e-1).
+    covers g^0 .. g^(e-1): a root is a representative whose id is q^n - 1.
     """
-    roots = _scan(ctx, poly, None,
-                  lambda reps, terms: evaluate_many(ctx, poly, reps, terms=terms) < 0,
-                  bool)
-    return not roots.any()
+    return not (_scan(ctx, poly, None) == ctx.order).any()
 
 
 def scattered_via_pp(ctx: FieldCtx, s: LinearizedPolynomial, t: int,

@@ -1,6 +1,7 @@
 """Named verification suites: every fast criterion is replayed against the
-exhaustive oracle on desk-scale fields, and the coset-multiplier identity is
-checked on every scattered instance the sweeps produce.
+exhaustive oracle on desk-scale fields, and on every scattered instance the
+sweeps produce, the coset multipliers' verdict at index r1 is checked against
+the oracle's.
 
 The CLI (``scatterpoly verify``) and the acceptance tests both run these; a
 suite that returns ``passed=False`` means a criterion and the oracle disagreed
@@ -75,8 +76,12 @@ def _field(p: int, m: int, n: int) -> FieldCtx:
 
 
 def coset_multipliers_consistent(ctx: FieldCtx, s: LinearizedPolynomial) -> bool:
-    """For a scattered instance, every deciding pair is F_q-proportional, so the
-    coset multipliers A must agree along every F_q^*-translation of cosets."""
+    """Whether the coset multipliers A agree along every F_q^*-translation of cosets.
+
+    Always true: :func:`factorize_poly` takes s = q^d - 1, so l = (q^n -
+    1)/(q^d - 1) divides e = (q^n - 1)/(q - 1), and a translation by i * e
+    maps every coset to itself.  The suites check :func:`_scattered_by_multipliers`.
+    """
     r1, div, f_terms = factorize_poly(ctx, s)
     decomp = decompose(ctx, div)
     dlogs = coefficient_table(ctx, decomp, r1, f_terms).A
@@ -88,13 +93,28 @@ def coset_multipliers_consistent(ctx: FieldCtx, s: LinearizedPolynomial) -> bool
     return True
 
 
+def _scattered_by_multipliers(ctx: FieldCtx, s: LinearizedPolynomial) -> bool:
+    """Scatteredness of index r1 from the coset multipliers alone.
+
+    At t = r1 the ratio is A_i on the coset C_i.  With d = 1 (s = q - 1) the
+    cosets are the F_q^*-classes, so S is scattered iff the l = e multipliers
+    are pairwise distinct; with d > 1 each coset holds several classes.
+    """
+    r1, div, f_terms = factorize_poly(ctx, s)
+    if div != ctx.q - 1:
+        return False
+    dlogs = coefficient_table(ctx, decompose(ctx, div), r1, f_terms).A
+    return np.unique(dlogs).size == dlogs.size
+
+
 def _record_ai_aj(rec: _Recorder, ctx: FieldCtx, s: LinearizedPolynomial) -> None:
     rec.bump("scattered_instances")
     rec.bump("coset_multiplier_checks")
-    ok = coset_multipliers_consistent(ctx, s)
+    expected = is_scattered_bruteforce(ctx, s, s.min_exponent).scattered
+    ok = _scattered_by_multipliers(ctx, s) == expected
     if not ok:
         rec.bump("coset_multiplier_failures")
-    rec.check(ok, f"coset multipliers differ on a deciding pair for {s}")
+    rec.check(ok, f"coset multipliers and the oracle disagree at index r1 for {s}")
 
 
 # ---------------------------------------------------------------------------

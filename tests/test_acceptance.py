@@ -140,18 +140,27 @@ def test_criterion_08_coset_multipliers(pseudoregulus_result, binomial_result,
     for result in (pseudoregulus_result, binomial_result, affine_result):
         checks += result.metrics.get("coset_multiplier_checks", 0)
         failures += result.metrics.get("coset_multiplier_failures", 0)
-    # plus a literal walk over every deciding pair of one scattered instance
+    # plus a literal walk over every deciding pair of x + x^3 + x^27 at its
+    # r1 = 0, with d = 1: the cosets are the F_q^*-classes, so a pair lies in
+    # one coset iff it is F_q-proportional, and the pairs that are not lie in
+    # two distinct cosets with equal multipliers
     ctx = build_field(3, 1, 4)
-    s = normalize(ctx, [(1, ctx.one()), (2, ctx.minus_one())])
-    assert is_scattered_bruteforce(ctx, s, 1).scattered
-    census = deciding_pairs(ctx, s, 1, limit=None)
+    s = normalize(ctx, [(0, ctx.one()), (1, ctx.one()), (3, ctx.one())])
+    assert not is_scattered_bruteforce(ctx, s, 0).scattered
+    census = deciding_pairs(ctx, s, 0, limit=None)
     r1, div, f_terms = factorize_poly(ctx, s)
+    assert (r1, div) == (0, ctx.q - 1)
     dec = decompose(ctx, div)
     table = coefficient_table(ctx, dec, r1, f_terms)
+    apart = 0
     for y, z in census.pairs:
         checks += 1
-        if table.A[dec.coset_of(y)] != table.A[dec.coset_of(z)]:
+        same_coset = dec.coset_of(y) == dec.coset_of(z)
+        apart += not same_coset
+        if (table.A[dec.coset_of(y)] != table.A[dec.coset_of(z)]
+                or same_coset != ctx.in_base_subfield(ctx.mul(y, ctx.inv(z)))):
             failures += 1
+    assert apart == census.equal_ratio_pairs - census.collinear_pairs == 48
     dt = time.perf_counter() - t0
     ok = failures == 0 and checks > 0
     _report(8, "equal coset multipliers on every deciding pair", ok, dt,

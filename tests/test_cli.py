@@ -282,6 +282,32 @@ def test_walk_bound_refuses_large_prime_field(capsys):
     assert json.loads(out)["field"]["materialized"] is False
 
 
+def test_sizes_beyond_decimal_text(capsys):
+    # 3^10000 has 4772 digits, past the interpreter's 4300-digit limit for
+    # int-to-text conversion: criteria answer and errors name the size as a
+    # power of p, and no conversion is attempted
+    field = ("--p", "3", "--n", "10000")
+    argv = ("check", *field, "--poly", "1:g^0", "--index", "2", "--mode", "criteria")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == ("check 1:g^0 over F_3^10000 at index 2\n"
+                   "  criterion pseudoregulus: @2: scattered\n")
+    code, out, _ = run(capsys, *argv, "--output", "json")
+    assert code == 0
+    sizes = {key: json.loads(out)["field"][key]
+             for key in ("size", "order", "projective_points")}
+    assert sizes == {"size": "3^10000", "order": "3^10000 - 1",
+                     "projective_points": "(3^10000 - 1)/2"}
+    for request in (("field-info", *field), (*argv, "--m-list", "3000")):
+        code, out, err = run(capsys, *request)
+        assert (code, out) == (2, "")
+        assert err == "error: field size 3^10000 exceeds cap 4194304\n"
+    # the last size shown in decimal has 4300 digits; F_9^4507 divides by q - 1 = 8
+    assert FieldParams(3, 1, 9012).shown_sizes()["size"] == 3**9012
+    assert FieldParams(3, 1, 9013).shown_sizes()["size"] == "3^9013"
+    assert FieldParams(3, 2, 4507).shown_sizes()["projective_points"] == "(3^9014 - 1)/8"
+
+
 def test_check_vector_coefficient(capsys):
     # [2] is the element -1; same polynomial as 3:g^121 over F_3^5
     code, out, _ = run(capsys, "check", "--p", "3", "--n", "5",

@@ -9,14 +9,18 @@ to the ids).  An oracle that builds its own table peaks at 8.75, the
 build's peak, on F_3^12.  The bounds fail a build that also holds a full
 antilog array (14.4) or a Python int per element (48.7), an oracle that
 holds e-length int64 temporaries or counts over all q^n values (16.5-26.5),
-and an oracle that builds its table on top of its ids (11.9).
+and an oracle that builds its table on top of its ids (11.9).  The census
+at its default limit peaks at 6.5 where every value is shared by four, the
+oracle's own peak; a census that keeps a shared mask and an argsort of the
+shared representatives peaks at 16.0 there.
 """
 
 import tracemalloc
 
 import pytest
 
-from scatterpoly import build_field, field, field_basis, is_scattered_bruteforce, parse_poly
+from scatterpoly import (
+    build_field, deciding_pairs, field, field_basis, is_scattered_bruteforce, parse_poly)
 
 BUILD_BOUND = 10.0
 ORACLE_BOUND = 9.0
@@ -70,6 +74,16 @@ def test_oracle_peak(traced_f3_12, text, t, scattered, census):
     s = parse_poly(ctx, text)
     report, peak = _traced(lambda: is_scattered_bruteforce(ctx, s, t, census=census))
     assert report.scattered == scattered
+    assert peak / ctx.size < ORACLE_BOUND
+
+
+def test_census_peak(traced_f3_12):
+    # every value is shared by four representatives: the census reads two
+    # groups for its first 64 pairs
+    ctx, _ = traced_f3_12
+    s = parse_poly(ctx, "2:g^0")
+    census, peak = _traced(lambda: deciding_pairs(ctx, s, 0))
+    assert len(census.pairs) == 64 and census.truncated
     assert peak / ctx.size < ORACLE_BOUND
 
 

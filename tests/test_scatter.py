@@ -143,15 +143,15 @@ def _reference_oracle(ctx, s, t, limit):
     return num, witness, values.size, census, pairs
 
 
-def _check_against_reference(ctx, s, t):
+def _check_against_reference(ctx, s, t, limit=40):
     """The oracle and deciding_pairs against the reference; returns S's logs."""
-    num, witness, distinct, census, pairs = _reference_oracle(ctx, s, t, 40)
+    num, witness, distinct, census, pairs = _reference_oracle(ctx, s, t, limit)
     report = is_scattered_bruteforce(ctx, s, t, census=True)
     got = report.witness and tuple(x.dlog for x in report.witness)
     assert got == witness, (str(s), t)
     assert report.distinct_ratio_values == distinct, (str(s), t)
     assert report.deciding_pair_count == census, (str(s), t)
-    listed = deciding_pairs(ctx, s, t, limit=40)
+    listed = deciding_pairs(ctx, s, t, limit=limit)
     assert listed.equal_ratio_pairs == census
     assert [(y.dlog, z.dlog) for y, z in listed.pairs] == pairs, (str(s), t)
     return num
@@ -199,6 +199,31 @@ def test_scan_kernel_matches_reference(p, m, n):
             num = _check_against_reference(ctx, poly, t)
             assert is_permutation(ctx, poly) == (not np.any(num < 0))
     assert not is_permutation(ctx, fixed[2])
+
+
+# On F_3^7 (e = 1093) the shared representatives of this instance are first
+# 107, 115, 119, ...: the census walks 107 singletons, then groups of four
+# representatives (56 pairs each), the one at 206 in the search's third
+# window.  Pair 234 lies inside the first group and pair 1000 inside the one
+# at 206.  Among random non-scattered instances on F_3^7, none left its
+# first 192 representatives unshared: each had 60 or more repeated ids.
+_F3_7 = ("0:g^406,3:g^351,5:g^611,6:g^329", 4)
+_F3_7_LIMITS = (213, 234, 270, 1000)
+
+
+@pytest.fixture(scope="module")
+def f2187():
+    return build_field(3, 1, 7)
+
+
+def test_census_past_the_first_window_matches_reference(f2187):
+    s = parse_poly(f2187, _F3_7[0])
+    for limit in _F3_7_LIMITS:
+        _check_against_reference(f2187, s, _F3_7[1], limit)
+    report = is_scattered_bruteforce(f2187, s, _F3_7[1], census=True)
+    assert tuple(x.dlog for x in report.witness) == (107, 297)
+    assert report.witness[0].dlog > _WITNESS_WINDOW
+    assert (report.distinct_ratio_values, report.deciding_pair_count) == (1003, 3626)
 
 
 def test_witness_search_reaches_the_last_representatives():
@@ -250,17 +275,21 @@ def test_collisions_pick_smallest_pair(f81, f243, f125, f81_tower):
             assert got == brute, (str(s), t)
 
 
-def test_capped_pairs_are_a_prefix(f81, f243, f81_tower):
+def test_capped_pairs_are_a_prefix(f81, f243, f81_tower, f2187):
     rng = random.Random(9)
-    for ctx in (f81, f243, f81_tower):
-        for s, t in _random_instances(ctx, rng, 10):
-            full = deciding_pairs(ctx, s, t, limit=None)
-            assert len(full.pairs) == full.equal_ratio_pairs
-            for limit in (0, 1, 7, 40):
-                capped = deciding_pairs(ctx, s, t, limit=limit)
-                assert capped.pairs == full.pairs[:limit]
-                assert capped.truncated == (0 < limit < full.equal_ratio_pairs)
-                assert capped.equal_ratio_pairs == full.equal_ratio_pairs
+    instances = [(ctx, s, t, (0, 1, 7, 40)) for ctx in (f81, f243, f81_tower)
+                 for s, t in _random_instances(ctx, rng, 10)]
+    # on F_3^7 a random monomial at its own exponent would list 4.8 million pairs
+    for text, t in (_F3_7, ("2:g^1133,3:g^198,4:g^406", 4), ("1:g^0", 0)):
+        instances.append((f2187, parse_poly(f2187, text), t, _F3_7_LIMITS))
+    for ctx, s, t, limits in instances:
+        full = deciding_pairs(ctx, s, t, limit=None)
+        assert len(full.pairs) == full.equal_ratio_pairs
+        for limit in limits:
+            capped = deciding_pairs(ctx, s, t, limit=limit)
+            assert capped.pairs == full.pairs[:limit]
+            assert capped.truncated == (0 < limit < full.equal_ratio_pairs)
+            assert capped.equal_ratio_pairs == full.equal_ratio_pairs
 
 
 def test_census_counts(f81):
