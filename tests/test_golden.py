@@ -95,6 +95,8 @@ CASES = [
     ["verify", "--suite", "exceptional", "--output", "json"],
     ["verify", "--suite", "binomials", "--output", "json"],
     ["verify", "--suite", "pseudoregulus", "--output", "json"],
+    *(["verify", "--suite", suite, "--output", "json"]
+      for suite in ("lemmas", "reductions", "pp-criterion", "csajbok")),
     # exit 1: usage and parse problems
     ["check", "--p", "3", "--n", "4", "--poly", "1:g^0", "--index", "4"],
     ["check", "--p", "4", "--n", "2", "--poly", "1:g^0", "--index", "9"],
