@@ -353,10 +353,8 @@ def _scan_family(args, params: FieldParams):
                         if bound % order2 == 0:
                             texts.append(f"{r1}:g^{k1 % params.order},"
                                          f"{r2}:g^{k2 % params.order}")
-    elif args.family == "custom":
+    else:  # custom
         texts = args.poly
-    else:
-        raise ParseError(f"unknown family {args.family!r}")
 
     def indices(terms):
         if explicit is None:
@@ -435,14 +433,13 @@ def build_parser() -> _Parser:
                                  "criteria, verification suites.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_field_args(p, cap=True):
+    def add_field_args(p):
         p.add_argument("--p", type=int, required=True, help="characteristic")
         p.add_argument("--m", type=int, default=1, help="q = p^m (default 1)")
         p.add_argument("--n", type=int, required=True, help="extension degree over F_q")
-        if cap:
-            p.add_argument("--cap", type=int, default=_default_cap(),
-                           help="max field size for table construction "
-                                "(env SCATTERPOLY_CAP)")
+        p.add_argument("--cap", type=int, default=_default_cap(),
+                       help="max field size for table construction "
+                            "(env SCATTERPOLY_CAP)")
 
     info = sub.add_parser("field-info", help="print the field fingerprint")
     add_field_args(info)

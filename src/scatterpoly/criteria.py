@@ -92,7 +92,8 @@ def binomial_criterion(params: FieldParams, terms) -> CriterionVerdict:
         raise BadIndex(f"need 0 <= r1 < r2 < n, got {r1}, {r2}, {n}")
     a2_order = dlog_order(order, a2_dlog)
     hyp = Hypothesis("low-coefficient-order", _divides(a2_order, q**r1 - 1),
-                     f"|a2|={a2_order}, q^r1-1={q**r1 - 1}")
+                     f"|a2|={params.shown(a2_order)}, "
+                     f"q^r1-1={params.shown(q**r1 - 1, params.m * r1)}")
     if not hyp.satisfied:
         return CriterionVerdict("binomial", False, None, (hyp,))
     verdict = math.gcd(r2 - r1, n) == 1
@@ -190,6 +191,9 @@ def lp_membership(params: FieldParams, terms) -> CriterionVerdict:
 
     delta_dlog = (a2_dlog - a1_dlog) % order
     delta_order = dlog_order(order, delta_dlog)
+    shown_order, shown_dlog = params.shown(delta_order), params.shown(delta_dlog)
+    if isinstance(shown_dlog, str):
+        shown_dlog = f"({shown_dlog})"
     subfield_index = params.subfield_index
     norm_is_one = delta_dlog % (q - 1) == 0
     coprime = Hypothesis("coprime-exponent", math.gcd(n, r1) == 1,
@@ -201,9 +205,9 @@ def lp_membership(params: FieldParams, terms) -> CriterionVerdict:
         Hypothesis("odd-degree", n > 1 and n % 2 == 1, f"n={n}"),
         Hypothesis("degree-coprime-to-q-1", math.gcd(q - 1, n) == 1,
                    f"gcd({q - 1}, {n})"),
-        Hypothesis("delta-not-one", delta_order > 1, f"|delta|={delta_order}"),
+        Hypothesis("delta-not-one", delta_order > 1, f"|delta|={shown_order}"),
         Hypothesis("delta-order-divides-q-1", _divides(delta_order, q - 1),
-                   f"|delta|={delta_order}, q-1={q - 1}"),
+                   f"|delta|={shown_order}, q-1={q - 1}"),
     )
     implication_holds = not all(h.satisfied for h in sufficient) or not norm_is_one
     implication = Hypothesis("sufficient-conditions-imply-norm", implication_holds,
@@ -213,7 +217,7 @@ def lp_membership(params: FieldParams, terms) -> CriterionVerdict:
     return CriterionVerdict(
         "lp-membership", True, verdict,
         (shape, coprime, norm) + sufficient + (implication,),
-        notes=(f"delta = g^{delta_dlog} (order {delta_order})",))
+        notes=(f"delta = g^{shown_dlog} (order {shown_order})",))
 
 
 # ---------------------------------------------------------------------------

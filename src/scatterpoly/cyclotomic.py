@@ -5,7 +5,8 @@ splits F_{q^n}^* into cosets C_i = gamma^i C_0.  A linearized polynomial
 factors as S(x) = x^(q^(r1)) * f(x^(s*q^(r1))), and on C_i the value of the
 inner factor is the constant A_i = f(xi^(i*q^(r1))) with xi = gamma^s.  That
 turns S into a coset-indexed multiplier table, which several scatteredness
-criteria exploit.
+criteria exploit: ``coefficient_table(ctx, S)`` factors S and builds it, and
+the table carries its cosets.
 """
 
 from __future__ import annotations
@@ -39,9 +40,11 @@ class CyclotomicDecomposition:
 class CoefficientTable:
     """Per-coset multipliers A_i = f(xi^(i*q^(r1))) for the inner factor f.
 
-    ``A`` holds the discrete logs of the A_i as int64, -1 where A_i = 0.
+    ``A`` holds the discrete logs of the A_i as int64, -1 where A_i = 0,
+    indexed by the cosets of ``decomp``.
     """
 
+    decomp: CyclotomicDecomposition
     r1: int
     A: np.ndarray
     f_terms: tuple[tuple[int, FFElement], ...]
@@ -64,31 +67,26 @@ def factorize_poly(ctx: FieldCtx, s_poly: LinearizedPolynomial
     Returns (r1, s, f_terms).
     """
     r1 = s_poly.min_exponent
-    diffs = [r - r1 for r, _ in s_poly.terms[1:]]
-    d = math.gcd(ctx.n, *diffs) if diffs else ctx.n
-    s = ctx.q**d - 1
-    f_terms = [(0, s_poly.terms[0][1])]
-    for r, a in s_poly.terms[1:]:
-        f_terms.append(((ctx.q ** (r - r1) - 1) // s, a))
-    return r1, s, tuple(f_terms)
+    s = ctx.q ** math.gcd(ctx.n, *(r - r1 for r, _ in s_poly.terms)) - 1
+    return r1, s, tuple(((ctx.q ** (r - r1) - 1) // s, a) for r, a in s_poly.terms)
 
 
-def coefficient_table(ctx: FieldCtx, decomp: CyclotomicDecomposition, r1: int,
-                      f_terms) -> CoefficientTable:
-    """Evaluate f at xi^(i*q^(r1)) for every coset index i, all i at once."""
-    step = decomp.s * pow(ctx.q, r1, ctx.order) % ctx.order
+def coefficient_table(ctx: FieldCtx, s_poly: LinearizedPolynomial) -> CoefficientTable:
+    """Factor S (:func:`factorize_poly`) and evaluate f at xi^(i*q^(r1)) for
+    every coset index i, all i at once, from f's terms."""
+    r1, s, f_terms = factorize_poly(ctx, s_poly)
+    decomp = decompose(ctx, s)
+    step = s * pow(ctx.q, r1, ctx.order) % ctx.order
     base = np.arange(decomp.l, dtype=np.int64) * step % ctx.order
-    dlogs = _log_sum(ctx, ((c.dlog + e * base) % ctx.order
-                           for e, c in f_terms))
-    return CoefficientTable(r1=r1, A=dlogs, f_terms=tuple(f_terms))
+    dlogs = _log_sum(ctx, ((c.dlog + e * base) % ctx.order for e, c in f_terms))
+    return CoefficientTable(decomp=decomp, r1=r1, A=dlogs, f_terms=f_terms)
 
 
-def cyclotomic_eval(ctx: FieldCtx, decomp: CyclotomicDecomposition,
-                    table: CoefficientTable, x: FFElement) -> FFElement:
+def cyclotomic_eval(ctx: FieldCtx, table: CoefficientTable, x: FFElement) -> FFElement:
     """The coset-indexed map: 0 at 0, else A_i * x^(q^(r1)) on C_i."""
     if x.dlog is None:
         return ctx.zero()
-    a = int(table.A[decomp.coset_of(x)])
+    a = int(table.A[table.decomp.coset_of(x)])
     if a < 0:
         return ctx.zero()
     return ctx.mul(ctx.element_from_dlog(a), ctx.frobenius(x, table.r1))
@@ -96,18 +94,13 @@ def cyclotomic_eval(ctx: FieldCtx, decomp: CyclotomicDecomposition,
 
 def lemma_relation_check(ctx: FieldCtx, s_poly: LinearizedPolynomial,
                          limit: int = DEFAULT_CAP) -> bool:
-    """Full-domain check that S agrees with its coset-indexed form everywhere."""
+    """Full-domain check that S agrees with its coset-indexed form everywhere:
+    the ratio S(x)/x^(q^(r1)) equals A_i on each coset C_i."""
     if ctx.size > limit:
         raise FieldTooLarge(ctx, limit)
-    r1, s, f_terms = factorize_poly(ctx, s_poly)
-    decomp = decompose(ctx, s)
-    table = coefficient_table(ctx, decomp, r1, f_terms)
-
-    # Vectorized over all nonzero elements, in discrete logs (-1 for zero):
-    # S(g^a) vs A[a mod l] * g^(a*q^r1).
+    table = coefficient_table(ctx, s_poly)
+    # in discrete logs (-1 for zero) over all nonzero elements g^a; both maps
+    # fix zero, so this scan decides equality
     a = np.arange(ctx.order, dtype=np.int64)
-    lhs = evaluate_many(ctx, s_poly, a)
-    adlog = table.A[a % decomp.l]
-    rhs = np.where(adlog < 0, -1, (adlog + a * pow(ctx.q, r1, ctx.order)) % ctx.order)
-    # both maps fix zero, so the scan over nonzero elements decides equality
-    return bool(np.array_equal(lhs, rhs))
+    return bool(np.array_equal(evaluate_many(ctx, s_poly, a, index=table.r1),
+                               table.A[a % table.decomp.l]))

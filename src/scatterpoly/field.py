@@ -71,6 +71,7 @@ _FLOAT32_EXACT = 1 << 24
 # Sizes of more decimal digits than Python's default int-to-text limit are
 # shown in p^degree: decimal conversion is quadratic in the length.
 SHOWN_DIGITS = 4300
+_SHOWN_LIMIT = 10**SHOWN_DIGITS
 _TABLE_BLOCK = 4096
 _ZECH_BLOCK = 16384
 
@@ -493,12 +494,25 @@ class FieldParams:
         Integers up to ``SHOWN_DIGITS`` digits; beyond, text such as
         ``3^10000``, ``3^10000 - 1`` and ``(3^10000 - 1)/2`` (over q - 1).
         """
-        if self.size < 10**SHOWN_DIGITS:
+        if self.size < _SHOWN_LIMIT:
             return {"size": self.size, "order": self.order,
                     "projective_points": self.subfield_index}
         power = f"{self.p}^{self.degree}"
         return {"size": power, "order": f"{power} - 1",
                 "projective_points": f"({power} - 1)/{self.q - 1}"}
+
+    def shown(self, value: int, k: int | None = None) -> int | str:
+        """``value`` < p^k (k = degree by default) as outputs show it: itself up to
+        ``SHOWN_DIGITS`` digits, else ``3^10000 - 1`` or ``(3^10000 - 1)/2`` for a
+        divisor of p^k - 1, such as an element order, and ``3^10000 - 2`` otherwise."""
+        if value < _SHOWN_LIMIT:
+            return value
+        k = self.degree if k is None else k
+        power = self.p**k
+        c, rest = divmod(power - 1, value)
+        if rest:
+            return f"{self.p}^{k} - {power - value}"
+        return f"{self.p}^{k} - 1" if c == 1 else f"({self.p}^{k} - 1)/{c}"
 
 
 class FieldCtx(FieldParams):

@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import criteria
-from .cyclotomic import coefficient_table, decompose, factorize_poly, lemma_relation_check
+from .cyclotomic import coefficient_table, lemma_relation_check
 from .errors import HypothesisViolated, WouldBeZero
 from .field import FieldCtx, FieldParams, _fixed_powmod, build_field
 from .linpoly import LinearizedPolynomial, normalize, parse_poly
@@ -78,19 +78,15 @@ def _field(p: int, m: int, n: int) -> FieldCtx:
 def coset_multipliers_consistent(ctx: FieldCtx, s: LinearizedPolynomial) -> bool:
     """Whether the coset multipliers A agree along every F_q^*-translation of cosets.
 
-    Always true: :func:`factorize_poly` takes s = q^d - 1, so l = (q^n -
+    Always true: the table's cosets are those of s = q^d - 1, so l = (q^n -
     1)/(q^d - 1) divides e = (q^n - 1)/(q - 1), and a translation by i * e
     maps every coset to itself.  The suites check :func:`_scattered_by_multipliers`.
     """
-    r1, div, f_terms = factorize_poly(ctx, s)
-    decomp = decompose(ctx, div)
-    dlogs = coefficient_table(ctx, decomp, r1, f_terms).A
-    cosets = np.arange(decomp.l, dtype=np.int64)
+    table = coefficient_table(ctx, s)
+    cosets = np.arange(table.decomp.l, dtype=np.int64)
     e = ctx.subfield_index
-    for i in range(1, ctx.q - 1):
-        if not np.array_equal(dlogs[cosets], dlogs[(cosets + i * e) % decomp.l]):
-            return False
-    return True
+    return all(np.array_equal(table.A, table.A[(cosets + i * e) % table.decomp.l])
+               for i in range(1, ctx.q - 1))
 
 
 def _scattered_by_multipliers(ctx: FieldCtx, s: LinearizedPolynomial) -> bool:
@@ -100,11 +96,8 @@ def _scattered_by_multipliers(ctx: FieldCtx, s: LinearizedPolynomial) -> bool:
     cosets are the F_q^*-classes, so S is scattered iff the l = e multipliers
     are pairwise distinct; with d > 1 each coset holds several classes.
     """
-    r1, div, f_terms = factorize_poly(ctx, s)
-    if div != ctx.q - 1:
-        return False
-    dlogs = coefficient_table(ctx, decompose(ctx, div), r1, f_terms).A
-    return np.unique(dlogs).size == dlogs.size
+    table = coefficient_table(ctx, s)
+    return table.decomp.s == ctx.q - 1 and np.unique(table.A).size == table.A.size
 
 
 def _record_ai_aj(rec: _Recorder, ctx: FieldCtx, s: LinearizedPolynomial) -> None:
@@ -235,11 +228,9 @@ def binomial_suite() -> SuiteResult:
         rec.check(report.scattered, f"F_5^5 worked example not scattered @ {t}")
     # literal deciding-pair walk on the worked example
     census = deciding_pairs(ctx, example, 3, limit=None)
-    r1, div, f_terms = factorize_poly(ctx, example)
-    decomp = decompose(ctx, div)
-    table = coefficient_table(ctx, decomp, r1, f_terms)
+    table = coefficient_table(ctx, example)
     for y, z in census.pairs:
-        rec.check(table.A[decomp.coset_of(y)] == table.A[decomp.coset_of(z)],
+        rec.check(table.A[table.decomp.coset_of(y)] == table.A[table.decomp.coset_of(z)],
                   f"F_5^5 deciding pair ({y}, {z}) has unequal multipliers")
     rec.bump("deciding_pairs_enumerated", len(census.pairs))
     return rec.result()

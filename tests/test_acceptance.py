@@ -19,10 +19,8 @@ import pytest
 from scatterpoly import (
     build_field,
     coefficient_table,
-    decompose,
     deciding_pairs,
     exceptional_family_certificate,
-    factorize_poly,
     is_exceptional_desk,
     is_scattered_bruteforce,
     normalize,
@@ -148,10 +146,9 @@ def test_criterion_08_coset_multipliers(pseudoregulus_result, binomial_result,
     s = normalize(ctx, [(0, ctx.one()), (1, ctx.one()), (3, ctx.one())])
     assert not is_scattered_bruteforce(ctx, s, 0).scattered
     census = deciding_pairs(ctx, s, 0, limit=None)
-    r1, div, f_terms = factorize_poly(ctx, s)
-    assert (r1, div) == (0, ctx.q - 1)
-    dec = decompose(ctx, div)
-    table = coefficient_table(ctx, dec, r1, f_terms)
+    table = coefficient_table(ctx, s)
+    dec = table.decomp
+    assert (table.r1, dec.s) == (0, ctx.q - 1)
     apart = 0
     for y, z in census.pairs:
         checks += 1

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from scatterpoly import field
+from scatterpoly import cli, field
 from scatterpoly.cli import _CSV_COLUMNS, _row, main
 from scatterpoly.criteria import CriterionVerdict
 from scatterpoly.field import FieldParams
@@ -306,6 +306,82 @@ def test_sizes_beyond_decimal_text(capsys):
     assert FieldParams(3, 1, 9012).shown_sizes()["size"] == 3**9012
     assert FieldParams(3, 1, 9013).shown_sizes()["size"] == "3^9013"
     assert FieldParams(3, 2, 4507).shown_sizes()["projective_points"] == "(3^9014 - 1)/8"
+
+
+def test_criteria_details_beyond_decimal_text(capsys):
+    # element orders and q^r1 - 1 past 4300 digits are shown as sizes are:
+    # |g^1| = 3^10000 - 1, |g^2| = (3^10000 - 1)/2, and g^-1 = g^(3^10000 - 2)
+    def check(poly, t):
+        argv = ("check", "--p", "3", "--n", "10000", "--poly", poly, "--index", t,
+                "--mode", "criteria")
+        code, text, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        code, out, err = run(capsys, *argv, "--output", "json")
+        assert (code, err) == (0, "")
+        verdicts = json.loads(out)["results"]["criteria"]
+        return (text, [h["detail"] for v in verdicts for h in v["hypotheses"]],
+                [note for v in verdicts for note in v["notes"]])
+
+    text, details, notes = check("1:g^0,3:g^1", "2")
+    assert text == ("check 1:g^0,3:g^1 over F_3^10000 at index 2\n"
+                    "  criterion binomial: not applicable (low-coefficient-order)\n"
+                    "  criterion lp-membership: not applicable (exponent-shape)\n")
+    assert details[0] == "|a2|=3^10000 - 1, q^r1-1=2" and notes == []
+
+    text, details, notes = check("1:g^0,9999:g^1", "1")
+    assert text == ("check 1:g^0,9999:g^1 over F_3^10000 at index 1\n"
+                    "  criterion binomial: not applicable (low-coefficient-order)\n"
+                    "  criterion lp-membership: holds\n")
+    assert details[0] == "|a2|=3^10000 - 1, q^r1-1=2"
+    assert details[6:8] == ["|delta|=3^10000 - 1", "|delta|=3^10000 - 1, q-1=2"]
+    assert notes == ["delta = g^1 (order 3^10000 - 1)"]
+
+    _, _, notes = check("1:g^1,9999:g^0", "1")
+    assert notes == ["delta = g^(3^10000 - 2) (order 3^10000 - 1)"]
+    _, details, _ = check("9998:g^0,9999:g^2", "1")
+    assert details[0] == "|a2|=(3^10000 - 1)/2, q^r1-1=3^9998 - 1"
+
+
+def _contradict_the_oracle(monkeypatch):
+    """Criteria that call every request scattered at its index."""
+    monkeypatch.setattr(cli, "applicable_criteria", lambda params, terms, t: [
+        CriterionVerdict("contrary", True, True, index_verdicts=((t, True),))])
+
+
+def test_check_exits_3_when_criteria_and_oracle_disagree(capsys, monkeypatch):
+    # x^(3^2) over F_3^4 is not scattered of index 0: gcd(2, 4) = 2
+    _contradict_the_oracle(monkeypatch)
+    argv = ("check", "--p", "3", "--n", "4", "--poly", "2:g^0", "--index", "0")
+    message = "error: criteria and oracle disagree; this falsifies a criterion\n"
+    code, out, err = run(capsys, *argv, "--output", "json")
+    assert (code, err) == (3, message)
+    results = json.loads(out)["results"]
+    assert results["agreement"] is False and results["oracle"]["scattered"] is False
+    code, out, err = run(capsys, *argv, "--output", "csv")
+    assert (code, err) == (3, message)
+    [row] = csv.DictReader(io.StringIO(out))
+    assert (row["criteria"], row["oracle"], row["agree"]) == (
+        "scattered", "not-scattered", "no")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (3, message)
+    assert "  agreement: NO\n" in out
+
+
+def test_scan_exits_3_when_criteria_and_oracle_disagree(capsys, monkeypatch):
+    _contradict_the_oracle(monkeypatch)
+    argv = ("scan", "--p", "3", "--n", "4", "--family", "custom",
+            "--poly", "2:g^0", "--poly", "1:g^0", "--indices", "0")
+    message = "error: criteria and oracle disagree somewhere in the scan\n"
+    code, out, err = run(capsys, *argv, "--output", "csv")
+    assert (code, err) == (3, message)
+    assert [row["agree"] for row in csv.DictReader(io.StringIO(out))] == ["no", "yes"]
+    code, out, err = run(capsys, *argv, "--output", "json")
+    assert (code, err) == (3, message)
+    assert [row["agree"] for row in json.loads(out)["rows"]] == ["no", "yes"]
+    code, out, err = run(capsys, *argv, "--output", "text")
+    assert (code, err) == (3, message)
+    assert out.splitlines()[0] == ("2:g^0 @ 0: criteria=scattered "
+                                   "oracle=not-scattered agree=no")
 
 
 def test_check_vector_coefficient(capsys):

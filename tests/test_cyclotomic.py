@@ -87,9 +87,8 @@ def test_factorize_single_term(f81):
 
 def test_coefficient_table(f3125):
     s_poly = parse_poly(f3125, "3:g^0,4:g^0")
-    r1, s, f_terms = factorize_poly(f3125, s_poly)
-    d = decompose(f3125, s)
-    table = coefficient_table(f3125, d, r1, f_terms)
+    table = coefficient_table(f3125, s_poly)
+    d = table.decomp
     assert len(table.A) == d.l == 781
     # A_0 = f(1) = 2
     assert table.A[0] == f3125.element_from_coeffs([2, 0, 0, 0, 0]).dlog
@@ -113,11 +112,10 @@ def test_coefficient_table_matches_coefficient_arithmetic(f81, f3125, f81_tower)
                                   for r in range(ctx.n)])]
         zeros = 0
         for s_poly in polys:
-            r1, s, f_terms = factorize_poly(ctx, s_poly)
-            d = decompose(ctx, s)
-            table = coefficient_table(ctx, d, r1, f_terms)
-            step = s * ctx.q**r1
-            coeff_digits = [(e, ctx.coeffs(c)) for e, c in f_terms]
+            table = coefficient_table(ctx, s_poly)
+            d = table.decomp
+            step = d.s * ctx.q**table.r1
+            coeff_digits = [(e, ctx.coeffs(c)) for e, c in table.f_terms]
             step_digits = ctx.coeffs(ctx.element_from_dlog(step))
             point = ctx.coeffs(ctx.one())
             for i in range(d.l):
@@ -133,28 +131,25 @@ def test_coefficient_table_matches_coefficient_arithmetic(f81, f3125, f81_tower)
 
 def test_coefficient_table_constant(f81):
     s_poly = normalize(f81, [(2, f81.gamma)])
-    r1, s, f_terms = factorize_poly(f81, s_poly)
-    d = decompose(f81, s)
-    table = coefficient_table(f81, d, r1, f_terms)
+    table = coefficient_table(f81, s_poly)
     assert all(a == f81.gamma.dlog for a in table.A)
 
 
 def test_cyclotomic_eval(f9, f3125):
     # constant table of ones reduces to the Frobenius power
     d = decompose(f9, 2)
-    table = CoefficientTable(r1=1, A=np.zeros(4, dtype=np.int64), f_terms=((0, f9.one()),))
+    table = CoefficientTable(decomp=d, r1=1, A=np.zeros(4, dtype=np.int64),
+                             f_terms=((0, f9.one()),))
     for enc in range(9):
         x = f9.element_from_encoding(enc)
-        assert cyclotomic_eval(f9, d, table, x) == f9.frobenius(x, 1)
-    assert cyclotomic_eval(f9, d, table, f9.zero()).is_zero
+        assert cyclotomic_eval(f9, table, x) == f9.frobenius(x, 1)
+    assert cyclotomic_eval(f9, table, f9.zero()).is_zero
 
     s_poly = parse_poly(f3125, "3:g^0,4:g^0")
-    r1, s, f_terms = factorize_poly(f3125, s_poly)
-    dec = decompose(f3125, s)
-    tab = coefficient_table(f3125, dec, r1, f_terms)
+    tab = coefficient_table(f3125, s_poly)
     g = f3125.gamma
-    assert dec.coset_of(g) == 1
-    assert (cyclotomic_eval(f3125, dec, tab, g)
+    assert tab.decomp.coset_of(g) == 1
+    assert (cyclotomic_eval(f3125, tab, g)
             == f3125.mul(f3125.element_from_dlog(int(tab.A[1])), f3125.frobenius(g, 3)))
 
 
@@ -175,11 +170,9 @@ def test_lemma_relation_matches_pointwise(f27):
     for _ in range(10):
         s_poly = normalize(f27, [(r, f27.element_from_dlog(rng.randrange(f27.order)))
                                  for r in rng.sample(range(3), rng.randint(1, 2))])
-        r1, s, f_terms = factorize_poly(f27, s_poly)
-        d = decompose(f27, s)
-        table = coefficient_table(f27, d, r1, f_terms)
+        table = coefficient_table(f27, s_poly)
         pointwise = all(
-            cyclotomic_eval(f27, d, table, f27.element_from_encoding(enc))
+            cyclotomic_eval(f27, table, f27.element_from_encoding(enc))
             == evaluate(f27, s_poly, f27.element_from_encoding(enc))
             for enc in range(f27.size))
         assert lemma_relation_check(f27, s_poly) == pointwise
@@ -195,7 +188,8 @@ def test_coset_multiplier_check_runs_on_every_call(f3125, monkeypatch):
     # a cached verdict would hide a failure from every call after the first
     s_poly = parse_poly(f3125, "3:g^0,4:g^0")
     calls = []
-    monkeypatch.setattr(verify, "decompose", lambda *a: calls.append(a) or decompose(*a))
+    monkeypatch.setattr(verify, "coefficient_table",
+                        lambda *a: calls.append(a) or coefficient_table(*a))
     assert verify.coset_multipliers_consistent(f3125, s_poly)
     assert verify.coset_multipliers_consistent(f3125, s_poly)
     assert len(calls) == 2
