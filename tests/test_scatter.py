@@ -521,3 +521,48 @@ def test_basis_answers_as_a_built_field():
     for t, adds in ((1, False), (2, True)):
         step, = is_exceptional_desk(3, 1, 5, ((1, 0), (3, minus_one)), t, (1,))
         assert ("_zech" in vars(step.ctx)) == adds
+
+
+def _moved(ctx, terms, t, rng):
+    """Three moves that keep the oracle's verdict and distinct count.
+
+    ``terms`` are (exponent, dlog) pairs.  Rotation by u: S'(x) = S(z) and
+    x^(q^(t-u)) = z^(q^t) for z = x^(q^-u), so the ratio takes the same
+    values.  Scaling x -> g^k x multiplies every ratio by the constant
+    g^(k q^t).  Conjugation a_i -> a_i^p gives the conjugate ratio at x^p.
+    Each is a bijection on ratio values that keeps F_q-proportionality.
+    """
+    n, order = ctx.n, ctx.order
+    u, k = rng.randrange(1, n), rng.randrange(order)
+    return (
+        ([((r - u) % n, c) for r, c in terms], (t - u) % n),
+        ([(r, (c + k * pow(ctx.q, r, order)) % order) for r, c in terms], t),
+        ([(r, ctx.p * c % order) for r, c in terms], t),
+    )
+
+
+def test_oracle_metamorphic():
+    """Rotation, scaling and Galois conjugation leave the oracle's answer alone.
+
+    Random S of 1-3 terms at a random t, and x^(q^r) - x at an index off
+    {0, r}: its ratio vanishes on F_(q^gcd(r, n)), so the scan meets zeros.
+    """
+    rng = random.Random(18)
+    for p, m, n in ((3, 1, 4), (3, 1, 5), (5, 1, 3), (5, 1, 4), (7, 1, 3), (3, 2, 3)):
+        ctx = build_field(p, m, n)
+        instances = [([(r, rng.randrange(ctx.order))
+                       for r in rng.sample(range(n), rng.randint(1, 3))], rng.randrange(n))
+                     for _ in range(40)]
+        for r in range(1, n):
+            t = rng.choice([i for i in range(1, n) if i != r])
+            instances.append(([(0, ctx.minus_one().dlog), (r, 0)], t))
+            s = normalize(ctx, [(r, ctx.element_from_dlog(c)) for r, c in instances[-1][0]])
+            assert evaluate_many(ctx, s, np.zeros(1, np.int64), index=t)[0] == -1
+        for terms, t in instances:
+            s = normalize(ctx, [(r, ctx.element_from_dlog(c)) for r, c in terms])
+            report = is_scattered_bruteforce(ctx, s, t)
+            for moved, u in _moved(ctx, terms, t, rng):
+                image = normalize(ctx, [(r, ctx.element_from_dlog(c)) for r, c in moved])
+                got = is_scattered_bruteforce(ctx, image, u)
+                assert ((got.scattered, got.distinct_ratio_values)
+                        == (report.scattered, report.distinct_ratio_values)), (str(s), t, str(image), u)
