@@ -56,7 +56,7 @@ DEFAULT_CAP = 1 << 22
 # No field above this gets a table, whatever the cap: the kernels form products
 # of two discrete logs in int64, which stay below 2^63 only while q^n < 2^31,
 # and every discrete log and encoding then fits the int32 tables.  The
-# oracle's int32 ratio ids (a discrete log, or q^n - 1 for zero) rely on it too.
+# oracle's int32 ratio ids (a discrete log, or -1 for zero) rely on it too.
 # WALK_LIMIT below refuses some smaller fields; `table_limit` applies both.
 TABLE_LIMIT = 1 << 31
 # The walk that builds the table (`_log_table`) multiplies digit vectors in

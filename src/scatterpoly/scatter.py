@@ -94,7 +94,7 @@ def _scan(ctx: FieldCtx, s: LinearizedPolynomial, index: int | None) -> np.ndarr
     """int32 ids of S at the representatives g^0 .. g^(e-1), in order.
 
     An id is the discrete log of S(x), or of S(x)/x^(q^index) given an
-    ``index``, and q^n - 1 (below ``TABLE_LIMIT = 2^31``) where that is zero.
+    ``index``, and -1 where that is zero, as in :func:`evaluate_many`.
     Up to one chunk each term takes a single ``%`` pass, which costs a desk
     scan less than progressions; beyond, chunks of ``_CHUNK`` read one
     :class:`TermLogs`, so no temporary spans the whole range.  A sum of two
@@ -105,22 +105,15 @@ def _scan(ctx: FieldCtx, s: LinearizedPolynomial, index: int | None) -> np.ndarr
     """
     if s.k > 1:
         ctx._zech
-
-    def chunk_ids(start: int, stop: int, terms: TermLogs | None) -> np.ndarray:
-        chunk = evaluate_many(ctx, s, np.arange(start, stop, dtype=np.int64),
-                              index=index, terms=terms)
-        if s.k > 1:  # a monomial never vanishes
-            chunk[chunk < 0] = ctx.order
-        return chunk
-
     e = ctx.subfield_index
     if e <= _CHUNK:
-        return chunk_ids(0, e, None).astype(np.int32)
+        return evaluate_many(ctx, s, np.arange(e, dtype=np.int64), index=index).astype(np.int32)
     terms = TermLogs(ctx, s, index, run=_CHUNK)
     ids = np.empty(e, dtype=np.int32)
     for start in range(0, e, _CHUNK):
         stop = min(start + _CHUNK, e)
-        ids[start:stop] = chunk_ids(start, stop, terms)
+        ids[start:stop] = evaluate_many(ctx, s, np.arange(start, stop, dtype=np.int64),
+                                        index=index, terms=terms)
     return ids
 
 
@@ -261,9 +254,9 @@ def is_permutation(ctx: FieldCtx, poly: LinearizedPolynomial) -> bool:
     """Bijectivity of the induced map; for linearized maps, no nonzero root.
 
     A nonzero root exists iff a canonical representative is one, so the scan
-    covers g^0 .. g^(e-1): a root is a representative whose id is q^n - 1.
+    covers g^0 .. g^(e-1): a root is a representative whose id is -1.
     """
-    return not (_scan(ctx, poly, None) == ctx.order).any()
+    return not (_scan(ctx, poly, None) < 0).any()
 
 
 def scattered_via_pp(ctx: FieldCtx, s: LinearizedPolynomial, t: int,
