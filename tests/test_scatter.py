@@ -550,19 +550,21 @@ def test_oracle_metamorphic():
     rng = random.Random(18)
     for p, m, n in ((3, 1, 4), (3, 1, 5), (5, 1, 3), (5, 1, 4), (7, 1, 3), (3, 2, 3)):
         ctx = build_field(p, m, n)
+
+        def poly(terms):
+            return normalize(ctx, [(r, ctx.element_from_dlog(c)) for r, c in terms])
+
         instances = [([(r, rng.randrange(ctx.order))
                        for r in rng.sample(range(n), rng.randint(1, 3))], rng.randrange(n))
                      for _ in range(40)]
         for r in range(1, n):
+            terms = [(0, ctx.minus_one().dlog), (r, 0)]
             t = rng.choice([i for i in range(1, n) if i != r])
-            instances.append(([(0, ctx.minus_one().dlog), (r, 0)], t))
-            s = normalize(ctx, [(r, ctx.element_from_dlog(c)) for r, c in instances[-1][0]])
-            assert evaluate_many(ctx, s, np.zeros(1, np.int64), index=t)[0] == -1
+            assert evaluate_many(ctx, poly(terms), np.zeros(1, np.int64), index=t)[0] == -1
+            instances.append((terms, t))
         for terms, t in instances:
-            s = normalize(ctx, [(r, ctx.element_from_dlog(c)) for r, c in terms])
-            report = is_scattered_bruteforce(ctx, s, t)
+            report = is_scattered_bruteforce(ctx, poly(terms), t)
             for moved, u in _moved(ctx, terms, t, rng):
-                image = normalize(ctx, [(r, ctx.element_from_dlog(c)) for r, c in moved])
-                got = is_scattered_bruteforce(ctx, image, u)
+                got = is_scattered_bruteforce(ctx, poly(moved), u)
                 assert ((got.scattered, got.distinct_ratio_values)
-                        == (report.scattered, report.distinct_ratio_values)), (str(s), t, str(image), u)
+                        == (report.scattered, report.distinct_ratio_values)), (terms, t, moved, u)
