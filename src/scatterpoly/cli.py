@@ -11,7 +11,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
 import time
@@ -29,6 +28,7 @@ from .field import (
     DEFAULT_CAP,
     FieldCtx,
     FieldParams,
+    dlog_order,
     field_basis,
     modulus_text,
 )
@@ -242,8 +242,7 @@ def build_check_envelope(args) -> tuple[dict, dict]:
     tower = []
     if m_list:
         t0 = time.perf_counter()
-        for verdict in is_exceptional_desk(args.p, args.m, args.n, terms, t, m_list,
-                                           cap=args.cap, base=field):
+        for verdict in is_exceptional_desk(field, poly, t, m_list, cap=args.cap):
             tower.append({
                 "m": verdict.m,
                 "extension_degree": verdict.ctx.n,
@@ -328,11 +327,15 @@ def _print_check_text(envelope) -> None:
 
 
 def _scan_family(args, params: FieldParams):
-    """The family's member texts, and the function giving each member's indices."""
+    """The family's member texts, and the indices to scan each member at:
+    a checked list, or None for each member's own exponents."""
     if args.indices == "all":
         explicit = list(range(params.n))
     elif args.indices and args.indices != "own":
         explicit = _parse_int_list(args.indices)
+        for t in explicit:
+            if not 0 <= t < params.n:
+                raise BadIndex(f"index {t} out of range 0..{params.n - 1}")
     else:
         explicit = None
 
@@ -342,29 +345,19 @@ def _scan_family(args, params: FieldParams):
             explicit = list(range(params.n))
     elif args.family == "binomial":
         coeffs = _parse_int_list(args.coeff_dlogs) if args.coeff_dlogs else \
-            ([0, params.order // 2] if params.order % 2 == 0 else [0])
+            [0, params.order // 2]
         texts = []
         for r1 in range(1, params.n):
             bound = params.q**r1 - 1
             for r2 in range(r1 + 1, params.n):
                 for k1 in coeffs:
                     for k2 in coeffs:
-                        order2 = params.order // math.gcd(params.order, k2)
-                        if bound % order2 == 0:
+                        if bound % dlog_order(params.order, k2) == 0:
                             texts.append(f"{r1}:g^{k1 % params.order},"
                                          f"{r2}:g^{k2 % params.order}")
     else:  # custom
         texts = args.poly
-
-    def indices(terms):
-        if explicit is None:
-            return sorted({r for r, _ in terms})
-        for t in explicit:
-            if not 0 <= t < params.n:
-                raise BadIndex(f"index {t} out of range 0..{params.n - 1}")
-        return explicit
-
-    return texts, indices
+    return texts, explicit
 
 
 def cmd_scan(args) -> int:
@@ -374,7 +367,7 @@ def cmd_scan(args) -> int:
     for text in texts:
         poly = parse_poly(field, text)
         terms = poly.dlog_terms()
-        for t in indices(terms):
+        for t in poly.exponents if indices is None else indices:
             verdicts = applicable_criteria(field, terms, t)
             report = None
             if isinstance(field, FieldCtx):

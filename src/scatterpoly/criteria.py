@@ -189,13 +189,13 @@ def lp_membership(params: FieldParams, terms) -> CriterionVerdict:
     if not shape_ok:
         return CriterionVerdict("lp-membership", False, None, (shape,))
 
-    delta_dlog = (a2_dlog - a1_dlog) % order
-    delta_order = dlog_order(order, delta_dlog)
-    shown_order, shown_dlog = params.shown(delta_order), params.shown(delta_dlog)
+    delta_log = (a2_dlog - a1_dlog) % order
+    delta_order = dlog_order(order, delta_log)
+    shown_order, shown_dlog = params.shown(delta_order), params.shown(delta_log)
     if isinstance(shown_dlog, str):
         shown_dlog = f"({shown_dlog})"
     subfield_index = params.subfield_index
-    norm_is_one = delta_dlog % (q - 1) == 0
+    norm_is_one = delta_log % (q - 1) == 0
     coprime = Hypothesis("coprime-exponent", math.gcd(n, r1) == 1,
                          f"gcd({n}, {r1})")
     norm = Hypothesis("norm-not-one", not norm_is_one,
@@ -224,25 +224,14 @@ def lp_membership(params: FieldParams, terms) -> CriterionVerdict:
 # The x^q + delta x^(q^5) family over F_{q^8}
 
 
-def _resolve_delta_order(order: int, delta_dlog: int | None,
-                         delta_order: int | None) -> tuple[int, int]:
-    """Return (dlog, multiplicative order) for a delta input.
-
-    Accepts either an explicit dlog or "any element of order d"; the latter is
-    resolved to the smallest dlog of that order, which is g^((q^n-1)/d).
-    """
-    if (delta_dlog is None) == (delta_order is None):
-        raise ValueError("specify exactly one of delta_dlog / delta_order")
-    if delta_dlog is not None:
-        return delta_dlog % order, dlog_order(order, delta_dlog)
+def _check_delta_order(order: int, delta_order: int) -> None:
+    """Refuse a delta order that no element of a group of this order has."""
     if delta_order < 1 or order % delta_order != 0:
         raise HypothesisViolated(
             f"no element of order {delta_order} in a group of order {order}")
-    return order // delta_order, delta_order
 
 
-def csajbok_family_check(q: int, delta_dlog: int | None = None,
-                         delta_order: int | None = None) -> CriterionVerdict:
+def csajbok_family_check(q: int, delta_order: int) -> CriterionVerdict:
     """x^q + delta x^(q^5) over F_{q^8} for delta with delta^2 = -1.
 
     For q = 1 mod 4 the polynomial is not scattered of index 1 nor 5 (the
@@ -254,22 +243,21 @@ def csajbok_family_check(q: int, delta_dlog: int | None = None,
     n = 8
     if q < 3 or q % 2 == 0:
         raise HypothesisViolated("the statement needs odd q")
-    order = q**n - 1
-    _, d_order = _resolve_delta_order(order, delta_dlog, delta_order)
+    _check_delta_order(q**n - 1, delta_order)
     # delta^2 = -1 is exactly "order 4": -1 is the unique involution.
-    squares_to_minus_one = d_order == 4
+    squares_to_minus_one = delta_order == 4
 
     negative_hyps = (
         Hypothesis("q-congruent-1-mod-4", q % 4 == 1, f"q={q}"),
         Hypothesis("delta-squares-to-minus-one", squares_to_minus_one,
-                   f"|delta|={d_order}"),
+                   f"|delta|={delta_order}"),
     )
     index_zero_hyps = (
         Hypothesis("q-is-5", q == 5, f"q={q}"),
-        Hypothesis("delta-not-plus-minus-one", d_order not in (1, 2),
-                   f"|delta|={d_order}"),
-        Hypothesis("delta-order-divides-4", _divides(d_order, 4),
-                   f"|delta|={d_order}"),
+        Hypothesis("delta-not-plus-minus-one", delta_order not in (1, 2),
+                   f"|delta|={delta_order}"),
+        Hypothesis("delta-order-divides-4", _divides(delta_order, 4),
+                   f"|delta|={delta_order}"),
     )
     negative_ok = all(h.satisfied for h in negative_hyps)
     index_zero_ok = all(h.satisfied for h in index_zero_hyps)
@@ -293,21 +281,18 @@ def csajbok_family_check(q: int, delta_dlog: int | None = None,
 
 
 def exceptional_family_certificate(q: int, n: int, r: int,
-                                   delta_dlog: int | None = None,
-                                   delta_order: int | None = None
-                                   ) -> CriterionVerdict:
+                                   delta_order: int) -> CriterionVerdict:
     """Hypothesis certificate for x^q + delta x^(q^(2r+1)) over F_{q^n}.
 
     When delta != 1 with |delta| | q-1, n > 3 odd, gcd(n, q-1) = 1 and
     gcd(r, n) = 1, the polynomial is exceptional scattered of index r+1 and
     scattered of indices {1, r+1, 2r+1} over F_{q^n} itself.
     """
-    order = q**n - 1
-    _, d_order = _resolve_delta_order(order, delta_dlog, delta_order)
+    _check_delta_order(q**n - 1, delta_order)
     hyps = (
-        Hypothesis("delta-not-one", d_order > 1, f"|delta|={d_order}"),
-        Hypothesis("delta-order-divides-q-1", _divides(d_order, q - 1),
-                   f"|delta|={d_order}, q-1={q - 1}"),
+        Hypothesis("delta-not-one", delta_order > 1, f"|delta|={delta_order}"),
+        Hypothesis("delta-order-divides-q-1", _divides(delta_order, q - 1),
+                   f"|delta|={delta_order}, q-1={q - 1}"),
         Hypothesis("degree-above-3", n > 3, f"n={n}"),
         Hypothesis("degree-odd", n % 2 == 1, f"n={n}"),
         Hypothesis("degree-coprime-to-q-1", math.gcd(n, q - 1) == 1,

@@ -92,12 +92,12 @@ def cyclotomic_eval(ctx: FieldCtx, table: CoefficientTable, x: FFElement) -> FFE
     return ctx.mul(ctx.element_from_dlog(a), ctx.frobenius(x, table.r1))
 
 
-def lemma_relation_check(ctx: FieldCtx, s_poly: LinearizedPolynomial,
-                         limit: int = DEFAULT_CAP) -> bool:
+def lemma_relation_check(ctx: FieldCtx, s_poly: LinearizedPolynomial) -> bool:
     """Full-domain check that S agrees with its coset-indexed form everywhere:
-    the ratio S(x)/x^(q^(r1)) equals A_i on each coset C_i."""
-    if ctx.size > limit:
-        raise FieldTooLarge(ctx, limit)
+    the ratio S(x)/x^(q^(r1)) equals A_i on each coset C_i.  Refuses a field
+    larger than ``DEFAULT_CAP`` before building anything."""
+    if ctx.size > DEFAULT_CAP:
+        raise FieldTooLarge(ctx, DEFAULT_CAP)
     table = coefficient_table(ctx, s_poly)
     # in discrete logs (-1 for zero) over all nonzero elements g^a; both maps
     # fix zero, so this scan decides equality

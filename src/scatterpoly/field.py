@@ -74,20 +74,28 @@ SHOWN_DIGITS = 4300
 _SHOWN_LIMIT = 10**SHOWN_DIGITS
 _TABLE_BLOCK = 4096
 _ZECH_BLOCK = 16384
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
 
 
 def is_prime(num: int) -> bool:
-    if num < 2:
-        return False
-    if num < 4:
-        return True
-    if num % 2 == 0:
-        return False
-    f = 3
-    while f * f <= num:
-        if num % f == 0:
+    """Exact primality: below ``_MR_LIMIT`` Miller-Rabin on ``_MR_BASES``, which
+    decides it there (Sorenson and Webster, 2015); at or above, trial division."""
+    if num >= _MR_LIMIT:
+        return factorize(num) == ((num, 1),)
+    if num < 2 or any(num % a == 0 for a in _MR_BASES):
+        return num in _MR_BASES
+    s = ((num - 1) & (1 - num)).bit_length() - 1  # num - 1 = d * 2^s, d odd
+    for a in _MR_BASES:
+        x = pow(a, (num - 1) >> s, num)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == num - 1:
+                break
+            x = x * x % num
+        else:
             return False
-        f += 2
     return True
 
 

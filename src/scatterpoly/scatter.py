@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import BadIndex, HypothesisViolated, ZeroPolynomial
 from .field import DEFAULT_CAP, FFElement, FieldCtx, field_basis
-from .linpoly import LinearizedPolynomial, TermLogs, evaluate_many, normalize, rho_transform
+from .linpoly import LinearizedPolynomial, TermLogs, evaluate_many, rho_transform
 
 _CHUNK = 1 << 15
 # the representatives in the witness search's first window; each next window
@@ -293,29 +293,23 @@ def scattered_via_pp(ctx: FieldCtx, s: LinearizedPolynomial, t: int,
     return True
 
 
-def is_exceptional_desk(p: int, m: int, n: int, s_terms, t: int, m_list,
-                        cap: int = DEFAULT_CAP,
-                        base: FieldCtx | None = None) -> list[TowerVerdict]:
-    """Run the oracle for the same polynomial across extension steps.
+def is_exceptional_desk(base: FieldCtx, s: LinearizedPolynomial, t: int, m_list,
+                        cap: int = DEFAULT_CAP) -> list[TowerVerdict]:
+    """Run the oracle for S over ``base`` = F_{q^n} across extension steps.
 
-    ``s_terms`` are (exponent, dlog) pairs over the base field F_{q^n}, with
-    distinct exponents; each coefficient g_n^a re-embeds into F_{q^(n*m)} as
-    g_{nm}^(a*D) with D = (q^(nm)-1)/(q^n-1), the norm-compatible power map.
-    Each step's field builds its Zech table only if the oracle adds.
-    ``base``, F_{q^n} as the caller already holds it, serves the step m = 1.
-    A full pass is a finite certificate consistent with exceptionality,
-    never a proof.
+    The step m = 1 is ``base`` itself.  For m > 1 each coefficient g_n^a
+    re-embeds into F_{q^(n*m)} as g_{nm}^(a*D) with D = (q^(nm)-1)/(q^n-1),
+    the norm-compatible power map.  Each step's field builds its Zech table
+    only if the oracle adds.  A full pass is a finite certificate consistent
+    with exceptionality, never a proof.
     """
-    base_order = p ** (m * n) - 1
     verdicts = []
     for mm in m_list:
         if mm < 1:
             raise ValueError("extension multipliers must be positive")
-        ctx = base if mm == 1 and base is not None else field_basis(p, m, n * mm, cap=cap)
-        scale = ctx.order // base_order
-        terms = [(r, ctx.element_from_dlog(dlog * scale % ctx.order))
-                 for r, dlog in s_terms]
-        poly = normalize(ctx, terms)
-        report = is_scattered_bruteforce(ctx, poly, t)
-        verdicts.append(TowerVerdict(mm, report, ctx))
+        ctx = base if mm == 1 else field_basis(base.p, base.m, base.n * mm, cap=cap)
+        scale = ctx.order // base.order
+        poly = LinearizedPolynomial(tuple((r, ctx.element_from_dlog(a.dlog * scale))
+                                          for r, a in s.terms))
+        verdicts.append(TowerVerdict(mm, is_scattered_bruteforce(ctx, poly, t), ctx))
     return verdicts

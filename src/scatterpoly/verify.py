@@ -259,7 +259,7 @@ def affine_binomial_suite() -> SuiteResult:
 
 
 def _pm_one_dlogs(ctx: FieldCtx) -> tuple[int, ...]:
-    return (0, ctx.order // 2) if ctx.order % 2 == 0 else (0,)
+    return (0, ctx.minus_one().dlog)
 
 
 def _coeff_pool(ctx: FieldCtx, k: int):
@@ -401,21 +401,19 @@ def exceptional_suite() -> SuiteResult:
     rec.check(bad_delta.verdict is False, "delta = 1 must be rejected")
 
     ctx = _field(3, 1, 5)
-    minus_one = ctx.order // 2
-    s_terms = ((1, 0), (3, minus_one))
-    s = normalize(ctx, [(r, ctx.element_from_dlog(d)) for r, d in s_terms])
+    minus_one = ctx.minus_one()
+    s = normalize(ctx, [(1, ctx.one()), (3, minus_one)])
     for t in (1, 2, 3):
         report = is_scattered_bruteforce(ctx, s, t)
         rec.check(report.scattered, f"base field oracle @ {t} must scatter")
 
     # second family member, r=3 (exponent 2r+1 = 7 reduces to 2 mod n)
-    other = normalize(ctx, [(1, ctx.one()),
-                            (7, ctx.element_from_dlog(minus_one))])
+    other = normalize(ctx, [(1, ctx.one()), (7, minus_one)])
     for t in (1, 2, 4):
         report = is_scattered_bruteforce(ctx, other, t)
         rec.check(report.scattered, f"r=3 member oracle @ {t} must scatter")
 
-    odd_step, even_step = is_exceptional_desk(3, 1, 5, s_terms, 2, (1, 2))
+    odd_step, even_step = is_exceptional_desk(ctx, s, 2, (1, 2))
     rec.bump("tower_steps", 2)
     rec.check(odd_step.report.scattered,
               "tower step m=1 (degree 5) must scatter at index 2")

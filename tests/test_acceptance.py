@@ -197,7 +197,7 @@ def test_criterion_10_exceptional_family_tower():
     base_ok = all(is_scattered_bruteforce(ctx, s, t).scattered
                   for t in (1, 2, 3))
 
-    tower = is_exceptional_desk(3, 1, 5, ((1, 0), (3, 121)), 2, (1, 2))
+    tower = is_exceptional_desk(ctx, s, 2, (1, 2))
     by_m = {v.m: v.report.scattered for v in tower}
     dt = time.perf_counter() - t0
     ok = (cert_ok and base_ok and by_m == {1: True, 2: False}

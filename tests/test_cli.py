@@ -194,6 +194,15 @@ def test_scan_custom_and_empty(capsys):
     assert list(csv.DictReader(io.StringIO(out))) == []
 
 
+def test_scan_refuses_a_bad_index_before_any_member(capsys):
+    # neither family has a member, so no member's parse reaches the index
+    for family in (("--n", "4", "--family", "custom"),
+                   ("--n", "1", "--family", "binomial")):
+        code, out, err = run(capsys, "scan", "--p", "3", *family, "--indices", "7")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: index 7 out of range 0..")
+
+
 def test_scan_json_output(capsys):
     code, out, _ = run(capsys, "scan", "--p", "3", "--n", "4",
                        "--family", "pseudoregulus", "--indices", "0",
@@ -280,6 +289,16 @@ def test_walk_bound_refuses_large_prime_field(capsys):
     code, out, _ = run(capsys, *argv, "--mode", "criteria", "--output", "json")
     assert code == 0
     assert json.loads(out)["field"]["materialized"] is False
+
+
+def test_criteria_only_check_over_a_large_prime(capsys):
+    # p = 10^18 + 3 is prime: answered from its sizes alone, with no trial
+    # division of p
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "check", "--p", "1000000000000000003", "--n", "3",
+                       "--poly", "1:g^0,2:g^0", "--index", "1", "--mode", "criteria")
+    assert code == 0 and "criterion binomial: @1: scattered" in out
+    assert time.perf_counter() - t0 < 2.0
 
 
 def test_sizes_beyond_decimal_text(capsys):

@@ -184,19 +184,10 @@ def test_csajbok_family_check():
     v = csajbok_family_check(7, delta_order=4)
     assert not v.applicable and v.verdict is None
 
-    # dlog form: the order of g^(order/4) is 4
-    order = 5**8 - 1
-    v = csajbok_family_check(5, delta_dlog=order // 4)
-    assert dict(v.index_verdicts) == {0: True, 1: False, 5: False}
-
     with pytest.raises(HypothesisViolated):
         csajbok_family_check(4, delta_order=4)
     with pytest.raises(HypothesisViolated):
         csajbok_family_check(5, delta_order=7)  # 7 does not divide 5^8 - 1
-    with pytest.raises(ValueError):
-        csajbok_family_check(5)
-    with pytest.raises(ValueError):
-        csajbok_family_check(5, delta_dlog=1, delta_order=4)
 
 
 def test_exceptional_family_certificate():

@@ -12,6 +12,7 @@ from scatterpoly import (
     decompose,
     evaluate,
     factorize_poly,
+    field_basis,
     lemma_relation_check,
     normalize,
     parse_poly,
@@ -179,9 +180,11 @@ def test_lemma_relation_matches_pointwise(f27):
         assert pointwise
 
 
-def test_lemma_relation_size_guard(f81):
+def test_lemma_relation_size_guard():
+    big = field_basis(3, 1, 14, cap=2**31)  # 3^14 > DEFAULT_CAP
     with pytest.raises(FieldTooLarge):
-        lemma_relation_check(f81, normalize(f81, [(1, f81.one())]), limit=10)
+        lemma_relation_check(big, normalize(big, [(1, big.one())]))
+    assert "_zech" not in vars(big)
 
 
 def test_coset_multiplier_check_runs_on_every_call(f3125, monkeypatch):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import numpy as np
@@ -118,6 +119,20 @@ def test_primality_and_factorization():
             assert is_prime(prime)
             prod *= prime**exp
         assert prod == n
+
+
+def test_is_prime_is_exact():
+    limit = 200_000
+    sieve = bytearray([0, 0]) + bytearray([1]) * (limit - 2)
+    for f in range(2, math.isqrt(limit) + 1):
+        if sieve[f]:
+            sieve[f * f::f] = bytearray(len(range(f * f, limit, f)))
+    assert [n for n in range(limit) if is_prime(n)] == [n for n in range(limit) if sieve[n]]
+    # strong pseudoprimes to every prime base up to 7, up to 31 and up to 37
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n)
+    assert is_prime(10**18 + 3) and is_prime(2**61 - 1)
+    assert not is_prime((10**9 + 7) * (10**9 + 9))
 
 
 @pytest.mark.parametrize("params", [(3, 1, 2), (3, 1, 3), (3, 1, 4), (3, 1, 5),

@@ -8,6 +8,9 @@ from run to run; the rest of every output is compared as text.
 Run this module as a script to record the file again from the current code:
 
     PYTHONPATH=src python tests/test_golden.py
+
+Recorded cases keep their place in the file and new ones are appended, so
+a case whose output did not change keeps its bytes.
 """
 
 from __future__ import annotations
@@ -169,5 +172,7 @@ def test_every_case_is_recorded(recorded):
 if __name__ == "__main__":
     os.environ.pop("SCATTERPOLY_CAP", None)
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps([replay(argv) for argv in CASES], indent=1) + "\n")
+    old = [case["argv"] for case in json.loads(GOLDEN.read_text())] if GOLDEN.exists() else []
+    cases = sorted(CASES, key=lambda argv: old.index(argv) if argv in old else len(old))
+    GOLDEN.write_text(json.dumps([replay(argv) for argv in cases], indent=1) + "\n")
     print(f"recorded {len(CASES)} cases in {GOLDEN}")

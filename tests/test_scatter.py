@@ -389,12 +389,12 @@ def test_scattered_via_pp_relaxed_index_zero(f81):
             == is_scattered_bruteforce(f81, s, 0).scattered)
 
 
-def test_exceptional_desk_empty():
-    assert is_exceptional_desk(3, 1, 4, ((2, 0),), 0, ()) == []
+def test_exceptional_desk_empty(f81):
+    assert is_exceptional_desk(f81, normalize(f81, [(2, f81.one())]), 0, ()) == []
 
 
-def test_exceptional_desk_basic():
-    verdicts = is_exceptional_desk(3, 1, 4, ((2, 0),), 0, (1,))
+def test_exceptional_desk_basic(f81):
+    verdicts = is_exceptional_desk(f81, normalize(f81, [(2, f81.one())]), 0, (1,))
     assert len(verdicts) == 1
     assert verdicts[0].ctx.n == 4
     assert not verdicts[0].report.scattered  # gcd(2, 4) != 1
@@ -404,7 +404,8 @@ def test_exceptional_desk_tower_embedding():
     # dlog-scaled re-embedding preserves multiplicative order
     base = build_field(3, 1, 5)
     minus_one = base.order // 2
-    verdicts = is_exceptional_desk(3, 1, 5, ((1, 0), (3, minus_one)), 2, (1, 2))
+    s = normalize(base, [(1, base.one()), (3, base.minus_one())])
+    verdicts = is_exceptional_desk(base, s, 2, (1, 2))
     assert [v.m for v in verdicts] == [1, 2]
     assert verdicts[0].report.scattered
     # even extension degree: the norm of -1 collapses to 1, scatteredness dies
@@ -414,9 +415,9 @@ def test_exceptional_desk_tower_embedding():
     assert embedded == big.minus_one()
 
 
-def test_exceptional_desk_cap():
-    with pytest.raises(FieldTooLarge):
-        is_exceptional_desk(3, 1, 5, ((1, 0),), 1, (1, 3))  # 3^15 over cap
+def test_exceptional_desk_cap(f243):
+    with pytest.raises(FieldTooLarge):  # the step m = 3 is F_3^15, over the cap
+        is_exceptional_desk(f243, normalize(f243, [(1, f243.one())]), 1, (1, 3))
 
 
 def test_pseudoregulus_sweep_small(f81, f243):
@@ -517,20 +518,25 @@ def test_basis_answers_as_a_built_field():
         assert answer(basis) == answer(ctx)
         assert isinstance(vars(basis)["_zech"], np.ndarray)
     # the tower builds a step's table only where its oracle adds
-    minus_one = 3**5 // 2
     for t, adds in ((1, False), (2, True)):
-        step, = is_exceptional_desk(3, 1, 5, ((1, 0), (3, minus_one)), t, (1,))
+        base = field_basis(3, 1, 5)
+        s = normalize(base, [(1, base.one()), (3, base.minus_one())])
+        step, = is_exceptional_desk(base, s, t, (1,))
         assert ("_zech" in vars(step.ctx)) == adds
 
 
 def _moved(ctx, terms, t, rng):
-    """Three moves that keep the oracle's verdict and distinct count.
+    """Four moves that keep the oracle's verdict and distinct count.
 
     ``terms`` are (exponent, dlog) pairs.  Rotation by u: S'(x) = S(z) and
     x^(q^(t-u)) = z^(q^t) for z = x^(q^-u), so the ratio takes the same
     values.  Scaling x -> g^k x multiplies every ratio by the constant
     g^(k q^t).  Conjugation a_i -> a_i^p gives the conjugate ratio at x^p.
     Each is a bijection on ratio values that keeps F_q-proportionality.
+    The adjoint, after rotating t to 0: S^(x) = sum a_i^(q^(n-r_i)) x^(q^(n-r_i))
+    is S's adjoint for the form Tr(xy), and S^ - lambda x is that of
+    S - lambda x, so the two kernels have equal dimension for every lambda:
+    S(x)/x and S^(x)/x take each value on equally many points.
     """
     n, order = ctx.n, ctx.order
     u, k = rng.randrange(1, n), rng.randrange(order)
@@ -538,11 +544,12 @@ def _moved(ctx, terms, t, rng):
         ([((r - u) % n, c) for r, c in terms], (t - u) % n),
         ([(r, (c + k * pow(ctx.q, r, order)) % order) for r, c in terms], t),
         ([(r, ctx.p * c % order) for r, c in terms], t),
+        ([((t - r) % n, c * pow(ctx.q, (t - r) % n, order) % order) for r, c in terms], 0),
     )
 
 
 def test_oracle_metamorphic():
-    """Rotation, scaling and Galois conjugation leave the oracle's answer alone.
+    """Rotation, scaling, Galois conjugation and the adjoint leave the oracle's answer alone.
 
     Random S of 1-3 terms at a random t, and x^(q^r) - x at an index off
     {0, r}: its ratio vanishes on F_(q^gcd(r, n)), so the scan meets zeros.
