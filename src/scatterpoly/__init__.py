@@ -6,8 +6,8 @@ Core pieces:
   parameters, and its context, whose Zech-log table is built on first use;
 * :mod:`scatterpoly.linpoly` -- linearized polynomials and their index-shift
   transforms;
-* :mod:`scatterpoly.cyclotomic` -- coset decompositions and the coset-indexed
-  form of a linearized polynomial;
+* :mod:`scatterpoly.cyclotomic` -- the cyclotomic form of a linearized
+  polynomial: its factorization and coset-indexed multiplier table;
 * :mod:`scatterpoly.scatter` -- the exhaustive scatteredness oracle, deciding
   pair census, permutation tests and extension-tower certificates;
 * :mod:`scatterpoly.criteria` -- scan-free criteria with hypothesis reports;
@@ -26,7 +26,7 @@ from .errors import (
     NeedsFieldAddition,
     NonPrime,
     NotABinomial,
-    NotADivisor,
+    PrimalityUndecided,
     ParseError,
     RhoInBaseField,
     ScatterpolyError,
@@ -48,11 +48,8 @@ from .linpoly import (
 )
 from .cyclotomic import (
     CoefficientTable,
-    CyclotomicDecomposition,
     coefficient_table,
     cyclotomic_eval,
-    decompose,
-    factorize_poly,
     lemma_relation_check,
 )
 from .scatter import (

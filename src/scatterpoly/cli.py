@@ -22,6 +22,7 @@ from .errors import (
     FieldTooLarge,
     NonPrime,
     ParseError,
+    PrimalityUndecided,
     ScatterpolyError,
 )
 from .field import (
@@ -39,7 +40,8 @@ from .verify import SUITES, run_suites
 _CSV_COLUMNS = ["p", "m", "n", "poly", "index", "criteria", "oracle", "agree",
                 "witness_y", "witness_z"]
 
-_CONSTRUCTION_ERRORS = (NonPrime, FieldTooLarge, EvenCharacteristicRejected)
+_CONSTRUCTION_ERRORS = (NonPrime, PrimalityUndecided, FieldTooLarge,
+                        EvenCharacteristicRejected)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -140,19 +140,19 @@ def index_shift_reduction(ctx: FieldCtx, s: LinearizedPolynomial, t: int
     if t == r1:
         if s.k < 2:
             raise WouldBeZero("single-term polynomial cannot be reduced at t = r1")
-        reduced = shift_down(ctx, strip_min_term(ctx, s), r1)
+        reduced = shift_down(strip_min_term(s), r1)
         reduced_index = 0
         bound = ctx.q**r1 - 1
         checked = s.terms[1:]
         regime = "strip-and-shift (t = r1)"
     elif t < r1:
-        reduced = shift_down(ctx, s, t)
+        reduced = shift_down(s, t)
         reduced_index = 0
         bound = ctx.q**t - 1
         checked = s.terms
         regime = "shift (t < r1)"
     else:
-        reduced = t_transform(ctx, s)
+        reduced = t_transform(s)
         reduced_index = t - r1
         bound = ctx.q**r1 - 1
         checked = s.terms

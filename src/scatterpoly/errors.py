@@ -11,6 +11,10 @@ class NonPrime(ScatterpolyError):
         self.value = value
 
 
+class PrimalityUndecided(ScatterpolyError):
+    """A p at or above the bound below which ``field.is_prime`` is exact."""
+
+
 class FieldTooLarge(ScatterpolyError):
     """The size of ``field``, a ``FieldParams``, exceeds ``cap``; see its ``shown_sizes``."""
 
@@ -41,10 +45,6 @@ class WouldBeZero(ScatterpolyError):
 
 
 class RhoInBaseField(ScatterpolyError):
-    pass
-
-
-class NotADivisor(ScatterpolyError):
     pass
 
 

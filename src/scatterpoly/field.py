@@ -50,6 +50,7 @@ from .errors import (
     EvenCharacteristicRejected,
     FieldTooLarge,
     NonPrime,
+    PrimalityUndecided,
 )
 
 DEFAULT_CAP = 1 << 22
@@ -79,10 +80,11 @@ _MR_LIMIT = 3317044064679887385961981
 
 
 def is_prime(num: int) -> bool:
-    """Exact primality: below ``_MR_LIMIT`` Miller-Rabin on ``_MR_BASES``, which
-    decides it there (Sorenson and Webster, 2015); at or above, trial division."""
+    """Exact primality below ``_MR_LIMIT``: Miller-Rabin on ``_MR_BASES``, which
+    decides it there (Sorenson and Webster, 2015); PrimalityUndecided at or above."""
     if num >= _MR_LIMIT:
-        return factorize(num) == ((num, 1),)
+        raise PrimalityUndecided(f"cannot decide whether {num} is prime: "
+                                 f"primality is decided only below {_MR_LIMIT}")
     if num < 2 or any(num % a == 0 for a in _MR_BASES):
         return num in _MR_BASES
     s = ((num - 1) & (1 - num)).bit_length() - 1  # num - 1 = d * 2^s, d odd

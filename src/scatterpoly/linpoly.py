@@ -205,7 +205,7 @@ def ratio_map(ctx: FieldCtx, s: LinearizedPolynomial, t: int, x: FFElement) -> F
     return ctx.mul(evaluate(ctx, s, x), ctx.inv(ctx.frobenius(x, t)))
 
 
-def shift_down(ctx: FieldCtx, s: LinearizedPolynomial, t: int) -> LinearizedPolynomial:
+def shift_down(s: LinearizedPolynomial, t: int) -> LinearizedPolynomial:
     """Lower every exponent index by t (requires t <= min exponent)."""
     if t < 0:
         raise ValueError("shift must be nonnegative")
@@ -215,14 +215,14 @@ def shift_down(ctx: FieldCtx, s: LinearizedPolynomial, t: int) -> LinearizedPoly
     return LinearizedPolynomial(tuple((r - t, a) for r, a in s.terms))
 
 
-def strip_min_term(ctx: FieldCtx, s: LinearizedPolynomial) -> LinearizedPolynomial:
+def strip_min_term(s: LinearizedPolynomial) -> LinearizedPolynomial:
     """Drop the least-exponent term; needs at least two terms."""
     if s.k < 2:
         raise WouldBeZero("stripping the only term leaves the zero polynomial")
     return LinearizedPolynomial(s.terms[1:])
 
 
-def t_transform(ctx: FieldCtx, s: LinearizedPolynomial) -> LinearizedPolynomial:
+def t_transform(s: LinearizedPolynomial) -> LinearizedPolynomial:
     """a_1 x plus the remaining terms with exponents lowered by r_1."""
     r1, a1 = s.terms[0]
     terms = ((0, a1),) + tuple((r - r1, a) for r, a in s.terms[1:])

@@ -83,9 +83,9 @@ def coset_multipliers_consistent(ctx: FieldCtx, s: LinearizedPolynomial) -> bool
     maps every coset to itself.  The suites check :func:`_scattered_by_multipliers`.
     """
     table = coefficient_table(ctx, s)
-    cosets = np.arange(table.decomp.l, dtype=np.int64)
+    cosets = np.arange(table.l, dtype=np.int64)
     e = ctx.subfield_index
-    return all(np.array_equal(table.A, table.A[(cosets + i * e) % table.decomp.l])
+    return all(np.array_equal(table.A, table.A[(cosets + i * e) % table.l])
                for i in range(1, ctx.q - 1))
 
 
@@ -97,7 +97,7 @@ def _scattered_by_multipliers(ctx: FieldCtx, s: LinearizedPolynomial) -> bool:
     are pairwise distinct; with d > 1 each coset holds several classes.
     """
     table = coefficient_table(ctx, s)
-    return table.decomp.s == ctx.q - 1 and np.unique(table.A).size == table.A.size
+    return table.s == ctx.q - 1 and np.unique(table.A).size == table.A.size
 
 
 def _record_ai_aj(rec: _Recorder, ctx: FieldCtx, s: LinearizedPolynomial) -> None:

@@ -147,14 +147,13 @@ def test_criterion_08_coset_multipliers(pseudoregulus_result, binomial_result,
     assert not is_scattered_bruteforce(ctx, s, 0).scattered
     census = deciding_pairs(ctx, s, 0, limit=None)
     table = coefficient_table(ctx, s)
-    dec = table.decomp
-    assert (table.r1, dec.s) == (0, ctx.q - 1)
+    assert (table.r1, table.s) == (0, ctx.q - 1)
     apart = 0
     for y, z in census.pairs:
         checks += 1
-        same_coset = dec.coset_of(y) == dec.coset_of(z)
+        same_coset = table.coset_of(y) == table.coset_of(z)
         apart += not same_coset
-        if (table.A[dec.coset_of(y)] != table.A[dec.coset_of(z)]
+        if (table.A[table.coset_of(y)] != table.A[table.coset_of(z)]
                 or same_coset != ctx.in_base_subfield(ctx.mul(y, ctx.inv(z)))):
             failures += 1
     assert apart == census.equal_ratio_pairs - census.collinear_pairs == 48

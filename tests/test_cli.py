@@ -301,6 +301,17 @@ def test_criteria_only_check_over_a_large_prime(capsys):
     assert time.perf_counter() - t0 < 2.0
 
 
+def test_prime_beyond_the_exact_bound_exits_2(capsys):
+    # p = 2^89 - 1 lies above the bound below which primality is decided;
+    # it is refused at once rather than trial-divided
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "check", "--p", str(2**89 - 1), "--n", "1",
+                         "--poly", "0:g^0", "--index", "0", "--mode", "criteria")
+    assert (code, out) == (2, "")
+    assert str(2**89 - 1) in err and str(field._MR_LIMIT) in err
+    assert time.perf_counter() - t0 < 2.0
+
+
 def test_sizes_beyond_decimal_text(capsys):
     # 3^10000 has 4772 digits, past the interpreter's 4300-digit limit for
     # int-to-text conversion: criteria answer and errors name the size as a

@@ -5,13 +5,10 @@ import pytest
 
 from scatterpoly import (
     FieldTooLarge,
-    NotADivisor,
     build_field,
     coefficient_table,
     cyclotomic_eval,
-    decompose,
     evaluate,
-    factorize_poly,
     field_basis,
     lemma_relation_check,
     normalize,
@@ -28,76 +25,66 @@ def _dlog(x):
     return -1 if x.is_zero else x.dlog
 
 
-def test_decompose_f9(f9):
-    d = decompose(f9, 2)
-    assert d.l == 4
-    assert d.xi == f9.element_from_dlog(2)
-    assert f9.element_order(d.xi) == 4
-    # C_0 = squares = {1, 2}
+def test_coset_of(f9, f81, f243):
+    # x + x^3 over F_9: d = 1, so s = 2, l = 4 and C_0 = squares = {1, 2}
+    table = coefficient_table(f9, parse_poly(f9, "0:g^0,1:g^0"))
+    assert (table.s, table.l) == (2, 4)
     members = [f9.element_from_dlog(k) for k in range(f9.order)
-               if d.coset_of(f9.element_from_dlog(k)) == 0]
+               if table.coset_of(f9.element_from_dlog(k)) == 0]
     assert {f9.encode(x) for x in members} == {1, 2}
-
-
-def test_decompose_full_group(f9):
-    d = decompose(f9, 8)
-    assert d.l == 1
-    assert all(d.coset_of(f9.element_from_dlog(k)) == 0 for k in range(8))
-
-
-def test_decompose_not_a_divisor(f9):
-    with pytest.raises(NotADivisor):
-        decompose(f9, 3)
-
-
-def test_coset_homomorphism(f81, f243):
+    # a monomial's single coset is the whole group
+    mono = coefficient_table(f9, normalize(f9, [(1, f9.gamma)]))
+    assert mono.l == 1
+    assert all(mono.coset_of(f9.element_from_dlog(k)) == 0 for k in range(8))
+    with pytest.raises(ValueError):
+        table.coset_of(f9.zero())
+    # x + x^(q^r) has s = q^gcd(n, r) - 1, so F_81 gives l = 40 and l = 10
     for ctx in (f81, f243):
-        for s in (div for div in range(2, ctx.order + 1) if ctx.order % div == 0):
-            d = decompose(ctx, s)
+        for r in range(1, ctx.n):
+            tab = coefficient_table(ctx, normalize(ctx, [(0, ctx.one()), (r, ctx.one())]))
             for a in range(0, ctx.order, 7):
                 for b in range(0, ctx.order, 11):
                     x = ctx.element_from_dlog(a)
                     y = ctx.element_from_dlog(b)
-                    assert (d.coset_of(ctx.mul(x, y))
-                            == (d.coset_of(x) + d.coset_of(y)) % d.l)
+                    assert (tab.coset_of(ctx.mul(x, y))
+                            == (tab.coset_of(x) + tab.coset_of(y)) % tab.l)
 
 
 def test_factorize_worked_examples(f3125):
     # x^(5^3) + x^(5^4) over F_5^5 -> r1=3, s=4, f = 1 + y
     s_poly = parse_poly(f3125, "3:g^0,4:g^0")
-    r1, s, f_terms = factorize_poly(f3125, s_poly)
-    assert (r1, s) == (3, 4)
-    assert [(e, c.dlog) for e, c in f_terms] == [(0, 0), (1, 0)]
+    table = coefficient_table(f3125, s_poly)
+    assert (table.r1, table.s) == (3, 4)
+    assert [(e, c.dlog) for e, c in table.f_terms] == [(0, 0), (1, 0)]
 
     # structural analog of the degree-8 example: exponents 2, 4, 6 with q = 3
     ctx = build_field(3, 1, 8)
     trinomial = parse_poly(ctx, "2:g^0,4:g^0,6:g^0")
-    r1, s, f_terms = factorize_poly(ctx, trinomial)
-    assert r1 == 2
-    assert s == ctx.q**2 - 1
-    assert [e for e, _ in f_terms] == [0, 1, ctx.q**2 + 1]
+    table = coefficient_table(ctx, trinomial)
+    assert table.r1 == 2
+    assert table.s == ctx.q**2 - 1
+    assert [e for e, _ in table.f_terms] == [0, 1, ctx.q**2 + 1]
     assert lemma_relation_check(ctx, trinomial)
 
 
 def test_factorize_single_term(f81):
     s_poly = normalize(f81, [(2, f81.gamma)])
-    r1, s, f_terms = factorize_poly(f81, s_poly)
-    assert (r1, s) == (2, f81.order)
-    assert f_terms == ((0, f81.gamma),)
+    table = coefficient_table(f81, s_poly)
+    assert (table.r1, table.s, table.l) == (2, f81.order, 1)
+    assert table.f_terms == ((0, f81.gamma),)
 
 
 def test_coefficient_table(f3125):
     s_poly = parse_poly(f3125, "3:g^0,4:g^0")
     table = coefficient_table(f3125, s_poly)
-    d = table.decomp
-    assert len(table.A) == d.l == 781
+    assert len(table.A) == table.l == 781
     # A_0 = f(1) = 2
     assert table.A[0] == f3125.element_from_coeffs([2, 0, 0, 0, 0]).dlog
     # A_i = 1 + xi^(i * q^r1) with q^r1 = 125
     for i in (1, 2, 50, 780):
         expected = f3125.add(
             f3125.one(),
-            f3125.element_from_dlog(d.xi.dlog * i * 125 % f3125.order))
+            f3125.element_from_dlog(table.s * i * 125 % f3125.order))
         assert table.A[i] == _dlog(expected)
 
 
@@ -114,12 +101,11 @@ def test_coefficient_table_matches_coefficient_arithmetic(f81, f3125, f81_tower)
         zeros = 0
         for s_poly in polys:
             table = coefficient_table(ctx, s_poly)
-            d = table.decomp
-            step = d.s * ctx.q**table.r1
+            step = table.s * ctx.q**table.r1
             coeff_digits = [(e, ctx.coeffs(c)) for e, c in table.f_terms]
             step_digits = ctx.coeffs(ctx.element_from_dlog(step))
             point = ctx.coeffs(ctx.one())
-            for i in range(d.l):
+            for i in range(table.l):
                 total = [0] * ctx.degree
                 for e, c in coeff_digits:
                     term = naive_mul(p, mod, c, naive_pow(p, mod, point, e))
@@ -138,8 +124,7 @@ def test_coefficient_table_constant(f81):
 
 def test_cyclotomic_eval(f9, f3125):
     # constant table of ones reduces to the Frobenius power
-    d = decompose(f9, 2)
-    table = CoefficientTable(decomp=d, r1=1, A=np.zeros(4, dtype=np.int64),
+    table = CoefficientTable(r1=1, s=2, l=4, A=np.zeros(4, dtype=np.int64),
                              f_terms=((0, f9.one()),))
     for enc in range(9):
         x = f9.element_from_encoding(enc)
@@ -149,7 +134,7 @@ def test_cyclotomic_eval(f9, f3125):
     s_poly = parse_poly(f3125, "3:g^0,4:g^0")
     tab = coefficient_table(f3125, s_poly)
     g = f3125.gamma
-    assert tab.decomp.coset_of(g) == 1
+    assert tab.coset_of(g) == 1
     assert (cyclotomic_eval(f3125, tab, g)
             == f3125.mul(f3125.element_from_dlog(int(tab.A[1])), f3125.frobenius(g, 3)))
 

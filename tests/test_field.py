@@ -10,6 +10,7 @@ from scatterpoly import (
     EvenCharacteristicRejected,
     FieldTooLarge,
     NonPrime,
+    PrimalityUndecided,
     build_field,
 )
 from scatterpoly.field import (
@@ -133,6 +134,9 @@ def test_is_prime_is_exact():
         assert not is_prime(n)
     assert is_prime(10**18 + 3) and is_prime(2**61 - 1)
     assert not is_prime((10**9 + 7) * (10**9 + 9))
+    # at or above the bound no test decides it, and none is tried
+    with pytest.raises(PrimalityUndecided):
+        is_prime(2**89 - 1)
 
 
 @pytest.mark.parametrize("params", [(3, 1, 2), (3, 1, 3), (3, 1, 4), (3, 1, 5),
