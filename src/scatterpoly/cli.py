@@ -266,8 +266,7 @@ def build_check_envelope(args) -> tuple[dict, dict]:
         "results": {
             "criteria": [_verdict_view(v) for v in verdicts],
             "oracle": _report_view(field, report) if report is not None else None,
-            "agreement": (None if report is None or not verdicts
-                          else row["agree"] != "no"),
+            "agreement": {"yes": True, "no": False}.get(row["agree"]),
             "tower": tower,
         },
         "timing": timing,

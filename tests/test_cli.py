@@ -552,6 +552,17 @@ def test_row_agreement_reads_every_verdict():
     assert _row(params, "1:g^0", 2, verdicts, report)["agree"] == ""
 
 
+def test_agreement_is_the_same_in_every_format(capsys):
+    # both criteria are silent at index 4, so no format reports an agreement
+    argv = ("check", "--p", "3", "--n", "5", "--poly", "1:g^0,2:g^1", "--index", "4")
+    _, out, _ = run(capsys, *argv, "--output", "csv")
+    agree = next(csv.DictReader(io.StringIO(out)))["agree"]
+    _, out, _ = run(capsys, *argv, "--output", "json")
+    agreement = json.loads(out)["results"]["agreement"]
+    _, text, _ = run(capsys, *argv, "--output", "text")
+    assert agree == "" and agreement is None and "agreement" not in text
+
+
 def test_module_entry_point():
     import subprocess
     import sys
