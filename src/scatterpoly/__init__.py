@@ -26,8 +26,8 @@ from .errors import (
     NeedsFieldAddition,
     NonPrime,
     NotABinomial,
-    PrimalityUndecided,
     ParseError,
+    PrimalityUndecided,
     RhoInBaseField,
     ScatterpolyError,
     WouldBeZero,

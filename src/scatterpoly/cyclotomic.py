@@ -3,9 +3,9 @@
 A linearized polynomial factors as S(x) = x^(q^(r1)) * f(x^(s*q^(r1))) with s =
 q^d - 1, which divides q^n - 1 = l*s.  The l-th powers C_0 split F_{q^n}^* into
 cosets C_i = gamma^i C_0, and on C_i the inner factor takes the constant value
-A_i = f(gamma^(s*i*q^(r1))).  That turns S into a coset-indexed multiplier
-table, which several scatteredness criteria exploit: ``coefficient_table(ctx,
-S)`` factors S and builds it, and the table carries its cosets.
+A_i = f(gamma^(s*i*q^(r1))).  ``coefficient_table(ctx, S)`` factors S and
+builds this coset-indexed multiplier table, which several scatteredness
+criteria exploit; the table carries its cosets.
 """
 
 from __future__ import annotations
