@@ -4,8 +4,8 @@ Core pieces:
 
 * :mod:`scatterpoly.field` -- deterministic construction of F_{q^n}: its
   parameters, and its context, whose Zech-log table is built on first use;
-* :mod:`scatterpoly.linpoly` -- linearized polynomials and their index-shift
-  transforms;
+* :mod:`scatterpoly.linpoly` -- linearized polynomials: parsing, evaluation
+  and the rho transform;
 * :mod:`scatterpoly.cyclotomic` -- the cyclotomic form of a linearized
   polynomial: its factorization and coset-indexed multiplier table;
 * :mod:`scatterpoly.scatter` -- the exhaustive scatteredness oracle, deciding
@@ -42,9 +42,6 @@ from .linpoly import (
     parse_poly,
     ratio_map,
     rho_transform,
-    shift_down,
-    strip_min_term,
-    t_transform,
 )
 from .cyclotomic import (
     CoefficientTable,

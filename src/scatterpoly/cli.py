@@ -161,10 +161,10 @@ def _field(args, capped: bool) -> FieldParams:
     """
     try:
         return field_basis(args.p, args.m, args.n, cap=args.cap)
-    except FieldTooLarge:
+    except FieldTooLarge as exc:
         if capped:
             raise
-        return FieldParams(args.p, args.m, args.n)
+        return exc.field
 
 
 def _row(params: FieldParams, poly_text: str, t: int,
@@ -431,7 +431,7 @@ def build_parser() -> _Parser:
         p.add_argument("--p", type=int, required=True, help="characteristic")
         p.add_argument("--m", type=int, default=1, help="q = p^m (default 1)")
         p.add_argument("--n", type=int, required=True, help="extension degree over F_q")
-        p.add_argument("--cap", type=int, default=_default_cap(),
+        p.add_argument("--cap", type=int,
                        help="max field size for table construction "
                             "(env SCATTERPOLY_CAP)")
 
@@ -482,6 +482,8 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if hasattr(args, "cap") and args.cap is None:
+            args.cap = _default_cap()
         return args.func(args)
     except _CONSTRUCTION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,8 +17,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import BadIndex, HypothesisViolated, NotABinomial, WouldBeZero
-from .field import FieldCtx, FieldParams, dlog_order
-from .linpoly import LinearizedPolynomial, shift_down, strip_min_term, t_transform
+from .field import FieldParams, dlog_order
+from .linpoly import LinearizedPolynomial
 
 
 @dataclass(frozen=True)
@@ -119,7 +119,7 @@ def affine_binomial_criterion(params: FieldParams, terms) -> CriterionVerdict:
 # Index-shift reductions
 
 
-def index_shift_reduction(ctx: FieldCtx, s: LinearizedPolynomial, t: int
+def index_shift_reduction(params: FieldParams, s: LinearizedPolynomial, t: int
                           ) -> tuple[LinearizedPolynomial, int, CriterionVerdict]:
     """Reduce (S, t) to an equivalent instance at a smaller index.
 
@@ -127,45 +127,39 @@ def index_shift_reduction(ctx: FieldCtx, s: LinearizedPolynomial, t: int
     iff the reduced polynomial is scattered of the reduced index.  The verdict
     certifies that equivalence; it never decides scatteredness itself.
 
-      t = r1: strip the least term, lower exponents by r1, land at index 0
-              (needs |a_i| | q^r1 - 1 for i >= 2);
-      t < r1: lower all exponents by t, land at index 0
-              (needs |a_i| | q^t - 1 for all i);
-      t > r1: a_1 x plus the lowered tail, land at index t - r1
-              (needs |a_i| | q^r1 - 1 for all i).
+    The paper's three regimes (t = r1, t < r1, t > r1) are one substitution
+    X = x^(q^u), u = min(t, r1): every exponent drops by u, the index becomes
+    t - u, and at t = r1 the least term is dropped first.  The hypotheses are
+    |a_i| | q^u - 1 over the terms kept.  They are the paper's, sufficient but
+    not necessary: S(x)/x^(q^t) = S'(X)/X^(q^(t-u)) for any coefficients,
+    x -> x^(q^u) permutes the F_q-lines, and the term dropped at r1 adds a
+    constant to every ratio.
     """
-    if not 0 <= t < ctx.n:
-        raise BadIndex(f"index {t} out of range 0..{ctx.n - 1}")
+    if not 0 <= t < params.n:
+        raise BadIndex(f"index {t} out of range 0..{params.n - 1}")
     r1 = s.min_exponent
+    u = min(t, r1)
+    kept = s.terms
     if t == r1:
         if s.k < 2:
             raise WouldBeZero("single-term polynomial cannot be reduced at t = r1")
-        reduced = shift_down(strip_min_term(s), r1)
-        reduced_index = 0
-        bound = ctx.q**r1 - 1
-        checked = s.terms[1:]
+        kept = s.terms[1:]
         regime = "strip-and-shift (t = r1)"
-    elif t < r1:
-        reduced = shift_down(s, t)
-        reduced_index = 0
-        bound = ctx.q**t - 1
-        checked = s.terms
-        regime = "shift (t < r1)"
     else:
-        reduced = t_transform(s)
-        reduced_index = t - r1
-        bound = ctx.q**r1 - 1
-        checked = s.terms
-        regime = "affine tail (t > r1)"
+        regime = "shift (t < r1)" if t < r1 else "affine tail (t > r1)"
+    reduced = LinearizedPolynomial(tuple((r - u, a) for r, a in kept))
 
+    bound = params.q**u - 1
+    shown_bound = params.shown(bound, params.m * u)
+    orders = [dlog_order(params.order, a.dlog) for _, a in kept]
     hyps = tuple(
-        Hypothesis(f"order-of-term-{r}", _divides(ctx.element_order(a), bound),
-                   f"|a|={ctx.element_order(a)}, bound={bound}")
-        for r, a in checked)
+        Hypothesis(f"order-of-term-{r}", _divides(order, bound),
+                   f"|a|={params.shown(order)}, bound={shown_bound}")
+        for (r, _), order in zip(kept, orders))
     ok = all(h.satisfied for h in hyps)
     verdict = CriterionVerdict("index-shift-reduction", ok, True if ok else None,
                                hyps, notes=(regime,))
-    return reduced, reduced_index, verdict
+    return reduced, t - u, verdict
 
 
 # ---------------------------------------------------------------------------

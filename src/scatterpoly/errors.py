@@ -20,6 +20,7 @@ class FieldTooLarge(ScatterpolyError):
 
     def __init__(self, field, cap: int):
         super().__init__(f"field size {field.shown_sizes()['size']} exceeds cap {cap}")
+        self.field = field
         self.size = field.size
         self.cap = cap
 

@@ -706,11 +706,11 @@ def field_basis(p: int, m: int, n: int, cap: int = DEFAULT_CAP,
     Refuses what :func:`build_field` refuses: see :func:`check_field_params`
     and :func:`table_limit`."""
     check_field_params(p, m, n, strict)
-    d = m * n
-    size = p**d
+    params = FieldParams(p, m, n)
+    d, size = params.degree, params.size
     limit = table_limit(p, d, cap)
     if size > limit:
-        raise FieldTooLarge(FieldParams(p, m, n), limit)
+        raise FieldTooLarge(params, limit)
 
     modulus = _find_modulus(p, d)
     fact = factorize(size - 1) if size > 2 else ()

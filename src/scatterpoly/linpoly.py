@@ -1,9 +1,9 @@
-"""Linearized polynomials S(x) = sum a_i x^(q^(r_i)) and their index-shift transforms.
+"""Linearized polynomials S(x) = sum a_i x^(q^(r_i)): parsing, evaluation, rho transform.
 
 Terms are kept normalized: exponent indices reduced mod n, strictly increasing,
-no zero coefficients, never empty.  All transforms here are total wherever the
-algebra defines them; order-divisibility conditions on the coefficients are not
-preconditions but are checked (and reported) by :mod:`scatterpoly.criteria`.
+no zero coefficients, never empty.  The index-shift reduction, whose
+hypotheses are order-divisibility conditions on the coefficients, is
+:func:`scatterpoly.criteria.index_shift_reduction`.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .errors import (
     NeedsFieldAddition,
     ParseError,
     RhoInBaseField,
-    WouldBeZero,
     ZeroPolynomial,
 )
 from .field import FFElement, FieldCtx, FieldParams
@@ -203,30 +202,6 @@ def ratio_map(ctx: FieldCtx, s: LinearizedPolynomial, t: int, x: FFElement) -> F
     if x.is_zero:
         raise DivisionByZero("ratio map is undefined at zero")
     return ctx.mul(evaluate(ctx, s, x), ctx.inv(ctx.frobenius(x, t)))
-
-
-def shift_down(s: LinearizedPolynomial, t: int) -> LinearizedPolynomial:
-    """Lower every exponent index by t (requires t <= min exponent)."""
-    if t < 0:
-        raise ValueError("shift must be nonnegative")
-    if t > s.min_exponent:
-        raise IndexExceedsMinExponent(
-            f"shift {t} exceeds least exponent {s.min_exponent}")
-    return LinearizedPolynomial(tuple((r - t, a) for r, a in s.terms))
-
-
-def strip_min_term(s: LinearizedPolynomial) -> LinearizedPolynomial:
-    """Drop the least-exponent term; needs at least two terms."""
-    if s.k < 2:
-        raise WouldBeZero("stripping the only term leaves the zero polynomial")
-    return LinearizedPolynomial(s.terms[1:])
-
-
-def t_transform(s: LinearizedPolynomial) -> LinearizedPolynomial:
-    """a_1 x plus the remaining terms with exponents lowered by r_1."""
-    r1, a1 = s.terms[0]
-    terms = ((0, a1),) + tuple((r - r1, a) for r, a in s.terms[1:])
-    return LinearizedPolynomial(terms)
 
 
 def rho_transform(ctx: FieldCtx, s: LinearizedPolynomial, t: int,

@@ -260,6 +260,25 @@ def test_cap_env_override(capsys, monkeypatch):
     code, _, err = run(capsys, "field-info", "--p", "3", "--n", "5")
     assert code == 1
     assert err == "error: SCATTERPOLY_CAP must be an integer, got 'abc'\n"
+    # commands that never read the environment's cap are not broken by it
+    code, _, _ = run(capsys, "field-info", "--p", "3", "--n", "4", "--cap", "100")
+    assert code == 0
+    code, _, _ = run(capsys, "verify", "--suite", "lp")
+    assert code == 0
+
+
+def test_refused_field_is_sized_once(capsys, monkeypatch):
+    calls = []
+    init = FieldParams.__init__
+
+    def counting_init(self, *args):
+        calls.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(FieldParams, "__init__", counting_init)
+    code, _, _ = run(capsys, "check", "--p", "3", "--n", "30", "--poly", "1:g^0,3:g^0",
+                     "--index", "1", "--mode", "criteria")
+    assert code == 0 and calls == [(3, 1, 30)]
 
 
 def test_table_limit_beyond_any_cap(capsys, monkeypatch):

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from scatterpoly import (
@@ -7,6 +10,7 @@ from scatterpoly import (
     WouldBeZero,
     affine_binomial_criterion,
     binomial_criterion,
+    build_field,
     csajbok_family_check,
     exceptional_family_certificate,
     index_shift_reduction,
@@ -15,6 +19,7 @@ from scatterpoly import (
     normalize,
     parse_poly,
     pseudoregulus_criterion,
+    ratio_map,
     subfield_exponent_criterion,
 )
 from scatterpoly.criteria import applicable_criteria
@@ -140,6 +145,85 @@ def test_index_shift_reduction_soundness_spotcheck(f81):
                 continue
             assert (is_scattered_bruteforce(f81, s, t).scattered
                     == is_scattered_bruteforce(f81, reduced, idx).scattered)
+
+
+def test_index_shift_reduction_at_index_zero(f3125):
+    s = parse_poly(f3125, "3:g^0,4:g^0")
+    reduced, idx, _ = index_shift_reduction(f3125, s, 0)
+    assert (reduced, idx) == (s, 0)
+
+
+def test_index_shift_reduction_affine_tail(f81):
+    a1 = f81.element_from_dlog(5)
+    a2 = f81.element_from_dlog(9)
+    reduced, idx, _ = index_shift_reduction(f81, normalize(f81, [(1, a1), (3, a2)]), 2)
+    assert (reduced.terms, idx) == (((0, a1), (2, a2)), 1)
+    reduced, idx, _ = index_shift_reduction(f81, normalize(f81, [(2, a1)]), 3)
+    assert (reduced.terms, idx) == (((0, a1),), 1)
+
+
+def test_index_shift_reduction_evaluation_identity(f81):
+    # S(x)/x^(q^t) = S'(X)/X at X = x^(q^t) for t < r1, whatever the
+    # coefficients: gamma, of order 80, fails every hypothesis here
+    for coeffs in itertools.product((f81.one(), f81.minus_one(), f81.gamma), repeat=2):
+        s = normalize(f81, [(2, coeffs[0]), (3, coeffs[1])])
+        for t in (0, 1):
+            reduced, idx, _ = index_shift_reduction(f81, s, t)
+            assert idx == 0
+            for k in range(f81.order):
+                x = f81.element_from_dlog(k)
+                assert (ratio_map(f81, s, t, x)
+                        == ratio_map(f81, reduced, idx, f81.frobenius(x, t)))
+
+
+def test_index_shift_reduction_ratio_equivalence_at_r1(f81):
+    # a deciding pair for S at index r1 is one for the reduced tail at
+    # X = x^(q^r1), and back
+    s = normalize(f81, [(1, f81.gamma), (3, f81.one())])
+    r1 = s.min_exponent
+    reduced, idx, _ = index_shift_reduction(f81, s, r1)
+    points = [f81.element_from_dlog(a) for a in range(f81.order)]
+    lhs = [ratio_map(f81, s, r1, x) for x in points]
+    rhs = [ratio_map(f81, reduced, idx, f81.frobenius(x, r1)) for x in points]
+    for a, b in itertools.combinations(range(f81.order), 2):
+        assert (lhs[a] == lhs[b]) == (rhs[a] == rhs[b])
+
+
+@pytest.mark.parametrize("p,m,n", [(3, 1, 4), (3, 1, 5), (3, 1, 6), (5, 1, 3),
+                                   (5, 1, 4), (7, 1, 3), (3, 2, 3)])
+def test_index_shift_reduction_is_an_equivalence(p, m, n):
+    # the substitution X = x^(q^u) permutes the F_q-lines and the term dropped
+    # at r1 adds a constant to every ratio, so the verdict and the number of
+    # ratio values survive even where the paper's hypotheses fail
+    ctx = build_field(p, m, n)
+    rng = random.Random(f"{p},{m},{n}")
+    failing = 0
+    for _ in range(20):
+        exps = rng.sample(range(n), rng.randint(1, min(3, n)))
+        s = normalize(ctx, [(r, ctx.element_from_dlog(rng.randrange(ctx.order)))
+                            for r in exps])
+        for t in range(n):
+            try:
+                reduced, idx, verdict = index_shift_reduction(ctx, s, t)
+            except WouldBeZero:
+                continue
+            failing += not verdict.applicable
+            before = is_scattered_bruteforce(ctx, s, t)
+            after = is_scattered_bruteforce(ctx, reduced, idx)
+            assert ((before.scattered, before.distinct_ratio_values)
+                    == (after.scattered, after.distinct_ratio_values)), (str(s), t)
+    assert failing
+
+
+def test_index_shift_reduction_beyond_the_cap():
+    params = FieldParams(3, 1, 10000)
+    s = parse_poly(params, "9998:g^1,9999:g^2")
+    reduced, idx, verdict = index_shift_reduction(params, s, 9999)
+    assert (str(reduced), idx) == ("0:g^1,1:g^2", 1)
+    assert [h.detail for h in verdict.hypotheses] == [
+        "|a|=3^10000 - 1, bound=3^9998 - 1",
+        "|a|=(3^10000 - 1)/2, bound=3^9998 - 1"]
+    assert verdict.notes == ("affine tail (t > r1)",) and not verdict.applicable
 
 
 def test_lp_membership(f243):

@@ -11,7 +11,6 @@ from scatterpoly import (
     NeedsFieldAddition,
     ParseError,
     RhoInBaseField,
-    WouldBeZero,
     ZeroPolynomial,
     build_field,
     evaluate,
@@ -21,9 +20,6 @@ from scatterpoly import (
     parse_poly,
     ratio_map,
     rho_transform,
-    shift_down,
-    strip_min_term,
-    t_transform,
 )
 from scatterpoly.field import TABLE_LIMIT
 from scatterpoly.linpoly import LinearizedPolynomial, TermLogs
@@ -154,73 +150,6 @@ def test_ratio_map_homogeneous(f81):
                 assert ratio_map(f81, s, t, lam_x) == base
 
 
-def test_shift_down(f3125):
-    s = parse_poly(f3125, "3:g^0,4:g^0")
-    shifted = shift_down(s, 3)
-    assert shifted.exponents == (0, 1)
-    assert shift_down(s, 0) == s
-    with pytest.raises(IndexExceedsMinExponent):
-        shift_down(normalize(f3125, [(2, f3125.one())]), 3)
-
-
-def test_shift_down_evaluation_identity(f81):
-    # S(x)/x^(q^t) = S_t(X)/X at X = x^(q^t), given the coefficient orders
-    # divide q^t - 1
-    one = f81.one()
-    minus = f81.minus_one()
-    for coeffs in itertools.product((one, minus), repeat=2):
-        s = normalize(f81, [(2, coeffs[0]), (3, coeffs[1])])
-        for t in (1, 2):
-            if any((f81.q**t - 1) % f81.element_order(a) != 0
-                   for _, a in s.terms):
-                continue
-            shifted = shift_down(s, t)
-            for k in range(f81.order):
-                x = f81.element_from_dlog(k)
-                big_x = f81.frobenius(x, t)
-                lhs = ratio_map(f81, s, t, x)
-                rhs = ratio_map(f81, shifted, 0, big_x)
-                assert lhs == rhs
-
-
-def test_strip_min_term():
-    ctx = build_field(3, 1, 8)
-    s = parse_poly(ctx, "2:g^0,4:g^0,6:g^0")
-    assert strip_min_term(s).exponents == (4, 6)
-    with pytest.raises(WouldBeZero):
-        strip_min_term(parse_poly(ctx, "2:g^0"))
-
-
-def test_strip_min_term_ratio_equivalence(f81):
-    # a deciding pair for S at index r1 is one for the stripped tail and back
-    s = normalize(f81, [(1, f81.gamma), (3, f81.one())])
-    stripped = strip_min_term(s)
-    r1 = s.min_exponent
-    for a in range(f81.order):
-        for b in range(a + 1, f81.order):
-            y = f81.element_from_dlog(a)
-            z = f81.element_from_dlog(b)
-            lhs = ratio_map(f81, s, r1, y) == ratio_map(f81, s, r1, z)
-            rhs = (ratio_map(f81, stripped, r1, y)
-                   == ratio_map(f81, stripped, r1, z))
-            assert lhs == rhs
-
-
-def test_t_transform(f81, f243):
-    a1 = f81.element_from_dlog(5)
-    a2 = f81.element_from_dlog(9)
-    s = normalize(f81, [(1, a1), (3, a2)])
-    out = t_transform(s)
-    assert out.terms == ((0, a1), (2, a2))
-    # the exceptional family shape: x^q + d x^(q^3) -> x + d x^(q^2)
-    d = f243.minus_one()
-    fam = normalize(f243, [(1, f243.one()), (3, d)])
-    out = t_transform(fam)
-    assert out.terms == ((0, f243.one()), (2, d))
-    single = normalize(f81, [(2, a1)])
-    assert t_transform(single).terms == ((0, a1),)
-
-
 def test_rho_transform_single_term():
     ctx = build_field(3, 1, 4)
     g = ctx.gamma
@@ -236,6 +165,8 @@ def test_rho_transform_guards(f81):
         rho_transform(f81, s, 1, f81.element_from_coeffs([2]))
     with pytest.raises(RhoInBaseField):
         rho_transform(f81, s, 1, f81.zero())
+    with pytest.raises(IndexExceedsMinExponent):
+        rho_transform(f81, s, 3, f81.gamma)
     # at t = r1 the least term's coefficient vanishes
     rho = f81.gamma
     two_terms = normalize(f81, [(1, f81.one()), (2, f81.one())])
