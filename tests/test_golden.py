@@ -126,6 +126,17 @@ CASES = [
     ["scan", "--p", "4", "--n", "30", "--family", "custom", "--poly", "1:g^0"],
     ["check", "--p", "3", "--n", "5", "--cap", "100", "--poly", "1:g^0", "--index", "0"],
     ["field-info", "--p", "3", "--n", "5", "--cap", "100"],
+    # one-term scans, read off the ids' period: a scattered monomial over
+    # 797,161 points, a binomial at r1 with witness (g^0, g^15751), one at r2,
+    # and a constant ratio (period 1)
+    ["check", "--p", "3", "--n", "13", "--poly", "8:g^918316", "--index", "3",
+     "--output", "json"],
+    ["check", "--p", "5", "--n", "9", "--poly", "1:g^885242,4:g^488281", "--index", "1",
+     "--census", "--output", "json"],
+    ["check", "--p", "7", "--n", "7", "--poly", "2:g^267459,5:g^0", "--index", "2",
+     "--output", "csv"],
+    ["check", "--p", "3", "--n", "4", "--poly", "1:g^0", "--index", "1", "--census",
+     "--output", "json"],
 ]
 
 
