@@ -29,11 +29,12 @@ from .field import (
     DEFAULT_CAP,
     FieldCtx,
     FieldParams,
+    check_field_params,
     dlog_order,
     field_basis,
     modulus_text,
 )
-from .linpoly import parse_poly
+from .linpoly import parse_poly, parse_terms
 from .scatter import ScatterReport, is_exceptional_desk, is_scattered_bruteforce
 from .verify import SUITES, run_suites
 
@@ -153,12 +154,17 @@ def cmd_field_info(args) -> int:
 # requests: field, polynomial, CSV row
 
 
-def _field(args, capped: bool) -> FieldParams:
+def _field(args, texts, capped: bool) -> FieldParams:
     """The request's field: a FieldCtx, which builds its table only if read.
 
-    Beyond :func:`field.table_limit` the sizes come back alone, or a
-    ``capped`` request fails with FieldTooLarge.
+    What needs no size is checked first: the field parameters, then the
+    syntax of each polynomial text in ``texts``, so a malformed request
+    never waits for p^degree.  Beyond :func:`field.table_limit` the sizes
+    come back alone, or a ``capped`` request fails with FieldTooLarge.
     """
+    check_field_params(args.p, args.m, args.n)
+    for text in texts:
+        parse_terms(text)
     try:
         return field_basis(args.p, args.m, args.n, cap=args.cap)
     except FieldTooLarge as exc:
@@ -218,7 +224,7 @@ def build_check_envelope(args) -> tuple[dict, dict]:
     timing: dict[str, float] = {}
     t0 = time.perf_counter()
     oracle = args.mode in ("oracle", "both")
-    field = _field(args, capped=oracle or bool(m_list))
+    field = _field(args, [args.poly], capped=oracle or bool(m_list))
     poly = parse_poly(field, args.poly)
     terms, poly_norm = poly.dlog_terms(), str(poly)
     build_s = time.perf_counter() - t0
@@ -362,7 +368,7 @@ def _scan_family(args, params: FieldParams):
 
 
 def cmd_scan(args) -> int:
-    field = _field(args, capped=False)
+    field = _field(args, args.poly if args.family == "custom" else [], capped=False)
     texts, indices = _scan_family(args, field)
     rows = []
     for text in texts:

@@ -4,11 +4,11 @@ A polynomial S is scattered of index t when equal values of S(x)/x^(q^t) at
 distinct nonzero points force the points to be F_q-proportional.  The ratio is
 constant on F_q^*-classes, and the class of g^a contains exactly one discrete
 log below e = (q^n-1)/(q-1), so the scan walks the canonical representatives
-g^0 .. g^(e-1), computes each ratio in discrete logs, and groups equal
-values with one sort of their int32 ids.  Scattered means every group is a
-singleton.  Each term is divided by x^(q^t) on its own, so the terms sum to
-the ratio and no pass of its own computes it; a term's logs are an
-arithmetic progression along the representatives (:class:`TermLogs`).
+g^0 .. g^(e-1) and computes each ratio in discrete logs, as int32 ids.
+Scattered means no two ids are equal.  Each term is divided by x^(q^t) on
+its own, so the terms sum to the ratio and no pass of its own computes it; a
+term's logs are an arithmetic progression along the representatives
+(:class:`TermLogs`).
 
 The own-term rule: S's term at exponent t adds the constant a_t to every
 ratio, a bijection on ratio values, so the scan leaves it out (unless it is
@@ -20,10 +20,18 @@ at t in {r1, r2}, is scanned on discrete logs alone, and a field from
 One scan, :func:`_scan`, serves the oracle, the census and
 :func:`is_permutation`: it streams the representatives in chunks into one
 int32 array of ids, with no full-size int64 temporary and no ``%`` per
-point.  The representatives whose value is shared come in order from binary
-searches of the sorted ids (:func:`_shared_reps`): the witness is the first
-of them, and the census walks them lazily.  Nothing but the ids and their
-sorted copy is sized by the field's order.
+point.  The oracle groups equal ids in one of two ways:
+
+- one scanned term: its ids are a progression mod the group order, so
+  they repeat with a period, which one comparison pass with ids[0] reads
+  off (:func:`_period`); nothing is sorted;
+- two or more: one sort of the ids (:func:`_collisions`).  The
+  representatives whose value is shared then come in order from binary
+  searches of the sorted ids (:func:`_shared_reps`): the witness is the
+  first of them, and the census walks them lazily.
+
+Nothing but the ids, and for a sum their sorted copy, is sized by the
+field's order.
 """
 
 from __future__ import annotations
@@ -127,8 +135,25 @@ def _ratio_ids(ctx: FieldCtx, s: LinearizedPolynomial, t: int) -> np.ndarray:
     """
     if not 0 <= t < ctx.n:
         raise BadIndex(f"index {t} out of range 0..{ctx.n - 1}")
-    scanned = tuple(term for term in s.terms if term[0] != t) or s.terms
-    return _scan(ctx, LinearizedPolynomial(scanned), t)
+    return _scan(ctx, LinearizedPolynomial(_scanned_terms(s, t)), t)
+
+
+def _scanned_terms(s: LinearizedPolynomial, t: int) -> tuple:
+    """The terms :func:`_ratio_ids` scans: S's, without its term at t unless that is all of S."""
+    return tuple(term for term in s.terms if term[0] != t) or s.terms
+
+
+def _period(ids: np.ndarray) -> int:
+    """The first recurrence of one term's ratio ids, or ``ids.size`` if none.
+
+    One term's ids are c + a*d mod the group order, so ids[a] == ids[b]
+    exactly when ids[0] == ids[b - a]: the ids repeat with period P, the
+    least b > 0 with ids[b] == ids[0], and take P distinct values.
+    """
+    if ids.size < 2:
+        return ids.size
+    hit = 1 + int((ids[1:] == ids[0]).argmax())
+    return hit if ids[hit] == ids[0] else ids.size
 
 
 def _collisions(ids: np.ndarray) -> tuple[int, np.ndarray]:
@@ -190,22 +215,35 @@ def is_scattered_bruteforce(ctx: FieldCtx, s: LinearizedPolynomial, t: int,
                             jobs: int = 1, census: bool = False) -> ScatterReport:
     """Exhaustive decision of scatteredness of index t.
 
-    One ratio evaluation per projective point; one sort of the ratio ids finds
-    the shared values, and any shared value yields a witness.  The witness is
-    the first representative whose value is shared and the next one with that
-    value: no colliding pair is smaller.
+    One ratio evaluation per projective point.  The witness is the first
+    representative whose value is shared and the next one with that value:
+    no colliding pair is smaller.
+
+    A scan of one term (S has one term, or two with one at t) reads the
+    ids' period P (:func:`_period`).  P divides e, since a ratio is constant
+    on F_q^*-lines, so P < e leaves each of P values shared by e/P
+    representatives: the witness is (g^0, g^P), and the census is
+    (q-1)^2 e^2/P - (q-1) e.  A scan of more terms sorts the ids once
+    (:func:`_collisions`), and any shared value yields a witness.
 
     ``jobs`` is accepted and ignored: the scan is serial.  The keyword stays
     only because perfbench's ``jobs_probe`` still passes it.
     """
     e = ctx.subfield_index
     ids = _ratio_ids(ctx, s, t)
-    distinct, repeated = _collisions(ids)
-    pair_count = _equal_ratio_pairs(ctx, e, repeated) if census else None
+    if len(_scanned_terms(s, t)) == 1:
+        distinct = _period(ids)
+        w = ctx.q - 1
+        pair_count = w * w * (e * e // distinct) - w * e if census else None
+        witness = (0, distinct) if distinct < e else None
+    else:
+        distinct, repeated = _collisions(ids)
+        pair_count = _equal_ratio_pairs(ctx, e, repeated) if census else None
+        witness = _witness(ids, repeated) if repeated.size else None
 
-    if not repeated.size:
+    if witness is None:
         return ScatterReport(True, t, None, e, distinct, pair_count)
-    y, z = _witness(ids, repeated)
+    y, z = witness
     return ScatterReport(False, t, (ctx.element_from_dlog(y), ctx.element_from_dlog(z)),
                          e, distinct, pair_count)
 

@@ -281,6 +281,41 @@ def test_refused_field_is_sized_once(capsys, monkeypatch):
     assert code == 0 and calls == [(3, 1, 30)]
 
 
+def test_malformed_poly_is_refused_before_the_field_is_sized(capsys, monkeypatch):
+    # p^degree has 2.4 million digits here: a malformed text is answered
+    # without forming it, and errors that need no size still come first
+    calls = []
+    init = FieldParams.__init__
+
+    def counting_init(self, *args):
+        calls.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(FieldParams, "__init__", counting_init)
+    field = ("--p", "97", "--m", "40", "--n", "30000")
+    bad_term = "error: bad term ''; expected r:g^k or r:[c0,c1,...]\n"
+    for argv in (("check", *field, "--poly", "1:g^0,,2:g^1", "--index", "0",
+                  "--mode", "criteria"),
+                 ("scan", *field, "--family", "custom", "--poly", "1:g^0",
+                  "--poly", "1:g^0,,2:g^1")):
+        assert run(capsys, *argv) == (1, "", bad_term)
+    assert calls == []
+    # a malformed text over a field too large for a table exits 1, not 2
+    code, _, err = run(capsys, "check", "--p", "3", "--n", "30", "--poly", "1:oops",
+                       "--index", "0", "--mode", "both")
+    assert code == 1 and "bad coefficient 'oops'" in err
+    for argv, message in (
+            (("--p", "4", "--n", "30"), "4 is not prime"),
+            (("--p", "2", "--n", "30"), "p = 2 rejected"),
+            (("--p", "618970019642690137449562111", "--n", "1"), "618970019642690137449562111")):
+        code, _, err = run(capsys, "check", *argv, "--poly", "1:oops", "--index", "0")
+        assert code == 2 and message in err
+    code, _, err = run(capsys, "check", "--p", "3", "--m", "0", "--n", "5", "--poly", "1:oops",
+                       "--index", "0")
+    assert code == 1 and "m and n must be positive" in err
+    assert calls == []
+
+
 def test_table_limit_beyond_any_cap(capsys, monkeypatch):
     # F_3^21 is within this cap but above field.TABLE_LIMIT: requests that
     # need tables exit 2 before allocating any, criteria-only ones still answer

@@ -2,17 +2,20 @@
 
 numpy reports its array allocations to ``tracemalloc``, so the readings are
 deterministic.  On F_3^12, F_5^8 and F_1000003 the build peaks at 8.1-8.4
-bytes per element (the int32 log and Zech tables) and the oracle at 4.5-6.5
-(int32 ratio ids, their sorted copy and the repeated ids; while the scan
-runs, its chunk temporaries and 32 KiB of progressions per term add about 2
-to the ids).  An oracle that builds its own table peaks at 8.75, the
-build's peak, on F_3^12.  The bounds fail a build that also holds a full
-antilog array (14.4) or a Python int per element (48.7), an oracle that
-holds e-length int64 temporaries or counts over all q^n values (16.5-26.5),
-and an oracle that builds its table on top of its ids (11.9).  The census
-at its default limit peaks at 6.5 where every value is shared by four, the
-oracle's own peak; a census that keeps a shared mask and an argsort of the
-shared representatives peaks at 16.0 there.
+bytes per element (the int32 log and Zech tables).  An oracle over two or
+more terms peaks at 4.5-6.5 (int32 ratio ids, their sorted copy and the
+repeated ids; while the scan runs, its chunk temporaries and 32 KiB of
+progressions per term add about 2 to the ids).  A scan of one term sorts
+nothing: it holds the ids and one boolean comparison with ids[0], and peaks
+at 3.55 on F_3^12, census on or off.  An oracle that builds its own table
+peaks at 8.75, the build's peak, on F_3^12.  The bounds fail a build that
+also holds a full antilog array (14.4) or a Python int per element (48.7),
+an oracle that holds e-length int64 temporaries or counts over all q^n
+values (16.5-26.5), an oracle that builds its table on top of its ids
+(11.9), and a one-term oracle that sorts a copy of its ids (4.5-6.5).  The
+census at its default limit, which sorts the ids, peaks at 6.5 where every
+value is shared by four; a census that keeps a shared mask and an argsort
+of the shared representatives peaks at 16.0 there.
 """
 
 import tracemalloc
@@ -24,6 +27,7 @@ from scatterpoly import (
 
 BUILD_BOUND = 10.0
 ORACLE_BOUND = 9.0
+ONE_TERM_BOUND = 4.0
 
 
 def _traced(fn):
@@ -75,6 +79,20 @@ def test_oracle_peak(traced_f3_12, text, t, scattered, census):
     report, peak = _traced(lambda: is_scattered_bruteforce(ctx, s, t, census=census))
     assert report.scattered == scattered
     assert peak / ctx.size < ORACLE_BOUND
+
+
+@pytest.mark.parametrize("census", [False, True])
+@pytest.mark.parametrize("text,t,scattered", [
+    ("1:g^0", 0, True),                 # pseudoregulus: every value distinct
+    ("2:g^0", 0, False),                # every value shared by four
+    ("1:g^5,3:g^7", 1, False),          # a binomial at r1 scans one term
+])
+def test_one_term_oracle_peak(traced_f3_12, text, t, scattered, census):
+    ctx, _ = traced_f3_12
+    s = parse_poly(ctx, text)
+    report, peak = _traced(lambda: is_scattered_bruteforce(ctx, s, t, census=census))
+    assert report.scattered == scattered
+    assert peak / ctx.size < ONE_TERM_BOUND
 
 
 def test_census_peak(traced_f3_12):

@@ -23,7 +23,9 @@ from scatterpoly import (
     scattered_via_pp,
 )
 
-from scatterpoly.scatter import _CHUNK, _WITNESS_WINDOW, _collisions, _ratio_ids, _witness
+from scatterpoly import scatter
+from scatterpoly.scatter import (
+    _CHUNK, _WITNESS_WINDOW, _collisions, _equal_ratio_pairs, _ratio_ids, _witness)
 
 from naive_oracle import naive_deciding_pair_count, naive_is_scattered
 
@@ -575,3 +577,63 @@ def test_oracle_metamorphic():
                 got = is_scattered_bruteforce(ctx, poly(moved), u)
                 assert ((got.scattered, got.distinct_ratio_values)
                         == (report.scattered, report.distinct_ratio_values)), (terms, t, moved, u)
+
+
+def _sort_path(ctx, s, t):
+    """Scattered, distinct count, witness dlogs and census from one sort of the ids."""
+    e = ctx.subfield_index
+    ids = _ratio_ids(ctx, s, t)
+    distinct, repeated = _collisions(ids)
+    witness = _witness(ids, repeated) if repeated.size else None
+    return witness is None, distinct, witness, _equal_ratio_pairs(ctx, e, repeated)
+
+
+def _answer(report):
+    witness = report.witness and tuple(x.dlog for x in report.witness)
+    return (report.scattered, report.distinct_ratio_values, witness,
+            report.deciding_pair_count)
+
+
+def test_one_term_period_matches_sort_path(monkeypatch):
+    """One-term scans read their period; the sort of the ids must agree.
+
+    Monomials at every t, t = r among them (a constant ratio, period 1),
+    and binomials at their own exponents, with random coefficients.  F_5
+    has one representative; F_3^11 spans three scan chunks.  With
+    ``_collisions`` made to raise, every one-term oracle still answers alike
+    and a trinomial's still reaches it.
+    """
+    rng = random.Random(23)
+    instances = []
+    for p, m, n in ((5, 1, 1), (3, 1, 4), (3, 1, 5), (3, 1, 6), (3, 1, 7), (5, 1, 3),
+                    (5, 1, 4), (5, 1, 5), (7, 1, 3), (3, 2, 3), (3, 1, 11)):
+        ctx = build_field(p, m, n)
+
+        def coeff():
+            return ctx.element_from_dlog(rng.randrange(ctx.order))
+
+        for t in range(n):
+            for r in {t, rng.randrange(n)}:
+                instances.append((ctx, normalize(ctx, [(r, coeff())]), t))
+        for _ in range(2 if n > 1 else 0):
+            r1, r2 = sorted(rng.sample(range(n), 2))
+            s = normalize(ctx, [(r1, coeff()), (r2, coeff())])
+            instances += [(ctx, s, r1), (ctx, s, r2)]
+    answers = [_answer(is_scattered_bruteforce(ctx, s, t, census=True))
+               for ctx, s, t in instances]
+    kinds = set()
+    for (ctx, s, t), answer in zip(instances, answers):
+        assert answer == _sort_path(ctx, s, t), (str(s), t)
+        scattered, distinct = answer[:2]
+        assert ctx.subfield_index % distinct == 0
+        kinds.add("scattered" if scattered else "constant" if distinct == 1 else "periodic")
+    assert kinds == {"scattered", "constant", "periodic"}
+
+    def refuse(ids):
+        raise AssertionError("a one-term scan sorted its ids")
+    monkeypatch.setattr(scatter, "_collisions", refuse)
+    assert [_answer(is_scattered_bruteforce(ctx, s, t, census=True))
+            for ctx, s, t in instances] == answers
+    ctx = instances[-1][0]
+    with pytest.raises(AssertionError, match="sorted"):
+        is_scattered_bruteforce(ctx, parse_poly(ctx, "0:g^1,1:g^0,2:g^5"), 1)
