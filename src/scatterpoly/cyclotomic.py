@@ -25,7 +25,7 @@ class CoefficientTable:
     """S = x^(q^(r1)) * f(x^(s*q^(r1))) and f's value A_i on each coset C_i.
 
     ``f_terms`` holds f's (exponent, coefficient) pairs, and ``A`` the
-    discrete logs of the A_i as int64, -1 where A_i = 0, for i < l.
+    discrete logs of the A_i as int32, -1 where A_i = 0, for i < l.
     """
 
     r1: int
@@ -55,7 +55,8 @@ def coefficient_table(ctx: FieldCtx, s_poly: LinearizedPolynomial) -> Coefficien
     l = ctx.order // s
     step = s * pow(ctx.q, r1, ctx.order) % ctx.order
     base = np.arange(l, dtype=np.int64) * step % ctx.order
-    A = _log_sum(ctx, ((c.dlog + e * base) % ctx.order for e, c in f_terms))
+    A = _log_sum(ctx, (((c.dlog + e * base) % ctx.order).astype(np.uint32)
+                       for e, c in f_terms))
     return CoefficientTable(r1=r1, s=s, l=l, A=A, f_terms=f_terms)
 
 

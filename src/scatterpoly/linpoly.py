@@ -4,6 +4,13 @@ Terms are kept normalized: exponent indices reduced mod n, strictly increasing,
 no zero coefficients, never empty.  The index-shift reduction, whose
 hypotheses are order-divisibility conditions on the coefficients, is
 :func:`scatterpoly.criteria.index_shift_reduction`.
+
+The bulk kernel, :func:`evaluate_many`, works on discrete logs: each term's
+logs along the points are residues mod the group order, uint32 because the
+order is below 2^31, and :func:`_log_sum` adds the terms through the Zech
+table in uint32, where a sum of two residues still fits.  Its result is the
+int32 view, -1 for zero.  A whole scan reads the terms' logs off
+:class:`TermLogs` progressions, with no ``%`` per point.
 """
 
 from __future__ import annotations
@@ -73,56 +80,68 @@ def evaluate(ctx: FieldCtx, s: LinearizedPolynomial, x: FFElement) -> FFElement:
     return acc
 
 
-def _wrap(v: np.ndarray, order: int) -> np.ndarray:
-    """Reduce int64 ``v`` in 0 .. 2*order-1 mod ``order``, in place.
+# the uint32 that stands for a zero sum: -1 in the int32 view
+_ZERO = np.uint32(0xFFFFFFFF)
 
-    min(v, v - order) on the uint64 view: v - order wraps above v exactly
-    when v < order.  Unlike a masked subtraction it has no branch to
-    mispredict on the random-looking values of a scan.
+
+def _wrap(v: np.ndarray, order: int) -> np.ndarray:
+    """Reduce uint32 ``v`` in 0 .. 2*order-1 mod ``order``, in place.
+
+    min(v, v - order): v - order wraps above v exactly when v < order.
+    Unlike a masked subtraction it has no branch to mispredict on the
+    random-looking values of a scan.
     """
-    u = v.view(np.uint64)
-    np.minimum(u, u - order, out=u)
+    np.minimum(v, v - order, out=v)
     return v
 
 
 def _log_sum(ctx: FieldCtx, logs) -> np.ndarray:
-    """Discrete logs of the elementwise sums of g^v over the arrays v in ``logs``.
+    """int32 discrete logs of the elementwise sums of g^v over the arrays v in ``logs``.
 
     -1 marks a zero sum.  The terms themselves must be nonzero, with logs in
-    0 .. order-1, and each array is the sum's own: it is overwritten.
-    Addition stays in the log domain: g^u + g^v = g^(u + zech[v - u]), one
-    gather per point and term; a sum of two or more arrays reads the Zech
-    table, and so builds it if it is missing.
+    0 .. order-1 as uint32, and each array is the sum's own: it is
+    overwritten, and the result is the first array's int32 view.  Addition
+    stays in the log domain: g^u + g^v = g^(u + zech[v - u]), one gather per
+    point and term; a sum of two or more arrays reads the Zech table, and so
+    builds it if it is missing.
 
-    No ``%`` runs, which costs several times more on operands of mixed sign.
-    ``v - u`` lies in -order+1 .. order-1, and numpy reads a negative index
-    from the end of the table, which is the wrap mod the order.  ``u +
-    zech[.]`` stays below 2 * order, so :func:`_wrap` reduces it.  Every step
-    writes into the two term arrays, so a sum of any length allocates only
-    the int32 gather, two masks and the wrap's temporary.
+    No ``%`` runs, and every step fits uint32, because every value is below
+    the order, which is below ``TABLE_LIMIT = 2^31``.  ``v - u`` wraps mod
+    2^32, and min(d, d + order) makes it (v - u) mod order, an index in
+    range, which ``take`` reads with no bounds check (``mode="clip"``),
+    faster than fancy indexing on a large table.  ``u + zech[.]`` stays
+    below 2 * order < 2^32, so :func:`_wrap` reduces it.  A zero sum is
+    ``_ZERO``, all ones, which is -1 in the int32 view; where the sums are
+    zero is read off the gather (zech = -1), and a term is never zero, so
+    no pass compares a sum with ``_ZERO``.  Every step writes into the two
+    term arrays, so a sum of any length allocates only the int32 gather,
+    the masks and two temporaries of the wraps.
     """
     order = ctx.order
-    acc = None
+    acc = zero = None  # zero: where the sum is zero, once it has two terms
     for v in logs:
         if acc is None:
             acc = v
             continue
-        zero = acc < 0
-        any_zero = zero.any()
+        any_zero = zero is not None and np.count_nonzero(zero)
         if any_zero:
             v_at_zero = v[zero]  # a zero sum so far: its total is v
         diff = np.subtract(v, acc, out=v)
+        np.minimum(diff, diff + order, out=diff)
         if any_zero:
             diff[zero] = 0
-        z = ctx._zech[diff]
+        z = ctx._zech.take(diff, mode="clip")
         del v, diff  # freed before the wrap allocates
-        acc += z
+        acc += z.view(np.uint32)
         _wrap(acc, order)
-        acc[z < 0] = -1
+        summed_zero = z < 0
+        del z
+        acc[summed_zero] = _ZERO
         if any_zero:
             acc[zero] = v_at_zero
-        del z
-    return acc
+            summed_zero[zero] = False
+        zero = summed_zero
+    return acc.view(np.int32)
 
 
 # the length of the progressions TermLogs keeps per term: a run of points is
@@ -137,15 +156,17 @@ class TermLogs:
     is an arithmetic progression in a.  Each term keeps the multiples j * d_i mod
     order for j < ``_BLOCK`` and the block steps b * _BLOCK * d_i mod order
     for the blocks of a run of ``run`` points, the longest run a scan asks
-    for.  A run a = start .. start+count-1 then costs, per term, the Python
-    int (c_i + start * d_i) mod order added to the block steps, the block
-    offsets added to the multiples in one broadcast, and one :func:`_wrap`
-    of each sum.  A term keeps 32 KiB whatever the run.
+    for, both as uint32.  A run a = start .. start+count-1 then costs, per
+    term, the Python int (c_i + start * d_i) mod order added to the block
+    steps, the block offsets added to the multiples in one broadcast (and
+    one more add for a partial last block), and one :func:`_wrap` of each
+    sum.  A term keeps 16 KiB whatever the run.
 
-    Overflow bounds, all in int64 and with order < ``TABLE_LIMIT = 2^31``:
-    j * d_i < 2^12 * 2^31 and b * (_BLOCK * d_i mod order) < run * 2^31 /
-    2^12; a block offset or a point's log before :func:`_wrap` is a sum of
-    two residues, below 2 * order <= 2^32.
+    Integer bounds, with order < ``TABLE_LIMIT = 2^31``: the multiples and
+    block steps are formed once in int64, where j * d_i < 2^12 * 2^31 and
+    b * (_BLOCK * d_i mod order) < run * 2^31 / 2^12; everything per point
+    runs in uint32, where a block offset or a point's log before
+    :func:`_wrap` is a sum of two residues, below 2 * order < 2^32.
     """
 
     def __init__(self, ctx: FieldCtx, s: LinearizedPolynomial,
@@ -156,45 +177,58 @@ class TermLogs:
         self.steps = [(coeff.dlog, (pow(q, r, order) - shift) % order) for r, coeff in s.terms]
         j = np.arange(_BLOCK, dtype=np.int64)
         b = np.arange(-(-run // _BLOCK), dtype=np.int64)
-        self.multiples = [j * d % order for _, d in self.steps]
-        self.block_steps = [b * (_BLOCK * d % order) % order for _, d in self.steps]
+        self.multiples = [(j * d % order).astype(np.uint32) for _, d in self.steps]
+        self.block_steps = [(b * (_BLOCK * d % order) % order).astype(np.uint32)
+                            for _, d in self.steps]
 
-    def at(self, dlogs: np.ndarray):
-        """Each term's logs at ``dlogs``, in 0 .. order-1, one fresh array per term.
+    def at(self, dlogs: np.ndarray, out: np.ndarray | None = None):
+        """Each term's uint32 logs at ``dlogs``, in 0 .. order-1, one array per term.
 
         ``dlogs`` must be consecutive, dlogs[0] .. dlogs[0] + len - 1, and
-        at most ``run`` long.  No array stays bound here once yielded, so
-        the consumer alone decides how many are alive.
+        at most ``run`` long; only its first point and its length are read.
+        The first term's logs go into ``out`` when it is given, a uint32
+        array of the same length, and every other array is fresh.  No array
+        stays bound here once yielded, so the consumer alone decides how
+        many are alive.
         """
         order = self.order
         start, count = int(dlogs[0]), dlogs.size
-        blocks = -(-count // _BLOCK)
+        blocks, full = -(-count // _BLOCK), count // _BLOCK  # all and whole ones
         for (c, d), multiples, block_steps in zip(self.steps, self.multiples,
                                                   self.block_steps):
-            offsets = _wrap(block_steps[:blocks, None] + (c + start * d) % order, order)
-            yield _wrap((offsets + multiples).reshape(-1)[:count], order)
+            offsets = _wrap(block_steps[:blocks] + (c + start * d) % order, order)
+            logs = np.empty(count, dtype=np.uint32) if out is None else out
+            np.add(offsets[:full, None], multiples,
+                   out=logs[:full * _BLOCK].reshape(full, _BLOCK))
+            # the partial last block, if any; empty when count is whole blocks
+            np.add(offsets[-1], multiples[:count - full * _BLOCK], out=logs[full * _BLOCK:])
+            out = None
+            yield _wrap(logs, order)
 
 
 def evaluate_many(ctx: FieldCtx, s: LinearizedPolynomial, dlogs: np.ndarray, *,
-                  index: int | None = None, terms: TermLogs | None = None) -> np.ndarray:
-    """Discrete logs of S(g^a) for a whole vector of discrete logs a; -1 for 0.
+                  index: int | None = None, terms: TermLogs | None = None,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """int32 discrete logs of S(g^a) for a whole vector of discrete logs a; -1 for 0.
 
     The bulk path behind the exhaustive scans: term i at g^a is g^(c_i + a *
     d_i) with c_i = dlog(a_i) and d_i = q^(r_i) mod order, and the terms are
     summed with :func:`_log_sum`.  With ``index=t`` every term is divided by
     (g^a)^(q^t), so d_i = q^(r_i) - q^t mod order and the sum is the log of
     the ratio S(g^a)/(g^a)^(q^t).  Each term takes one ``%`` pass over
-    ``dlogs``, unless a scan passes ``terms``, the :class:`TermLogs` of (ctx,
-    s, index) that it built once, with consecutive ``dlogs``.  A monomial
-    adds nothing, so it never reads the Zech table.  On the ``%`` path a *
-    d_i + c_i < 2^31 * 2^31 + 2^31 fits int64.
+    ``dlogs``, in int64, where a * d_i + c_i < 2^31 * 2^31 + 2^31 fits, and
+    its residues go to uint32; a scan passes ``terms`` instead, the
+    :class:`TermLogs` of (ctx, s, index) that it built once, with
+    consecutive ``dlogs``, and may pass ``out`` with it, a uint32 array of
+    ``dlogs.size`` that the sum is built in: the result is then its int32
+    view.  A monomial adds nothing, so it never reads the Zech table.
     """
     if terms is not None:
-        return _log_sum(ctx, terms.at(dlogs))
+        return _log_sum(ctx, terms.at(dlogs, out))
     q, order = ctx.q, ctx.order
     shift = 0 if index is None else pow(q, index, order)
-    return _log_sum(ctx, ((coeff.dlog + dlogs * ((pow(q, r, order) - shift) % order)) % order
-                          for r, coeff in s.terms))
+    return _log_sum(ctx, (((coeff.dlog + dlogs * ((pow(q, r, order) - shift) % order))
+                           % order).astype(np.uint32) for r, coeff in s.terms))
 
 
 def ratio_map(ctx: FieldCtx, s: LinearizedPolynomial, t: int, x: FFElement) -> FFElement:

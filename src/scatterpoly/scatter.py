@@ -19,12 +19,16 @@ at t in {r1, r2}, is scanned on discrete logs alone, and a field from
 
 One scan, :func:`_scan`, serves the oracle, the census and
 :func:`is_permutation`: it streams the representatives in chunks into one
-int32 array of ids, with no full-size int64 temporary and no ``%`` per
-point.  The oracle groups equal ids in one of two ways:
+int32 array of ids, with no full-size temporary and no ``%`` per point.
+Each chunk is built in place, in uint32: every residue is below the order,
+which is below 2^31, so a sum of two fits 32 bits, and the int32 view of the
+result is the ids, -1 for zero.  The oracle and :func:`deciding_pairs` group
+equal ids in one of two ways:
 
 - one scanned term: its ids are a progression mod the group order, so
   they repeat with a period, which one comparison pass with ids[0] reads
-  off (:func:`_period`); nothing is sorted;
+  off (:func:`_period`); nothing is sorted, and the census's groups are
+  the residues mod the period;
 - two or more: one sort of the ids (:func:`_collisions`).  The
   representatives whose value is shared then come in order from binary
   searches of the sorted ids (:func:`_shared_reps`): the witness is the
@@ -46,6 +50,9 @@ from .field import DEFAULT_CAP, FFElement, FieldCtx, field_basis
 from .linpoly import LinearizedPolynomial, TermLogs, evaluate_many, rho_transform
 
 _CHUNK = 1 << 15
+# the representatives of a scan of one chunk, shared by every such scan
+_POINTS = np.arange(_CHUNK, dtype=np.int64)
+_POINTS.flags.writeable = False
 # the representatives in the witness search's first window; each next window
 # is twice as long, up to a chunk
 _WITNESS_WINDOW = 64
@@ -105,7 +112,10 @@ def _scan(ctx: FieldCtx, s: LinearizedPolynomial, index: int | None) -> np.ndarr
     ``index``, and -1 where that is zero, as in :func:`evaluate_many`.
     Up to one chunk each term takes a single ``%`` pass, which costs a desk
     scan less than progressions; beyond, chunks of ``_CHUNK`` read one
-    :class:`TermLogs`, so no temporary spans the whole range.  A sum of two
+    :class:`TermLogs` and are summed in place, in the ids' uint32 view, so
+    no temporary spans the whole range.  One array of points is shifted
+    from chunk to chunk, since the progressions read only where a chunk
+    starts and how long it is.  A sum of two
     or more terms reads the Zech table here first, so a missing table is
     built, and its temporaries freed, before the ids exist: built inside the
     first chunk, it would peak on top of them, at about 12 bytes per field
@@ -115,13 +125,15 @@ def _scan(ctx: FieldCtx, s: LinearizedPolynomial, index: int | None) -> np.ndarr
         ctx._zech
     e = ctx.subfield_index
     if e <= _CHUNK:
-        return evaluate_many(ctx, s, np.arange(e, dtype=np.int64), index=index).astype(np.int32)
+        return evaluate_many(ctx, s, _POINTS[:e], index=index)
     terms = TermLogs(ctx, s, index, run=_CHUNK)
     ids = np.empty(e, dtype=np.int32)
+    points = np.arange(_CHUNK, dtype=np.int32)  # each chunk's points, in turn
     for start in range(0, e, _CHUNK):
-        stop = min(start + _CHUNK, e)
-        ids[start:stop] = evaluate_many(ctx, s, np.arange(start, stop, dtype=np.int64),
-                                        index=index, terms=terms)
+        dlogs = points[:e - start]
+        evaluate_many(ctx, s, dlogs, index=index, terms=terms,
+                      out=ids[start:start + dlogs.size].view(np.uint32))
+        points += _CHUNK
     return ids
 
 
@@ -211,6 +223,13 @@ def _equal_ratio_pairs(ctx: FieldCtx, e: int, repeated: np.ndarray) -> int:
     return w * w * square_sum - w * e
 
 
+def _period_pairs(ctx: FieldCtx, e: int, period: int) -> int:
+    """:func:`_equal_ratio_pairs` of one term's ids: each of ``period`` values
+    is shared by e/period representatives, so sum(c^2) = e^2/period."""
+    w = ctx.q - 1
+    return w * w * (e * e // period) - w * e
+
+
 def is_scattered_bruteforce(ctx: FieldCtx, s: LinearizedPolynomial, t: int,
                             jobs: int = 1, census: bool = False) -> ScatterReport:
     """Exhaustive decision of scatteredness of index t.
@@ -233,8 +252,7 @@ def is_scattered_bruteforce(ctx: FieldCtx, s: LinearizedPolynomial, t: int,
     ids = _ratio_ids(ctx, s, t)
     if len(_scanned_terms(s, t)) == 1:
         distinct = _period(ids)
-        w = ctx.q - 1
-        pair_count = w * w * (e * e // distinct) - w * e if census else None
+        pair_count = _period_pairs(ctx, e, distinct) if census else None
         witness = (0, distinct) if distinct < e else None
     else:
         distinct, repeated = _collisions(ids)
@@ -248,44 +266,59 @@ def is_scattered_bruteforce(ctx: FieldCtx, s: LinearizedPolynomial, t: int,
                          e, distinct, pair_count)
 
 
+def _value_groups(ctx: FieldCtx, ids: np.ndarray, repeated: np.ndarray):
+    """The points of each ratio value as sorted dlogs, values in order of their smallest.
+
+    The points of a representative y are y + i*e for i < q - 1.  A shared
+    value's representatives are read by one pass over the ids from its
+    first one, when the walk reaches it.
+    """
+    e, w = ids.size, ctx.q - 1
+    shared = _shared_reps(ids, repeated)
+    next_shared = next(shared, e)
+    heads = set()  # the values whose group is already out
+    for y in range(e):
+        reps = (y,)
+        if y == next_shared:
+            next_shared = next(shared, e)
+            value = int(ids[y])
+            if value in heads:
+                continue
+            heads.add(value)
+            reps = y + np.flatnonzero(ids[y:] == value)
+        yield sorted(int(rep) + i * e for rep in reps for i in range(w))
+
+
 def deciding_pairs(ctx: FieldCtx, s: LinearizedPolynomial, t: int,
                    limit: int | None = 64) -> DecidingPairCensus:
     """Census of pairs with equal ratio values, with capped enumeration.
 
-    Enumeration walks value groups by their smallest representative and lists
-    ordered pairs (y, z) of distinct members in lexicographic dlog order.  Only
-    the groups that hold the first ``limit`` pairs are built, a shared value's
-    by one pass over the ids from its first representative.
+    Enumeration walks value groups by their smallest point and lists ordered
+    pairs (y, z) of distinct members in lexicographic dlog order.  Only the
+    groups that hold the first ``limit`` pairs are built.  A scan of one
+    term, whose ids repeat with period P (:func:`_period`), sorts nothing:
+    P divides e, so the points y + kP + ie (k < e/P, i < q - 1) of
+    representative y < P are the range y, y + P, y + 2P, ... below the
+    order, built lazily.  The ids of more terms are sorted once
+    (:func:`_value_groups`).
     """
     ids = _ratio_ids(ctx, s, t)
-    _, repeated = _collisions(ids)
     e = ctx.subfield_index
-    q = ctx.q
-    equal_ratio = _equal_ratio_pairs(ctx, e, repeated)
-    collinear = ctx.order * (q - 2)
+    if len(_scanned_terms(s, t)) == 1:
+        period = _period(ids)
+        equal_ratio = _period_pairs(ctx, e, period)
+        groups = (range(y, ctx.order, period) for y in range(period))
+    else:
+        _, repeated = _collisions(ids)
+        equal_ratio = _equal_ratio_pairs(ctx, e, repeated)
+        groups = _value_groups(ctx, ids, repeated)
 
-    def ordered_pairs():
-        # value groups in order of their smallest representative
-        shared = _shared_reps(ids, repeated)
-        next_shared = next(shared, e)
-        heads = set()  # the values whose group is already out
-        for y in range(e):
-            reps = (y,)
-            if y == next_shared:
-                next_shared = next(shared, e)
-                value = int(ids[y])
-                if value in heads:
-                    continue
-                heads.add(value)
-                reps = y + np.flatnonzero(ids[y:] == value)
-            members = sorted(int(rep) + i * e for rep in reps for i in range(q - 1))
-            yield from ((a, b) for a in members for b in members if a != b)
-
+    ordered_pairs = ((a, b) for members in groups for a in members for b in members if a != b)
     wanted = equal_ratio if limit is None else max(0, min(limit, equal_ratio))
     pairs = tuple((ctx.element_from_dlog(y), ctx.element_from_dlog(z))
-                  for y, z in itertools.islice(ordered_pairs(), wanted))
+                  for y, z in itertools.islice(ordered_pairs, wanted))
     truncated = limit is not None and 0 < limit < equal_ratio
-    return DecidingPairCensus(t, equal_ratio, collinear, pairs, truncated)
+    return DecidingPairCensus(t, equal_ratio, ctx.order * (ctx.q - 2), pairs, truncated)
 
 
 def is_permutation(ctx: FieldCtx, poly: LinearizedPolynomial) -> bool:

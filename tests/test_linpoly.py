@@ -1,5 +1,7 @@
 import itertools
 import re
+import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,13 +18,15 @@ from scatterpoly import (
     evaluate,
     evaluate_many,
     field_basis,
+    is_scattered_bruteforce,
     normalize,
     parse_poly,
     ratio_map,
     rho_transform,
 )
 from scatterpoly.field import TABLE_LIMIT
-from scatterpoly.linpoly import LinearizedPolynomial, TermLogs
+from scatterpoly.linpoly import LinearizedPolynomial, TermLogs, _log_sum, _wrap
+from scatterpoly.scatter import _CHUNK, _ratio_ids, _scanned_terms
 
 from naive_oracle import naive_evaluate
 
@@ -111,13 +115,100 @@ def test_term_logs_near_the_table_limit():
             points = np.arange(start, start + count, dtype=object)
             for (r, coeff), logs in zip(s.terms, terms.at(dlogs)):
                 want = (coeff.dlog + points * (3**r - shift)) % order
-                assert logs.dtype == np.int64
+                assert logs.dtype == np.uint32
                 assert logs.tolist() == want.tolist(), (index, start, r)
             # a monomial adds nothing, so the basis evaluates it
             monomial = LinearizedPolynomial(s.terms[2:])
             got = evaluate_many(basis, monomial, dlogs, index=index,
                                 terms=TermLogs(basis, monomial, index, run=run))
             assert got.tolist() == ((e + 3 + points * (3**18 - shift)) % order).tolist()
+
+
+def test_one_term_scans_at_the_uint32_limit():
+    """Ratio ids of one scanned term where every sum of two residues nears 2^32.
+
+    F_46337^2 has order 2147117568, just under TABLE_LIMIT = 2^31, and e =
+    46338 representatives, two scan chunks.  With coefficients g^(order-1)
+    and g^(order-2) every id is checked against the Python int (c + a*d)
+    mod order, and the oracle, at t = 0 and t = 1, builds no table (it would
+    take 8 GB): a one-term scan reads discrete logs alone.
+    """
+    basis = field_basis(46337, 1, 2, cap=2**31)
+    order, e, q = basis.order, basis.subfield_index, basis.q
+    assert order == 2147117568 and order + 1 < TABLE_LIMIT
+    assert e == 46338 and _CHUNK < e < 2 * _CHUNK
+    for text, t in ((f"1:g^{order - 1}", 0), (f"0:g^{order - 2}", 1),
+                    (f"0:g^{order - 1},1:g^{order - 2}", 1)):
+        s = parse_poly(basis, text)
+        (r, coeff), = _scanned_terms(s, t)
+        d = (q**r - q**t) % order
+        want = [(coeff.dlog + a * d) % order for a in range(e)]
+        assert _ratio_ids(basis, s, t).tolist() == want, text
+        start = time.perf_counter()
+        report = is_scattered_bruteforce(basis, s, t, census=True)
+        assert time.perf_counter() - start < 1.0
+        period = next((a for a in range(1, e) if want[a] == want[0]), e)
+        assert (report.scattered, report.distinct_ratio_values) == (period == e, period)
+    assert "_zech" not in vars(basis)
+
+
+class _SyntheticZech:
+    """A Zech table of any order without its memory: zech[k] = order - 1 - k,
+    and -1 (a zero sum) at k = 1.  It answers numpy's ``take`` with
+    ``mode="clip"`` and fancy indexing, negative indices read from the end."""
+
+    def __init__(self, order):
+        self.order = order
+
+    def value(self, k: int) -> int:
+        return -1 if k == 1 else self.order - 1 - k
+
+    def take(self, index, mode):
+        assert mode == "clip"
+        return np.array([self.value(min(max(int(k), 0), self.order - 1)) for k in index],
+                        dtype=np.int32)
+
+    def __getitem__(self, index):
+        return np.array([self.value(int(k) % self.order) for k in index], dtype=np.int32)
+
+
+def test_zech_sums_wrap_at_the_uint32_limit():
+    """:func:`_log_sum` on uint32 residues 0, 1, order - 2 and order - 1.
+
+    With the order of F_46337^2, u + zech[v - u] reaches 2 * order - 2, a
+    hair under 2^32.  Every two- and three-term sum of those residues is
+    checked against Python ints, zero sums (-1) and sums after a zero among
+    them.
+    """
+    order = 2147117568
+    ctx = SimpleNamespace(order=order, _zech=_SyntheticZech(order))
+    zech = ctx._zech.value
+    residues = (0, 1, order - 2, order - 1)
+    assert _wrap(np.array([0, order - 1, order, 2 * order - 2, 2 * order - 1],
+                          dtype=np.uint32), order).tolist() == [0, order - 1, 0, order - 2,
+                                                                 order - 1]
+
+    def reference(terms):
+        acc = terms[0]
+        for v in terms[1:]:
+            if acc is None:
+                acc = v
+                continue
+            z = zech((v - acc) % order)
+            acc = None if z < 0 else (acc + z) % order
+        return -1 if acc is None else acc
+
+    for k in (2, 3):
+        combos = list(itertools.product(residues, repeat=k))
+        want = [reference(terms) for terms in combos]
+        arrays = [np.array(column, dtype=np.uint32) for column in zip(*combos)]
+        got = _log_sum(ctx, iter(arrays))
+        assert got.dtype == np.int32 and got.tolist() == want
+        # order - 2 is (order - 1) + zech[0] = 2 * order - 2, wrapped
+        assert -1 in want and order - 2 in want
+        if k == 3:
+            assert any(reference(terms[:2]) == -1 and reference(terms) >= 0
+                       for terms in combos)
 
 
 def test_evaluate_additive(f27):

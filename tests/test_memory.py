@@ -4,18 +4,20 @@ numpy reports its array allocations to ``tracemalloc``, so the readings are
 deterministic.  On F_3^12, F_5^8 and F_1000003 the build peaks at 8.1-8.4
 bytes per element (the int32 log and Zech tables).  An oracle over two or
 more terms peaks at 4.5-6.5 (int32 ratio ids, their sorted copy and the
-repeated ids; while the scan runs, its chunk temporaries and 32 KiB of
-progressions per term add about 2 to the ids).  A scan of one term sorts
-nothing: it holds the ids and one boolean comparison with ids[0], and peaks
-at 3.55 on F_3^12, census on or off.  An oracle that builds its own table
-peaks at 8.75, the build's peak, on F_3^12.  The bounds fail a build that
-also holds a full antilog array (14.4) or a Python int per element (48.7),
-an oracle that holds e-length int64 temporaries or counts over all q^n
-values (16.5-26.5), an oracle that builds its table on top of its ids
-(11.9), and a one-term oracle that sorts a copy of its ids (4.5-6.5).  The
-census at its default limit, which sorts the ids, peaks at 6.5 where every
-value is shared by four; a census that keeps a shared mask and an argsort
-of the shared representatives peaks at 16.0 there.
+repeated ids; while the scan runs, its chunk temporaries and 16 KiB of
+uint32 progressions per term add about 2 to the ids).  A scan of one term
+sorts nothing: it holds the ids, built in place, and one boolean
+comparison with ids[0].  Its oracle, census on or off, and its census of
+deciding pairs, whose groups are residues mod the period, peak at 2.53 on
+F_3^12.  An oracle that builds its own table peaks at 8.75, the build's
+peak, on F_3^12.  The bounds fail a build that also holds a full antilog
+array (14.4) or a Python int per element (48.7), an oracle that holds
+e-length int64 temporaries or counts over all q^n values (16.5-26.5), an
+oracle that builds its table on top of its ids (11.9), and a one-term
+oracle or census that sorts a copy of its ids (4.5-6.5).  A census that
+sorts the ids peaks at 6.5 at its default limit where every value is
+shared by four; one that keeps a shared mask and an argsort of the shared
+representatives peaks at 16.0 there.
 """
 
 import tracemalloc
@@ -92,6 +94,20 @@ def test_one_term_oracle_peak(traced_f3_12, text, t, scattered, census):
     s = parse_poly(ctx, text)
     report, peak = _traced(lambda: is_scattered_bruteforce(ctx, s, t, census=census))
     assert report.scattered == scattered
+    assert peak / ctx.size < ONE_TERM_BOUND
+
+
+@pytest.mark.parametrize("text,t", [
+    ("1:g^0", 0),                       # every value distinct
+    ("2:g^0", 0),                       # every value shared by four
+    ("1:g^5,3:g^7", 1),                 # a binomial at r1 scans one term
+])
+def test_one_term_census_peak(traced_f3_12, text, t):
+    # one term's census reads its groups off the period: nothing is sorted
+    ctx, _ = traced_f3_12
+    s = parse_poly(ctx, text)
+    census, peak = _traced(lambda: deciding_pairs(ctx, s, t))
+    assert len(census.pairs) == 64 and census.truncated
     assert peak / ctx.size < ONE_TERM_BOUND
 
 

@@ -594,15 +594,10 @@ def _answer(report):
             report.deciding_pair_count)
 
 
-def test_one_term_period_matches_sort_path(monkeypatch):
-    """One-term scans read their period; the sort of the ids must agree.
-
-    Monomials at every t, t = r among them (a constant ratio, period 1),
+def _one_term_instances():
+    """Monomials at every t, t = r among them (a constant ratio, period 1),
     and binomials at their own exponents, with random coefficients.  F_5
-    has one representative; F_3^11 spans three scan chunks.  With
-    ``_collisions`` made to raise, every one-term oracle still answers alike
-    and a trinomial's still reaches it.
-    """
+    has one representative; F_3^11 spans three scan chunks."""
     rng = random.Random(23)
     instances = []
     for p, m, n in ((5, 1, 1), (3, 1, 4), (3, 1, 5), (3, 1, 6), (3, 1, 7), (5, 1, 3),
@@ -619,6 +614,17 @@ def test_one_term_period_matches_sort_path(monkeypatch):
             r1, r2 = sorted(rng.sample(range(n), 2))
             s = normalize(ctx, [(r1, coeff()), (r2, coeff())])
             instances += [(ctx, s, r1), (ctx, s, r2)]
+    return instances
+
+
+def test_one_term_period_matches_sort_path(monkeypatch):
+    """One-term scans read their period; the sort of the ids must agree.
+
+    On :func:`_one_term_instances`.  With ``_collisions`` made to raise,
+    every one-term oracle still answers alike and a trinomial's still
+    reaches it.
+    """
+    instances = _one_term_instances()
     answers = [_answer(is_scattered_bruteforce(ctx, s, t, census=True))
                for ctx, s, t in instances]
     kinds = set()
@@ -637,3 +643,74 @@ def test_one_term_period_matches_sort_path(monkeypatch):
     ctx = instances[-1][0]
     with pytest.raises(AssertionError, match="sorted"):
         is_scattered_bruteforce(ctx, parse_poly(ctx, "0:g^1,1:g^0,2:g^5"), 1)
+
+
+def _sorted_census(ctx, s, t, limit):
+    """deciding_pairs' counts, pairs and truncation from one sort of the ids."""
+    ids = _ratio_ids(ctx, s, t)
+    _, repeated = _collisions(ids)
+    count = _equal_ratio_pairs(ctx, ctx.subfield_index, repeated)
+    ordered = ((y, z) for members in scatter._value_groups(ctx, ids, repeated)
+               for y in members for z in members if y != z)
+    pairs = list(itertools.islice(ordered, count if limit is None else min(limit, count)))
+    return count, pairs, limit is not None and 0 < limit < count
+
+
+def test_one_term_census_groups_by_period(monkeypatch):
+    """A one-term census takes its groups from the period, as the sort would.
+
+    Pairs, counts and truncation agree on :func:`_one_term_instances`, at
+    limits that stop inside the first group, inside a later one, at the
+    default, and (below 2000 pairs) nowhere.  With ``_collisions`` made to
+    raise the one-term censuses still answer, and a trinomial's still sorts.
+    """
+    instances = _one_term_instances()
+    truncated = set()
+    for ctx, s, t in instances:
+        w = ctx.q - 1
+        limits = [0, 1, w * (w - 1) + 3, 64]
+        if deciding_pairs(ctx, s, t, limit=0).equal_ratio_pairs < 2000:
+            limits.append(None)
+        for limit in limits:
+            census = deciding_pairs(ctx, s, t, limit=limit)
+            assert census.collinear_pairs == ctx.order * (ctx.q - 2)
+            got = (census.equal_ratio_pairs, [(y.dlog, z.dlog) for y, z in census.pairs],
+                   census.truncated)
+            assert got == _sorted_census(ctx, s, t, limit), (str(s), t, limit)
+            truncated.add(census.truncated)
+    assert truncated == {True, False}
+    defaults = [deciding_pairs(ctx, s, t) for ctx, s, t in instances]
+
+    def refuse(ids):
+        raise AssertionError("a one-term census sorted its ids")
+    monkeypatch.setattr(scatter, "_collisions", refuse)
+    assert [deciding_pairs(ctx, s, t) for ctx, s, t in instances] == defaults
+    ctx = instances[-1][0]
+    with pytest.raises(AssertionError, match="sorted"):
+        deciding_pairs(ctx, parse_poly(ctx, "0:g^1,1:g^0,2:g^5"), 1)
+
+
+def test_chunked_scans_report_every_point_to_the_layer_counters(monkeypatch):
+    """perfbench counts a scan's points and bytes at ``linpoly.evaluate_many``.
+
+    On F_3^11 (e = 88573, three chunks) a scan of one term and one of three
+    call it with ``dlogs`` whose sizes sum to e, and each call returns an
+    ndarray of that size, whose ``nbytes`` and ``itemsize`` the counters read.
+    """
+    ctx = build_field(3, 1, 11)
+    e = ctx.subfield_index
+    calls = []
+
+    def spy(ctx, s, dlogs, **kwargs):
+        result = evaluate_many(ctx, s, dlogs, **kwargs)
+        calls.append((dlogs.size, result))
+        return result
+    monkeypatch.setattr(scatter, "evaluate_many", spy)
+    for text in ("3:g^5", "1:g^0,2:g^5,4:g^7"):
+        calls.clear()
+        is_scattered_bruteforce(ctx, parse_poly(ctx, text), 1)
+        assert len(calls) == 3
+        assert sum(size for size, _ in calls) == e
+        for size, result in calls:
+            assert isinstance(result, np.ndarray)
+            assert result.size == size and result.nbytes == 4 * size
