@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import io
 import json
 import os
@@ -486,18 +485,9 @@ def build_parser() -> _Parser:
     return parser
 
 
-@functools.cache
-def _parser() -> _Parser:
-    """The parser :func:`main` reads every argument list with, built on first use.
-
-    Parsing leaves it unchanged: each call gets a fresh namespace, and the
-    size cap's environment default is read per call, after parsing."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
         if hasattr(args, "cap") and args.cap is None:
             args.cap = _default_cap()
         return args.func(args)

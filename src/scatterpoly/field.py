@@ -24,11 +24,11 @@ scaling digits with the norm of the generator, a constant of F_p.
 
 Two layers describe a field: :class:`FieldParams` holds the sizes, all the
 scan-free criteria read; :class:`FieldCtx` adds the modulus, factorization and
-generator, found in milliseconds once per (p, m*n) and then kept, all the
-fingerprint reads, and the Zech table, which the oracle and addition read.
-:func:`field_basis` returns a context whose table is not built yet,
-:func:`build_field` one whose table is; the former builds it, through
-:func:`build_field`, the first time something reads it.
+generator, found in milliseconds, all the fingerprint reads, and the Zech
+table, which the oracle and addition read.  :func:`field_basis` returns a
+context whose table is not built yet, :func:`build_field` one whose table is;
+the former builds it, through :func:`build_field`, the first time something
+reads it.
 
 An element is its discrete log alone (:class:`FFElement`).  Digits and
 discrete logs meet in one place each way: :meth:`FieldCtx.coeffs` raises the
@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -78,8 +78,6 @@ SHOWN_DIGITS = 4300
 _SHOWN_LIMIT = 10**SHOWN_DIGITS
 _TABLE_BLOCK = 4096
 _ZECH_BLOCK = 16384
-# the (p, degree) bases that field_basis keeps, a fixed bound
-BASIS_MEMO = 32
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3317044064679887385961981
 
@@ -704,31 +702,22 @@ def table_limit(p: int, d: int, cap: int) -> int:
     return limit
 
 
-@lru_cache(maxsize=BASIS_MEMO)
-def _basis(p: int, d: int) -> tuple:
-    """The modulus, the factorization of the order and the generator's digits of F_{p^d}."""
-    modulus = _find_modulus(p, d)
-    order = p**d - 1
-    fact = factorize(order) if order > 1 else ()
-    return modulus, fact, tuple(_find_generator(p, d, modulus, order, fact))
-
-
 def field_basis(p: int, m: int, n: int, cap: int = DEFAULT_CAP,
                 strict: bool = True) -> FieldCtx:
     """F_{p^{m*n}} with its deterministic modulus and generator; no table yet.
 
-    Refuses what :func:`build_field` refuses, on every call: see
-    :func:`check_field_params` and :func:`table_limit`.  The modulus, the
-    factorization of the order and the generator depend on p and m*n alone,
-    so they are searched once per (p, m*n), F_9^3 and F_3^6 alike, and the
-    ``BASIS_MEMO`` most recently used are kept.  Each call still returns a fresh
-    context, so no two calls share a table."""
+    Refuses what :func:`build_field` refuses: see :func:`check_field_params`
+    and :func:`table_limit`."""
     check_field_params(p, m, n, strict)
     params = FieldParams(p, m, n)
-    limit = table_limit(p, params.degree, cap)
-    if params.size > limit:
+    d, size = params.degree, params.size
+    limit = table_limit(p, d, cap)
+    if size > limit:
         raise FieldTooLarge(params, limit)
-    return FieldCtx(p, m, n, *_basis(p, params.degree))
+
+    modulus = _find_modulus(p, d)
+    fact = factorize(size - 1) if size > 2 else ()
+    return FieldCtx(p, m, n, modulus, fact, _find_generator(p, d, modulus, size - 1, fact))
 
 
 def build_field(p: int, m: int, n: int, cap: int = DEFAULT_CAP,

@@ -625,44 +625,3 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "x^2 + 1" in proc.stdout
-
-
-def test_one_parser_serves_every_call(capsys):
-    assert cli._parser() is cli._parser()
-    # scan's repeatable --poly starts empty on every call
-    for poly in ("1:g^0,2:g^0", "0:g^3,2:g^1"):
-        code, out, _ = run(capsys, "scan", "--p", "3", "--n", "4", "--family", "custom",
-                           "--poly", poly, "--indices", "1", "--output", "json")
-        assert code == 0
-        assert [row["poly"] for row in json.loads(out)["rows"]] == [poly]
-
-
-def test_cap_from_the_environment_is_read_on_every_call(capsys, monkeypatch):
-    monkeypatch.setenv("SCATTERPOLY_CAP", "100")
-    code, _, err = run(capsys, "field-info", "--p", "3", "--n", "5")
-    assert code == 2 and "100" in err
-    monkeypatch.setenv("SCATTERPOLY_CAP", "1000")
-    code, out, _ = run(capsys, "field-info", "--p", "3", "--n", "5", "--output", "json")
-    assert code == 0 and json.loads(out)["size"] == 243
-    monkeypatch.setenv("SCATTERPOLY_CAP", "100")
-    assert run(capsys, "field-info", "--p", "3", "--n", "5")[0] == 2
-
-
-def test_options_do_not_carry_over_to_the_next_call(capsys, monkeypatch):
-    monkeypatch.delenv("SCATTERPOLY_CAP", raising=False)
-    check = ("check", "--p", "3", "--n", "5", "--poly", "1:g^0,3:g^121", "--index", "2",
-             "--output", "json")
-    code, out, _ = run(capsys, *check, "--census", "--m-list", "1,2", "--cap", "100000")
-    first = json.loads(out)
-    assert code == 0
-    assert (first["request"]["census"], first["request"]["m_list"],
-            first["request"]["cap"]) == (True, [1, 2], 100000)
-    assert first["results"]["oracle"]["deciding_pair_count"] is not None
-    assert len(first["results"]["tower"]) == 2
-    code, out, _ = run(capsys, *check)
-    second = json.loads(out)
-    assert code == 0
-    assert (second["request"]["census"], second["request"]["m_list"],
-            second["request"]["cap"]) == (False, [], field.DEFAULT_CAP)
-    assert second["results"]["oracle"]["deciding_pair_count"] is None
-    assert second["results"]["tower"] == []

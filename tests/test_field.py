@@ -1,4 +1,3 @@
-import inspect
 import itertools
 import math
 import random
@@ -13,7 +12,6 @@ from scatterpoly import (
     NonPrime,
     PrimalityUndecided,
     build_field,
-    field,
 )
 from scatterpoly.field import (
     DEFAULT_CAP,
@@ -400,65 +398,3 @@ def test_digit_constants_round_trip(p, samples):
 def test_basis_is_pinned(params, pinned):
     basis = field_basis(*params, cap=2**31, strict=params[0] != 2)
     assert (basis.modulus_encoding, basis.gamma_encoding) == pinned
-
-
-def _basis_triple(ctx):
-    return ctx.modulus, ctx.gamma_coeffs, ctx.factorization
-
-
-def test_basis_memo_returns_fresh_contexts(monkeypatch):
-    built = []
-    build_tables = field._build_tables
-
-    def spy(p, d, *args):
-        built.append((p, d))
-        return build_tables(p, d, *args)
-    monkeypatch.setattr(field, "_build_tables", spy)
-    first, second = field_basis(5, 1, 4), field_basis(5, 1, 4)
-    assert first is not second
-    assert _basis_triple(first) == _basis_triple(second)
-    # building one context's table leaves the other without one
-    first._zech
-    assert built == [(5, 4)] and "_zech" not in vars(second)
-    assert second.add(second.one(), second.gamma) == first.add(first.one(), first.gamma)
-    assert built == [(5, 4), (5, 4)] and second._zech is not first._zech
-
-
-def test_basis_memo_is_keyed_by_characteristic_and_degree():
-    field._basis.cache_clear()
-    f9_3 = field_basis(3, 2, 3)
-    f3_6 = field_basis(3, 1, 6)
-    info = field._basis.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
-    assert _basis_triple(f9_3) == _basis_triple(f3_6)
-    assert (f9_3.q, f9_3.n, f3_6.q, f3_6.n) == (9, 3, 3, 6)
-
-
-def test_basis_memo_keeps_no_refusal():
-    field._basis.cache_clear()
-    for _ in range(2):
-        with pytest.raises(NonPrime):
-            field_basis(4, 1, 2)
-        with pytest.raises(FieldTooLarge):
-            field_basis(3, 1, 30)
-        with pytest.raises(FieldTooLarge):
-            field_basis(3, 1, 5, cap=100)
-        with pytest.raises(EvenCharacteristicRejected):
-            field_basis(2, 1, 4)
-    assert field._basis.cache_info().currsize == 0
-    # a field refused under one cap is searched under a larger one
-    assert field_basis(3, 1, 5, cap=1000).size == 243
-
-
-def test_basis_memo_is_bounded_by_a_constant():
-    assert field.BASIS_MEMO == 32
-    assert field._basis.cache_info().maxsize == field.BASIS_MEMO
-    assert list(inspect.signature(field_basis).parameters) == ["p", "m", "n", "cap", "strict"]
-    field._basis.cache_clear()
-    primes = [p for p in range(3, 400) if is_prime(p)][:field.BASIS_MEMO + 8]
-    for p in primes:
-        field_basis(p, 1, 1)
-    assert field._basis.cache_info().currsize == field.BASIS_MEMO
-    # the oldest entries went first, and a field searched again is found alike
-    again = field_basis(primes[0], 1, 1)
-    assert _basis_triple(again) == _basis_triple(build_field(primes[0], 1, 1))

@@ -176,15 +176,6 @@ def test_cli_output_unchanged(argv, recorded, monkeypatch):
     assert replay(argv) == recorded[tuple(argv)]
 
 
-def test_cases_replay_alike_in_one_process(recorded, monkeypatch):
-    # cli.main keeps one parser and field_basis one memo across calls: every
-    # case, run again after all the others, still prints what it recorded
-    monkeypatch.delenv("SCATTERPOLY_CAP", raising=False)
-    for argv in CASES:
-        replay(argv)
-    assert [replay(argv) for argv in CASES] == [recorded[tuple(argv)] for argv in CASES]
-
-
 def test_every_case_is_recorded(recorded):
     assert set(recorded) == {tuple(argv) for argv in CASES}
 
