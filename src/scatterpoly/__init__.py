@@ -22,7 +22,6 @@ from .errors import (
     EvenCharacteristicRejected,
     FieldTooLarge,
     HypothesisViolated,
-    IndexExceedsMinExponent,
     NeedsFieldAddition,
     NonPrime,
     NotABinomial,

@@ -134,6 +134,10 @@ def index_shift_reduction(params: FieldParams, s: LinearizedPolynomial, t: int
     not necessary: S(x)/x^(q^t) = S'(X)/X^(q^(t-u)) for any coefficients,
     x -> x^(q^u) permutes the F_q-lines, and the term dropped at r1 adds a
     constant to every ratio.
+
+    The permutation criterion, :func:`scatterpoly.scatter.scattered_via_pp`,
+    rides this shift: it answers where the reduced index is 0 (t <= r1) and
+    the hypotheses hold.
     """
     if not 0 <= t < params.n:
         raise BadIndex(f"index {t} out of range 0..{params.n - 1}")

@@ -37,10 +37,6 @@ class ZeroPolynomial(ScatterpolyError):
     """The term list collapsed to the zero map, which carries no information here."""
 
 
-class IndexExceedsMinExponent(ScatterpolyError):
-    pass
-
-
 class WouldBeZero(ScatterpolyError):
     pass
 

@@ -1,9 +1,9 @@
 """Linearized polynomials S(x) = sum a_i x^(q^(r_i)): parsing, evaluation, rho transform.
 
 Terms are kept normalized: exponent indices reduced mod n, strictly increasing,
-no zero coefficients, never empty.  The index-shift reduction, whose
-hypotheses are order-divisibility conditions on the coefficients, is
-:func:`scatterpoly.criteria.index_shift_reduction`.
+no zero coefficients, never empty.  :func:`rho_transform` keeps every
+exponent: the index shift the permutation criterion applies first is
+:func:`scatterpoly.criteria.index_shift_reduction`'s alone.
 
 The bulk kernel, :func:`evaluate_many`, works on discrete logs: each term's
 logs along the points are residues mod the group order, uint32 because the
@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import (
     DivisionByZero,
-    IndexExceedsMinExponent,
     NeedsFieldAddition,
     ParseError,
     RhoInBaseField,
@@ -238,25 +237,21 @@ def ratio_map(ctx: FieldCtx, s: LinearizedPolynomial, t: int, x: FFElement) -> F
     return ctx.mul(evaluate(ctx, s, x), ctx.inv(ctx.frobenius(x, t)))
 
 
-def rho_transform(ctx: FieldCtx, s: LinearizedPolynomial, t: int,
+def rho_transform(ctx: FieldCtx, s: LinearizedPolynomial,
                   rho: FFElement) -> LinearizedPolynomial:
-    """Coefficients a_i (rho^(q^(r_i - t)) - rho) on exponents r_i - t.
+    """Coefficients a_i (rho^(q^(r_i)) - rho) on the same exponents r_i.
 
-    Terms whose new coefficient vanishes are dropped; a fully vanished result
-    is reported as ZeroPolynomial (the caller decides what that means).
+    Terms whose new coefficient vanishes (one at exponent 0 always does) are
+    dropped; a fully vanished result is reported as ZeroPolynomial (the
+    caller decides what that means).
     """
     if ctx.in_base_subfield(rho):
         raise RhoInBaseField("rho must lie outside F_q (and be nonzero)")
-    if t < 0:
-        raise ValueError("shift must be nonnegative")
-    if t > s.min_exponent:
-        raise IndexExceedsMinExponent(
-            f"shift {t} exceeds least exponent {s.min_exponent}")
     terms = []
     for r, a in s.terms:
-        coeff = ctx.mul(a, ctx.sub(ctx.frobenius(rho, r - t), rho))
+        coeff = ctx.mul(a, ctx.sub(ctx.frobenius(rho, r), rho))
         if not coeff.is_zero:
-            terms.append((r - t, coeff))
+            terms.append((r, coeff))
     if not terms:
         raise ZeroPolynomial("every transformed coefficient vanished")
     return LinearizedPolynomial(tuple(terms))

@@ -36,6 +36,9 @@ equal ids in one of two ways:
 
 Nothing but the ids, and for a sum their sorted copy, is sized by the
 field's order.
+
+The permutation criterion, :func:`scattered_via_pp`, takes its window and
+hypotheses from the one index shift, :func:`criteria.index_shift_reduction`.
 """
 
 from __future__ import annotations
@@ -45,7 +48,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadIndex, HypothesisViolated, ZeroPolynomial
+from .criteria import index_shift_reduction
+from .errors import BadIndex, HypothesisViolated, WouldBeZero, ZeroPolynomial
 from .field import DEFAULT_CAP, FFElement, FieldCtx, field_basis
 from .linpoly import LinearizedPolynomial, TermLogs, evaluate_many, rho_transform
 
@@ -330,33 +334,32 @@ def is_permutation(ctx: FieldCtx, poly: LinearizedPolynomial) -> bool:
     return not (_scan(ctx, poly, None) < 0).any()
 
 
-def scattered_via_pp(ctx: FieldCtx, s: LinearizedPolynomial, t: int,
-                     strict: bool = True) -> bool:
+def scattered_via_pp(ctx: FieldCtx, s: LinearizedPolynomial, t: int) -> bool:
     """Scatteredness of index t via permutation behavior of the rho transforms.
 
-    Valid when every coefficient's order divides q^t - 1 and 0 < t < r_1
-    (``strict=False`` additionally admits t = 0 and t = r_1, where the same
-    equivalence holds).  A vanished transform counts as a non-permutation.
+    Where the index shift lands at index 0 (t <= r_1) with its hypotheses
+    holding, S is scattered iff every rho transform of the shifted
+    polynomial, rho outside F_q, is a permutation (a vanished one is not).
+    The hypotheses are the paper's, sufficient but not necessary; elsewhere
+    HypothesisViolated names the unmet one, or t above r_1.  A monomial at
+    its own exponent has a constant ratio: scattered only when n = 1.
     """
-    r1 = s.min_exponent
-    if strict:
-        if not 0 < t < r1:
-            raise HypothesisViolated(f"index {t} outside the window 0 < t < {r1}")
-    elif not 0 <= t <= r1:
-        raise HypothesisViolated(f"index {t} outside the window 0 <= t <= {r1}")
-    qt1 = ctx.q**t - 1
-    for _, a in s.terms:
-        o = ctx.element_order(a)
-        if qt1 % o != 0:
-            raise HypothesisViolated(
-                f"coefficient order {o} does not divide q^t-1 = {qt1}")
+    try:
+        shifted, index, verdict = index_shift_reduction(ctx, s, t)
+    except WouldBeZero:
+        return ctx.n == 1
+    if index:
+        raise HypothesisViolated(f"index {t} above the least exponent {s.min_exponent}")
+    for h in verdict.hypotheses:
+        if not h.satisfied:
+            raise HypothesisViolated(f"{h.name}: {h.detail}")
     e = ctx.subfield_index
     for a in range(ctx.order):
         if a % e == 0:
             continue  # rho in F_q
         rho = ctx.element_from_dlog(a)
         try:
-            transformed = rho_transform(ctx, s, t, rho)
+            transformed = rho_transform(ctx, shifted, rho)
         except ZeroPolynomial:
             return False
         if not is_permutation(ctx, transformed):

@@ -33,41 +33,37 @@ _AFFINE_DLOG_SAMPLE = (0, 1, 2, 5, 60, 121, 150, 241)
 
 @dataclass
 class SuiteResult:
+    """A suite's outcome, recorded as it runs; ``seconds`` is set by :meth:`done`."""
+
     name: str
-    passed: bool
-    checks: int
-    failures: list[str]
-    seconds: float
+    checks: int = 0
+    failures: list[str] = dc_field(default_factory=list)
+    seconds: float = 0.0
     metrics: dict[str, int] = dc_field(default_factory=dict)
+    _t0: float = dc_field(default_factory=time.perf_counter, repr=False)
 
-    def line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        extra = f"; first failures: {self.failures[:3]}" if self.failures else ""
-        return f"{status} {self.name}: {self.checks} checks in {self.seconds:.2f}s{extra}"
-
-
-class _Recorder:
-    def __init__(self, name: str):
-        self.name = name
-        self.checks = 0
-        self.failures: list[str] = []
-        self.metrics: dict[str, int] = {}
-        self._t0 = time.perf_counter()
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
     def check(self, ok: bool, message: str) -> None:
         self.checks += 1
         if not ok and len(self.failures) < _MAX_RECORDED_FAILURES:
             self.failures.append(message)
-        elif not ok:
-            self.failures[-1] = "... more failures suppressed"
+        elif not ok and len(self.failures) == _MAX_RECORDED_FAILURES:
+            self.failures.append("... more failures suppressed")
 
     def bump(self, key: str, amount: int = 1) -> None:
         self.metrics[key] = self.metrics.get(key, 0) + amount
 
-    def result(self) -> SuiteResult:
-        return SuiteResult(self.name, not self.failures, self.checks,
-                           self.failures, time.perf_counter() - self._t0,
-                           self.metrics)
+    def done(self) -> SuiteResult:
+        self.seconds = time.perf_counter() - self._t0
+        return self
+
+    def line(self) -> str:
+        status = "PASS" if self.passed else "FAIL"
+        extra = f"; first failures: {self.failures[:3]}" if self.failures else ""
+        return f"{status} {self.name}: {self.checks} checks in {self.seconds:.2f}s{extra}"
 
 
 @lru_cache(maxsize=None)
@@ -100,7 +96,7 @@ def _scattered_by_multipliers(ctx: FieldCtx, s: LinearizedPolynomial) -> bool:
     return table.s == ctx.q - 1 and np.unique(table.A).size == table.A.size
 
 
-def _record_ai_aj(rec: _Recorder, ctx: FieldCtx, s: LinearizedPolynomial) -> None:
+def _record_ai_aj(rec: SuiteResult, ctx: FieldCtx, s: LinearizedPolynomial) -> None:
     rec.bump("scattered_instances")
     rec.bump("coset_multiplier_checks")
     expected = is_scattered_bruteforce(ctx, s, s.min_exponent).scattered
@@ -118,7 +114,7 @@ def subfield_exponent_suite() -> SuiteResult:
 
     The reference is the definition of F_q: x^q = x, checked on digits.
     """
-    rec = _Recorder("subfield membership by exponent divisibility")
+    rec = SuiteResult("subfield membership by exponent divisibility")
     for p, m, n in ((3, 1, 2), (3, 1, 3), (3, 1, 4), (5, 1, 3)):
         ctx = _field(p, m, n)
         for a in range(ctx.order):
@@ -127,7 +123,7 @@ def subfield_exponent_suite() -> SuiteResult:
             got = criteria.subfield_exponent_criterion(ctx, a)
             rec.check(got == expected,
                       f"F_{p}^{n}: exponent {a}: criterion={got}, membership={expected}")
-    return rec.result()
+    return rec.done()
 
 
 def _random_poly(ctx: FieldCtx, rng: random.Random) -> LinearizedPolynomial:
@@ -139,7 +135,7 @@ def _random_poly(ctx: FieldCtx, rng: random.Random) -> LinearizedPolynomial:
 
 def coset_form_suite() -> SuiteResult:
     """Coset-indexed form agrees with direct evaluation on the whole field."""
-    rec = _Recorder("coset-form identity on random polynomials")
+    rec = SuiteResult("coset-form identity on random polynomials")
     rng = random.Random(_COSET_FORM_SEED)
     for p, m, n in ((3, 1, 4), (3, 1, 5)):
         ctx = _field(p, m, n)
@@ -151,12 +147,12 @@ def coset_form_suite() -> SuiteResult:
     example = parse_poly(ctx, "3:g^0,4:g^0")
     rec.check(lemma_relation_check(ctx, example),
               "F_5^5 worked example: coset form disagrees")
-    return rec.result()
+    return rec.done()
 
 
 def pseudoregulus_suite() -> SuiteResult:
     """Monomial criterion vs oracle on F_3^4..F_3^6 plus the big-field index set."""
-    rec = _Recorder("pseudoregulus criterion vs oracle")
+    rec = SuiteResult("pseudoregulus criterion vs oracle")
     for n in (4, 5, 6):
         ctx = _field(3, 1, n)
         one = ctx.one()
@@ -186,7 +182,7 @@ def pseudoregulus_suite() -> SuiteResult:
            and criteria.pseudoregulus_criterion(15, 8, t).verdict}
     rec.check(got == expected_set,
               f"n=15, r=8 index set mismatch: {sorted(got)}")
-    return rec.result()
+    return rec.done()
 
 
 def _order_filtered_dlogs(ctx: FieldCtx, bound: int) -> list[int]:
@@ -198,7 +194,7 @@ def _order_filtered_dlogs(ctx: FieldCtx, bound: int) -> list[int]:
 
 def binomial_suite() -> SuiteResult:
     """Exhaustive binomial sweep on F_3^4, F_3^5 plus the F_5^5 worked example."""
-    rec = _Recorder("binomial criterion vs oracle")
+    rec = SuiteResult("binomial criterion vs oracle")
     for n in (4, 5):
         ctx = _field(3, 1, n)
         for r1, r2 in itertools.combinations(range(1, n), 2):
@@ -226,12 +222,12 @@ def binomial_suite() -> SuiteResult:
     for t in (3, 4):
         report = is_scattered_bruteforce(ctx, example, t)
         rec.check(report.scattered, f"F_5^5 worked example not scattered @ {t}")
-    return rec.result()
+    return rec.done()
 
 
 def affine_binomial_suite() -> SuiteResult:
     """a_1 x + a_2 x^(q^r) sweep at q=3, n=5, plus criterion-only big fields."""
-    rec = _Recorder("affine binomial criterion vs oracle")
+    rec = SuiteResult("affine binomial criterion vs oracle")
     ctx = _field(3, 1, 5)
     for r in range(1, 5):
         expected = math.gcd(r, 5) == 1
@@ -255,7 +251,7 @@ def affine_binomial_suite() -> SuiteResult:
     bad = criteria.affine_binomial_criterion(params, ((0, 0), (80, 0)))
     rec.check(good.verdict is True, "x + x^(27^81) over F_27^110 must pass @ 81")
     rec.check(bad.verdict is False, "x + x^(27^80) over F_27^110 must fail @ 80")
-    return rec.result()
+    return rec.done()
 
 
 def _pm_one_dlogs(ctx: FieldCtx) -> tuple[int, ...]:
@@ -268,7 +264,7 @@ def _coeff_pool(ctx: FieldCtx, k: int):
 
 def reduction_suite() -> SuiteResult:
     """Index-shift reductions preserve the oracle verdict in all three regimes."""
-    rec = _Recorder("index-shift reduction soundness")
+    rec = SuiteResult("index-shift reduction soundness")
     for n in (4, 5):
         ctx = _field(3, 1, n)
         polys = []
@@ -292,12 +288,12 @@ def reduction_suite() -> SuiteResult:
                 rec.bump(f"regime: {regime}")
                 rec.check(lhs == rhs,
                           f"n={n} {s} @ {t} -> {reduced} @ {reduced_t}: {lhs} != {rhs}")
-    return rec.result()
+    return rec.done()
 
 
 def pp_criterion_suite() -> SuiteResult:
     """Permutation-based decision agrees with the oracle below the least exponent."""
-    rec = _Recorder("permutation criterion vs oracle")
+    rec = SuiteResult("permutation criterion vs oracle")
     for p, m, n in ((3, 1, 4), (5, 1, 3)):
         ctx = _field(p, m, n)
         instances = []
@@ -318,12 +314,12 @@ def pp_criterion_suite() -> SuiteResult:
                 oracle = is_scattered_bruteforce(ctx, s, t).scattered
                 rec.check(via_pp == oracle,
                           f"F_{p}^{n} {s} @ {t}: pp={via_pp}, oracle={oracle}")
-    return rec.result()
+    return rec.done()
 
 
 def lp_suite() -> SuiteResult:
     """LP-shape membership and the sufficient conditions forcing the norm."""
-    rec = _Recorder("LP membership and norm implication")
+    rec = SuiteResult("LP membership and norm implication")
     ctx = _field(3, 1, 5)
     q, n = ctx.q, ctx.n
     for dlog in range(ctx.order):
@@ -352,12 +348,12 @@ def lp_suite() -> SuiteResult:
     wrong_shape = normalize(ctx, [(1, ctx.one()), (2, ctx.one())])
     verdict = criteria.lp_membership(ctx, wrong_shape.dlog_terms())
     rec.check(not verdict.applicable, "non-LP exponent shape must be inapplicable")
-    return rec.result()
+    return rec.done()
 
 
 def csajbok_suite() -> SuiteResult:
     """The x^5 + delta x^(5^5) family over F_5^8, criterion and oracle."""
-    rec = _Recorder("q=5, n=8 family vs oracle")
+    rec = SuiteResult("q=5, n=8 family vs oracle")
     ctx = _field(5, 1, 8)
     delta = ctx.element_from_dlog(ctx.order // 4)
     rec.check(ctx.mul(delta, delta) == ctx.minus_one(), "delta^2 must equal -1")
@@ -377,7 +373,7 @@ def csajbok_suite() -> SuiteResult:
         report = is_scattered_bruteforce(ctx, s, t)
         rec.check(report.scattered == want,
                   f"F_5^8 oracle @ {t}: {report.scattered}, family says {want}")
-    return rec.result()
+    return rec.done()
 
 
 def exceptional_suite() -> SuiteResult:
@@ -389,7 +385,7 @@ def exceptional_suite() -> SuiteResult:
     past a single F_q-line there).  The suite verifies the base field, the
     m=1 step, and the documented failure mode of the even step m=2.
     """
-    rec = _Recorder("exceptional family certificate + tower oracle")
+    rec = SuiteResult("exceptional family certificate + tower oracle")
     cert = criteria.exceptional_family_certificate(3, 5, 1, delta_order=2)
     rec.check(cert.verdict is True, "certificate must be granted")
     rec.check(dict(cert.index_verdicts) == {1: True, 2: True, 3: True},
@@ -426,7 +422,7 @@ def exceptional_suite() -> SuiteResult:
     rec.check(witness is not None
               and not big.in_base_subfield(big.mul(witness[0], big.inv(witness[1]))),
               "the m=2 witness must violate F_q-proportionality")
-    return rec.result()
+    return rec.done()
 
 
 SUITES: dict[str, tuple] = {

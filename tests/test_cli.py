@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import random
 import time
 
 import pytest
@@ -625,3 +626,75 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "x^2 + 1" in proc.stdout
+
+
+def _fuzz_poly(rng, n):
+    """A --poly text: mostly well formed, sometimes malformed or cancelling."""
+    if rng.random() < 0.2:
+        return rng.choice(("", ",", "1:", "a:g^1", "1:g^", "1:g^x", "1:[1,,2]",
+                           "1:[]", "1:[0,0]", "1:g^0,,2:g^1", "-1:g^0", "1:g^0 2:g^1",
+                           "0:[1],0:[-1]", "1:g^0,1:[-1]", "1:[1,2", "g^1"))
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        r = rng.randrange(n + 2)
+        coeff = (f"g^{rng.randint(-3, 60)}" if rng.random() < 0.7 else
+                 "[" + ",".join(str(rng.randint(-2, 4)) for _ in range(rng.randint(1, 3))) + "]")
+        terms.append(f"{r}:{coeff}")
+    return ",".join(terms)
+
+
+def _fuzz_argv(rng):
+    """One random command line over fields of p in {2, 3, 4, 5, 7, 9}, m <= 2, n <= 6."""
+    def sometimes_bad(good, *bad):
+        return good if rng.random() < 0.9 else rng.choice(bad)
+
+    n = rng.randint(1, 6)
+    field_args = ["--p", str(rng.choice((2, 3, 3, 4, 5, 5, 7, 9))),
+                  "--n", sometimes_bad(str(n), "0", "-2", "x")]
+    if rng.random() < 0.4:
+        field_args += ["--m", sometimes_bad(rng.choice("12"), "0", "y")]
+    index = sometimes_bad(str(rng.randrange(n)), str(n), "-1", "i")
+    command = rng.choice(("check", "check", "check", "scan", "scan", "field-info",
+                          "verify", "bad"))
+    if command == "check":
+        argv = ["check", *field_args, "--poly", _fuzz_poly(rng, n), "--index", index,
+                "--mode", rng.choice(("oracle", "criteria", "both")),
+                "--output", rng.choice(("text", "json", "csv"))]
+        if rng.random() < 0.2:
+            argv.append("--census")
+        if rng.random() < 0.2:
+            argv += ["--m-list", rng.choice(("1", "1,2", "2", "0", "x", "1,,2"))]
+    elif command == "scan":
+        family = rng.choice(("pseudoregulus", "binomial", "custom"))
+        argv = ["scan", *field_args, "--family", family,
+                "--indices", rng.choice(("own", "all", index, "0,1", "x")),
+                "--output", rng.choice(("csv", "json", "text"))]
+        if family == "custom":
+            argv += [a for _ in range(rng.randint(0, 2))
+                     for a in ("--poly", _fuzz_poly(rng, n))]
+        if rng.random() < 0.3:
+            argv += ["--coeff-dlogs", rng.choice(("0,1", "3", "x", "0,1,2"))]
+    elif command == "field-info":
+        argv = ["field-info", *field_args, "--output", rng.choice(("text", "json"))]
+    elif command == "verify":
+        argv = ["verify", "--suite", rng.choice(("nope", "", "al"))]
+    else:
+        argv = rng.choice((["frobnicate"], [], ["check"], ["--p", "3"],
+                           ["check", *field_args, "--bogus"],
+                           ["scan", *field_args, "--family", "trinomial"],
+                           ["field-info", *field_args, "--output", "xml"]))
+    if argv and rng.random() < 0.1:
+        del argv[rng.randrange(len(argv))]  # a flag without its value, or a value alone
+    return argv
+
+
+def test_cli_fuzz_exits_with_a_documented_code(capsys, monkeypatch):
+    monkeypatch.delenv("SCATTERPOLY_CAP", raising=False)
+    rng = random.Random(20261020)
+    start = time.perf_counter()
+    for _ in range(300):
+        argv = _fuzz_argv(rng)
+        code, _, err = run(capsys, *argv)
+        assert code in (0, 1, 2, 3), argv
+        assert "Traceback" not in err, argv
+    assert time.perf_counter() - start < 3.0

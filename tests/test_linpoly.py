@@ -9,7 +9,6 @@ import pytest
 from scatterpoly import (
     DivisionByZero,
     FieldParams,
-    IndexExceedsMinExponent,
     NeedsFieldAddition,
     ParseError,
     RhoInBaseField,
@@ -244,27 +243,25 @@ def test_ratio_map_homogeneous(f81):
 def test_rho_transform_single_term():
     ctx = build_field(3, 1, 4)
     g = ctx.gamma
-    s = normalize(ctx, [(2, ctx.one())])
-    out = rho_transform(ctx, s, 1, g)
+    s = normalize(ctx, [(1, ctx.one())])
+    out = rho_transform(ctx, s, g)
     expected = ctx.sub(ctx.frobenius(g, 1), g)
     assert out.terms == ((1, expected),)
 
 
 def test_rho_transform_guards(f81):
-    s = normalize(f81, [(2, f81.one())])
+    s = normalize(f81, [(1, f81.one())])
     with pytest.raises(RhoInBaseField):
-        rho_transform(f81, s, 1, f81.element_from_coeffs([2]))
+        rho_transform(f81, s, f81.element_from_coeffs([2]))
     with pytest.raises(RhoInBaseField):
-        rho_transform(f81, s, 1, f81.zero())
-    with pytest.raises(IndexExceedsMinExponent):
-        rho_transform(f81, s, 3, f81.gamma)
-    # at t = r1 the least term's coefficient vanishes
+        rho_transform(f81, s, f81.zero())
+    # a term at exponent 0 vanishes
     rho = f81.gamma
-    two_terms = normalize(f81, [(1, f81.one()), (2, f81.one())])
-    out = rho_transform(f81, two_terms, 1, rho)
+    two_terms = normalize(f81, [(0, f81.one()), (1, f81.one())])
+    out = rho_transform(f81, two_terms, rho)
     assert out.exponents == (1,)
     with pytest.raises(ZeroPolynomial):
-        rho_transform(f81, s, 2, rho)
+        rho_transform(f81, normalize(f81, [(0, f81.one())]), rho)
 
 
 def test_parse_and_format(f3125):

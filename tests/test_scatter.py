@@ -379,16 +379,28 @@ def test_scattered_via_pp_guards(f81):
     with pytest.raises(HypothesisViolated):
         scattered_via_pp(f81, s, 1)
     good = normalize(f81, [(2, f81.one())])
-    with pytest.raises(HypothesisViolated):
-        scattered_via_pp(f81, good, 2)  # t = r1 needs the relaxation
-    assert scattered_via_pp(f81, good, 2, strict=False) \
+    assert scattered_via_pp(f81, good, 2) \
         == is_scattered_bruteforce(f81, good, 2).scattered
 
 
 def test_scattered_via_pp_relaxed_index_zero(f81):
     s = normalize(f81, [(1, f81.gamma)])
-    assert (scattered_via_pp(f81, s, 0, strict=False)
+    assert (scattered_via_pp(f81, s, 0)
             == is_scattered_bruteforce(f81, s, 0).scattered)
+
+
+def test_scattered_via_pp_answers_where_the_shift_lands_at_zero(f81):
+    s = normalize(f81, [(2, f81.one()), (3, f81.one())])
+    with pytest.raises(HypothesisViolated):
+        scattered_via_pp(f81, s, 3)  # above r1
+    with pytest.raises(BadIndex):
+        scattered_via_pp(f81, s, 4)
+    # a monomial at its own exponent has a constant ratio, whatever the order
+    # of its coefficient: scattered only over the single F_q-line of n = 1
+    for ctx, r in ((build_field(5, 1, 1), 0), (f81, 2)):
+        monomial = normalize(ctx, [(r, ctx.element_from_dlog(1))])
+        assert scattered_via_pp(ctx, monomial, r) \
+            == is_scattered_bruteforce(ctx, monomial, r).scattered == (ctx.n == 1)
 
 
 def test_exceptional_desk_empty(f81):
