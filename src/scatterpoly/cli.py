@@ -1,5 +1,10 @@
 """Command-line front end: single checks, family scans, verification suites.
 
+A request builds the parser of the one subcommand it names; the full tree of
+subcommands is built only when ``argv[0]`` names none (no command, an unknown
+one, or a top-level ``-h``).  Both read one table of commands, so every
+option is declared once, and usage, help and error texts are the same.
+
 Exit codes: 0 success, 1 usage or parse problem, 2 field construction problem,
 3 verification failure (including any criteria/oracle disagreement, which is
 treated as a hard error rather than a report row).
@@ -246,6 +251,7 @@ def build_check_envelope(args) -> tuple[dict, dict]:
         build_s += table_s
     if isinstance(field, FieldCtx):
         timing["build_s"] = build_s
+        timing["basis_s"] = field.basis_s
 
     tower = []
     if m_list:
@@ -426,68 +432,95 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _field_options(p) -> None:
+    p.add_argument("--p", type=int, required=True, help="characteristic")
+    p.add_argument("--m", type=int, default=1, help="q = p^m (default 1)")
+    p.add_argument("--n", type=int, required=True, help="extension degree over F_q")
+    p.add_argument("--cap", type=int,
+                   help="max field size for table construction "
+                        "(env SCATTERPOLY_CAP)")
+
+
+def _field_info_options(p) -> None:
+    _field_options(p)
+    p.add_argument("--output", choices=("text", "json"), default="text")
+
+
+def _check_options(p) -> None:
+    _field_options(p)
+    p.add_argument("--poly", required=True,
+                   help="terms r:g^k or r:[c0,c1,...], comma separated")
+    p.add_argument("--index", type=int, required=True)
+    p.add_argument("--mode", choices=("oracle", "criteria", "both"), default="both")
+    p.add_argument("--output", choices=("text", "json", "csv"), default="text")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="ignored: the scan is serial; kept so existing "
+                        "command lines still parse and echo it")
+    p.add_argument("--census", action="store_true", help="also count deciding pairs")
+    p.add_argument("--m-list", dest="m_list", default="",
+                   help="extension multipliers for the tower oracle, e.g. 1,2")
+
+
+def _scan_options(p) -> None:
+    _field_options(p)
+    p.add_argument("--family", choices=("pseudoregulus", "binomial", "custom"),
+                   required=True)
+    p.add_argument("--poly", action="append", default=[],
+                   help="custom family member (repeatable)")
+    p.add_argument("--indices", default="own",
+                   help="'all', 'own' (family-specific), or a comma list")
+    p.add_argument("--coeff-dlogs", dest="coeff_dlogs", default="",
+                   help="coefficient dlogs for the binomial family "
+                        "(default: 0 and the dlog of -1)")
+    p.add_argument("--output", choices=("csv", "json", "text"), default="csv")
+
+
+def _verify_options(p) -> None:
+    p.add_argument("--suite", required=True, help=f"one of: {', '.join(SUITES)}")
+    p.add_argument("--output", choices=("text", "json"), default="text")
+
+
+# name -> (help line, option builder, handler)
+_COMMANDS = {
+    "field-info": ("print the field fingerprint", _field_info_options, cmd_field_info),
+    "check": ("decide one polynomial at one index", _check_options, cmd_check),
+    "scan": ("sweep a family and cross-check", _scan_options, cmd_scan),
+    "verify": ("run a named verification suite", _verify_options, cmd_verify),
+}
+
+
 def build_parser() -> _Parser:
+    """The full tree: the top-level parser with one subparser per command."""
     parser = _Parser(prog="scatterpoly",
                      description="Scatteredness of linearized polynomials over "
                                  "small finite fields: exhaustive oracle, fast "
                                  "criteria, verification suites.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_field_args(p):
-        p.add_argument("--p", type=int, required=True, help="characteristic")
-        p.add_argument("--m", type=int, default=1, help="q = p^m (default 1)")
-        p.add_argument("--n", type=int, required=True, help="extension degree over F_q")
-        p.add_argument("--cap", type=int,
-                       help="max field size for table construction "
-                            "(env SCATTERPOLY_CAP)")
-
-    info = sub.add_parser("field-info", help="print the field fingerprint")
-    add_field_args(info)
-    info.add_argument("--output", choices=("text", "json"), default="text")
-    info.set_defaults(func=cmd_field_info)
-
-    check = sub.add_parser("check", help="decide one polynomial at one index")
-    add_field_args(check)
-    check.add_argument("--poly", required=True,
-                       help="terms r:g^k or r:[c0,c1,...], comma separated")
-    check.add_argument("--index", type=int, required=True)
-    check.add_argument("--mode", choices=("oracle", "criteria", "both"),
-                       default="both")
-    check.add_argument("--output", choices=("text", "json", "csv"), default="text")
-    check.add_argument("--jobs", type=int, default=1,
-                       help="ignored: the scan is serial; kept so existing "
-                            "command lines still parse and echo it")
-    check.add_argument("--census", action="store_true",
-                       help="also count deciding pairs")
-    check.add_argument("--m-list", dest="m_list", default="",
-                       help="extension multipliers for the tower oracle, e.g. 1,2")
-    check.set_defaults(func=cmd_check)
-
-    scan = sub.add_parser("scan", help="sweep a family and cross-check")
-    add_field_args(scan)
-    scan.add_argument("--family", choices=("pseudoregulus", "binomial", "custom"),
-                      required=True)
-    scan.add_argument("--poly", action="append", default=[],
-                      help="custom family member (repeatable)")
-    scan.add_argument("--indices", default="own",
-                      help="'all', 'own' (family-specific), or a comma list")
-    scan.add_argument("--coeff-dlogs", dest="coeff_dlogs", default="",
-                      help="coefficient dlogs for the binomial family "
-                           "(default: 0 and the dlog of -1)")
-    scan.add_argument("--output", choices=("csv", "json", "text"), default="csv")
-    scan.set_defaults(func=cmd_scan)
-
-    verify = sub.add_parser("verify", help="run a named verification suite")
-    verify.add_argument("--suite", required=True,
-                        help=f"one of: {', '.join(SUITES)}")
-    verify.add_argument("--output", choices=("text", "json"), default="text")
-    verify.set_defaults(func=cmd_verify)
+    for name, (help_line, add_options, handler) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_line)
+        add_options(command)
+        command.set_defaults(func=handler)
     return parser
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse with the one subparser ``argv[0]`` names, else with the full tree.
+
+    A lone parser gets the prog argparse gives that subparser, so its usage,
+    help and errors read as the full tree's would.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return build_parser().parse_args(argv)
+    _, add_options, handler = _COMMANDS[argv[0]]
+    parser = _Parser(prog=f"scatterpoly {argv[0]}")
+    add_options(parser)
+    parser.set_defaults(func=handler)
+    return parser.parse_args(argv[1:])
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
         if hasattr(args, "cap") and args.cap is None:
             args.cap = _default_cap()
         return args.func(args)

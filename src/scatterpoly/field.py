@@ -14,11 +14,18 @@ and then keeps one table, the int32 Zech log ``zech[k] = log(1 + g^k)``
 norms and addition are O(1) integer operations on discrete logs.  That is
 what makes the exhaustive scans in :mod:`scatterpoly.scatter` feasible.
 
-For degree >= 2 both searches run on the Frobenius matrix of the modulus,
-whose row i is x^(p*i): the Rabin test reads x^(p^k) from iterated products
-with it, and the generator test raises a candidate to order/l by Horner's
-rule over the base-p digits of order/l (a prime field's generator test is a
-plain modular power).  The table walk (:func:`_log_table`) multiplies digit
+For degree d >= 2 both searches share one Frobenius matrix, the modulus's,
+whose row i is x^(p*i).  The modulus search drops every encoding with a root
+in F_p in one numpy pass over a block of encodings, then runs the Rabin test
+on the remaining candidates together, a few at a time: x^(p^k) comes from
+iterated products with the Frobenius matrices of all of them, built at once,
+and the accepted candidate's matrix goes on to the generator search.  There
+a prime l of the order that divides p - 1 is decided from the candidate's
+norm to F_p, the resultant of the modulus and the candidate; every other l
+raises the candidate to order/l by Horner's rule over the base-p digits of
+order/l (a prime field's generator test is a plain modular power).  The
+factorization of the order stops dividing once the cofactor left is prime.
+The table walk (:func:`_log_table`) multiplies digit
 vectors only for one power per F_p-line and reaches the other p - 2 by
 scaling digits with the norm of the generator, a constant of F_p.
 
@@ -38,6 +45,7 @@ runs Horner's rule on the digits through the Zech table.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -77,9 +85,18 @@ _FLOAT32_EXACT = 1 << 24
 SHOWN_DIGITS = 4300
 _SHOWN_LIMIT = 10**SHOWN_DIGITS
 _TABLE_BLOCK = 4096
+# The modulus search tests 64 encodings per numpy root test (fewer for large
+# p: at most 2^12 polynomial values), and runs the Rabin test on 12
+# root-free candidates at once: the fields of the basis pins need 1 to 19.
+_MODULUS_PASS = 64
+_ROOT_VALUES = 1 << 12
+_RABIN_ROWS = 12
 _ZECH_BLOCK = 16384
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3317044064679887385961981
+# Below this a cofactor's trial division (at most 256 steps) costs no more
+# than is_prime, so factorize tests only larger cofactors for primality.
+_TRIAL_LIMIT = 1 << 18
 
 
 def is_prime(num: int) -> bool:
@@ -105,19 +122,28 @@ def is_prime(num: int) -> bool:
 
 
 def factorize(num: int) -> tuple[tuple[int, int], ...]:
-    """Prime factorization by trial division, smallest prime first."""
+    """Prime factorization by trial division, smallest prime first.
+
+    The division stops as soon as the cofactor left is prime: 2^31 - 1 and
+    (3^13 - 1)/2 end the search at once."""
     if num < 1:
         raise ValueError("factorize expects a positive integer")
+
+    def prime(rest):  # worth testing only where trial division would take longer
+        return _TRIAL_LIMIT < rest < _MR_LIMIT and is_prime(rest)
+
     out = []
     rem = num
     f = 2
-    while f * f <= rem:
+    rest_is_prime = prime(rem)
+    while f * f <= rem and not rest_is_prime:
         if rem % f == 0:
             e = 0
             while rem % f == 0:
                 rem //= f
                 e += 1
             out.append((f, e))
+            rest_is_prime = prime(rem)
         f += 1 if f == 2 else 2
     if rem > 1:
         out.append((rem, 1))
@@ -203,103 +229,179 @@ def _poly_gcd(a, b, p):
     return a
 
 
-def _frobenius_matrix(mod, p: int) -> np.ndarray:
-    """Row i holds x^(p*i) mod `mod` (degree >= 2), so v @ F = v^p.
+def _times(v: np.ndarray, m: np.ndarray, p: int) -> np.ndarray:
+    """Each row of v times the matching matrix of m, mod p."""
+    return np.matmul(v[:, None, :], m)[:, 0] % p
 
-    Every digit of v lies in F_p and is its own p-th power, so
-    (sum v_i x^i)^p = sum v_i x^(p*i): raising to the p-th power is linear.
+
+def _frobenius(low: np.ndarray, p: int) -> np.ndarray:
+    """The Frobenius matrix of each monic x^d + sum low[b, i] x^i (d >= 2).
+
+    Row i holds x^(p*i), so v @ F = v^p: every digit of v lies in F_p and
+    is its own p-th power, so (sum v_i x^i)^p = sum v_i x^(p*i) and raising
+    to the p-th power is linear.  Every power of x is the one before it
+    times a matrix (x or x^p), one vector-matrix product per polynomial,
+    except x^e for e <= d, which is read off; x^p comes from
+    square-and-multiply over the bits of p.
     """
-    d = len(mod) - 1
-    step = _mult_matrix(_fixed_powmod([0, 1] + [0] * (d - 2), p, mod, p), mod, p)
-    frob = np.zeros((d, d), dtype=np.int64)
-    frob[0, 0] = 1
-    for i in range(1, d):
-        frob[i] = frob[i - 1] @ step % p
-    return frob
+    count, d = low.shape
+    powers = np.zeros((count, d + 1, d), dtype=np.int64)  # x^e for e = 0 .. d
+    powers[:, np.arange(d), np.arange(d)] = 1
+    powers[:, d] = -low % p
+    mul_x = powers[:, 1:]  # row i: x^i * x
+
+    def progression(first, start, step, m):
+        """x^(start + i*step) for i = 0 .. d-1, from ``first``: each the one
+        before times m, except those of exponent at most d, read off."""
+        rows = np.empty((count, d, d), dtype=np.int64)
+        rows[:, 0] = first
+        free = powers[:, start + step::step][:, :d - 1]
+        rows[:, 1:1 + free.shape[1]] = free
+        for i in range(1 + free.shape[1], d):
+            rows[:, i] = _times(rows[:, i - 1], m, p)
+        return rows
+
+    xp, e = powers[:, 1], 1  # x^e
+    for bit in f"{p:b}"[1:]:
+        if 2 * e + int(bit) <= d:
+            xp = powers[:, 2 * e + int(bit)]
+        else:
+            xp = _times(xp, progression(xp, e, 1, mul_x), p)
+            if bit == "1":
+                xp = _times(xp, mul_x, p)
+        e = 2 * e + int(bit)
+    return progression(powers[:, 0], 0, p, progression(xp, p, 1, mul_x))
 
 
-def _is_irreducible(mod, p: int) -> bool:
-    """Rabin irreducibility test for a monic polynomial over F_p.
+def _first_irreducible(low: np.ndarray, p: int):
+    """(digits, Frobenius matrix) of the first irreducible x^d + sum low[b, i] x^i,
+    or None.
 
-    x^(p^k) is x times the k-th power of the Frobenius matrix, one
-    vector-matrix product per k.
+    The Rabin test, on every row at once: f is irreducible iff x^(p^d) = x
+    and, for each prime l of d, gcd(x^(p^(d/l)) - x, f) = 1, where x^(p^k)
+    is x times the k-th power of the Frobenius matrix.
     """
-    d = len(mod) - 1
-    if d == 1:
-        return True
-    frob = _frobenius_matrix(mod, p)
-    x = np.zeros(d, dtype=np.int64)
-    x[1] = 1
-    powers = [x]  # x^(p^k) for k = 0 .. d
+    d = low.shape[1]
+    frob = _frobenius(low, p)
+    x = np.zeros_like(low)
+    x[:, 1] = 1
+    xpk = [x]  # x^(p^k) for k = 0 .. d
     for _ in range(d):
-        powers.append(powers[-1] @ frob % p)
-    if not np.array_equal(powers[d], x):
-        return False
-    for prime, _ in factorize(d):
-        diff = ((powers[d // prime] - x) % p).tolist()
-        if len(_poly_gcd(diff, mod, p)) > 1:
-            return False
-    return True
+        xpk.append(_times(xpk[-1], frob, p))
+    for b in np.flatnonzero((xpk[d] == x).all(axis=1)):
+        mod = low[b].tolist() + [1]
+        if all(len(_poly_gcd(((xpk[d // prime][b] - x[b]) % p).tolist(), mod, p)) == 1
+               for prime, _ in factorize(d)):
+            return low[b], frob[b]
+    return None
 
 
-def _has_nonzero_root(coeffs, p: int) -> bool:
-    """Whether x^d + sum c_i x^i vanishes at some r in 1..p-1 (Horner's rule)."""
-    for r in range(1, p):
-        value = 1
-        for c in reversed(coeffs):
-            value = (value * r + c) % p
-        if not value:
-            return True
-    return False
+def _root_free(p: int, d: int):
+    """The digits (constant first) of each x^d + sum c_i x^i with no root in
+    F_p, in encoding order.  One numpy pass tests ``_MODULUS_PASS``
+    encodings, or fewer for large p, so that it evaluates at most
+    ``_ROOT_VALUES`` polynomial values."""
+    # r^i for r = 1..p-1 and i = 0..d, each below p^d <= TABLE_LIMIT
+    roots = np.arange(1, p) ** np.arange(d + 1)[:, None] % p
+    size = p**d
+    count = max(1, min(_MODULUS_PASS, _ROOT_VALUES // p))
+    for lo in range(0, size, count):
+        digits = np.arange(lo, min(lo + count, size))[:, None] // p ** np.arange(d) % p
+        yield from digits[(digits[:, 0] != 0) & ((digits @ roots[:d] + roots[d]) % p).all(axis=1)]
 
 
-def _find_modulus(p: int, d: int) -> tuple[int, ...]:
+def _find_modulus(p: int, d: int) -> tuple[tuple[int, ...], np.ndarray | None]:
+    """The monic irreducible polynomial of degree d with the smallest
+    encoding, and its Frobenius matrix (None for d = 1).
+
+    Without a root, degree 2 or 3 is irreducible.  Of larger degree, the
+    root-free candidates go to :func:`_first_irreducible` in order,
+    ``_RABIN_ROWS`` at a time, so no candidate builds a matrix of its own.
+    """
     if d == 1:
-        return (0, 1)
-    for enc in range(p**d):
-        coeffs = _digits(enc, p, d)
-        if coeffs[0] == 0:
-            continue  # divisible by x
-        if _has_nonzero_root(coeffs, p):
-            continue
-        candidate = coeffs + [1]
-        if _is_irreducible(candidate, p):
-            return tuple(candidate)
-    raise RuntimeError(f"no irreducible polynomial of degree {d} over F_{p}")
+        return (0, 1), None
+    candidates = _root_free(p, d)
+    if d <= 3:
+        low = next(candidates)[None]
+        return tuple(low[0].tolist()) + (1,), _frobenius(low, p)[0]
+    while True:
+        low = np.array(list(itertools.islice(candidates, _RABIN_ROWS)))
+        if not len(low):
+            raise RuntimeError(f"no irreducible polynomial of degree {d} over F_{p}")
+        found = _first_irreducible(low, p)
+        if found is not None:
+            return tuple(found[0].tolist()) + (1,), found[1]
 
 
-def _find_generator(p: int, d: int, mod, group_order: int,
+def _resultant(a, b, p: int) -> int:
+    """Res(a, b) over F_p, by Euclid's algorithm; a is monic, b is nonzero.
+
+    Res(a, b) = (-1)^(deg a * deg b) lc(b)^(deg a - deg r) Res(b, r) with
+    r = a mod b, and Res(a, c) = c^(deg a) for a constant c.  For a monic
+    modulus, Res(modulus, v) is the norm of v.
+    """
+    a, b = _trim(list(a)), _trim(list(b))
+    res = 1
+    while len(b) > 1:
+        r = _poly_mod(a, b, p)
+        if not r:
+            return 0
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            res = -res
+        res = res * pow(b[-1], len(a) - len(r), p) % p
+        a, b = b, r
+    return res * pow(b[0], len(a) - 1, p) % p
+
+
+def _find_generator(p: int, d: int, mod, frob, group_order: int,
                     factorization) -> list[int]:
     """The nonzero element of smallest encoding with full multiplicative order.
 
     A candidate v passes when v^(order/l) != 1 for every prime l of the
-    order.  For d >= 2 each such power runs Horner's rule over the base-p
-    digits of order/l: raise to the p-th power (the Frobenius matrix), then
-    multiply by v^digit.  Each v^digit is one square-and-multiply power,
-    made once per candidate and digit; the p powers of v are never all made,
-    which for large p would cost more than the whole test.
+    order.  A prime l dividing p - 1 is decided from the norm
+    N(v) = v^((p^d - 1)/(p - 1)), which lies in F_p:
+    v^(order/l) = N(v)^((p - 1)/l), a plain modular power, and N(v) is the
+    resultant of the modulus and v.  For every other l and d >= 2, the
+    power runs Horner's rule over the base-p digits of order/l: raise to the
+    p-th power (``frob``, the modulus's Frobenius matrix), then multiply by
+    v^digit.  The matrix of each v^digit comes from the matrix of v by
+    square-and-multiply, made once per candidate and digit; the p powers of
+    v are never all made, which for large p would cost more than the whole
+    test.
     """
     if d == 1:
         for g in range(1, p):
             if all(pow(g, group_order // prime, p) != 1 for prime, _ in factorization):
                 return [g]
         raise RuntimeError("no primitive element found")
-    frob = _frobenius_matrix(mod, p)
-    exponents = [_digits(group_order // prime, p, d)[::-1] for prime, _ in factorization]
-    one = np.zeros(d, dtype=np.int64)
-    one[0] = 1
+    norm_exponents = [(p - 1) // prime for prime, _ in factorization if (p - 1) % prime == 0]
+    exponents = [_trim(_digits(group_order // prime, p, d))[::-1]  # most significant first
+                 for prime, _ in factorization if (p - 1) % prime]
+    one = [1] + [0] * (d - 1)
     # the constants 1..p-1 lie in F_p^* and cannot have full order
     for enc in range(p, p**d):
         vec = _digits(enc, p, d)
+        norm = _resultant(mod, vec, p)
+        if any(pow(norm, e, p) == 1 for e in norm_exponents):
+            continue
+        powers = {1: _mult_matrix(vec, mod, p)}  # k -> matrix of w -> w * vec^k
+
+        def power(k):
+            if k not in powers:
+                half = power(k // 2)
+                powers[k] = half @ half % p
+                if k % 2:
+                    powers[k] = powers[k] @ powers[1] % p
+            return powers[k]
+
         steps = {0: frob}  # digit -> matrix of w -> w^p * vec^digit
         for digits in exponents:
-            acc = one
-            for digit in digits:
+            acc = power(digits[0])[0]
+            for digit in digits[1:]:
                 if digit not in steps:
-                    steps[digit] = frob @ _mult_matrix(
-                        _fixed_powmod(vec, digit, mod, p), mod, p) % p
+                    steps[digit] = frob @ power(digit) % p
                 acc = acc @ steps[digit] % p
-            if np.array_equal(acc, one):
+            if acc.tolist() == one:
                 break
         else:
             return vec
@@ -532,11 +634,13 @@ class FieldCtx(FieldParams):
     """F_{q^n} as F_p[x]/(modulus) with its generator's digits and its Zech-log table.
 
     Construct via :func:`field_basis` (no table yet) or :func:`build_field`.
-    The Zech table and log x are built together, by :func:`build_field`, the
-    first time either is read; ``table_s`` is the seconds that took, 0.0
-    while they are missing.
+    ``basis_s`` is the seconds :func:`field_basis` took to find the modulus,
+    the factorization and the generator.  The Zech table and log x are built
+    together, by :func:`build_field`, the first time either is read;
+    ``table_s`` is the seconds that took, 0.0 while they are missing.
     """
 
+    basis_s = 0.0
     table_s = 0.0
 
     def __init__(self, p: int, m: int, n: int, modulus, factorization, gamma_coeffs):
@@ -715,9 +819,13 @@ def field_basis(p: int, m: int, n: int, cap: int = DEFAULT_CAP,
     if size > limit:
         raise FieldTooLarge(params, limit)
 
-    modulus = _find_modulus(p, d)
+    t0 = time.perf_counter()
+    modulus, frob = _find_modulus(p, d)
     fact = factorize(size - 1) if size > 2 else ()
-    return FieldCtx(p, m, n, modulus, fact, _find_generator(p, d, modulus, size - 1, fact))
+    ctx = FieldCtx(p, m, n, modulus, fact,
+                   _find_generator(p, d, modulus, frob, size - 1, fact))
+    ctx.basis_s = time.perf_counter() - t0
+    return ctx
 
 
 def build_field(p: int, m: int, n: int, cap: int = DEFAULT_CAP,

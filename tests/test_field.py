@@ -398,3 +398,45 @@ def test_digit_constants_round_trip(p, samples):
 def test_basis_is_pinned(params, pinned):
     basis = field_basis(*params, cap=2**31, strict=params[0] != 2)
     assert (basis.modulus_encoding, basis.gamma_encoding) == pinned
+
+
+def _remainder(num, den, p):
+    """num mod den over F_p, den monic; coefficient lists, constant first."""
+    num = list(num)
+    for top in range(len(num) - 1, len(den) - 2, -1):
+        c = num[top]
+        if c:
+            for j, dj in enumerate(den):
+                num[top - len(den) + 1 + j] = (num[top - len(den) + 1 + j] - c * dj) % p
+    return num[:len(den) - 1]
+
+
+def _reference_modulus(p, d):
+    """The smallest encoding with no monic factor of degree <= d/2."""
+    divisors = [[*low, 1] for k in range(1, d // 2 + 1)
+                for low in itertools.product(range(p), repeat=k)]
+    for enc in range(p**d):
+        f = [enc // p**i % p for i in range(d)] + [1]
+        if all(any(_remainder(f, g, p)) for g in divisors):
+            return tuple(f)
+
+
+def _reference_generator(p, d, modulus):
+    """The smallest encoding v >= p with v^(order/l) != 1 for every prime l."""
+    order = p**d - 1
+    primes = [l for l in range(2, order + 1)
+              if order % l == 0 and all(l % k for k in range(2, math.isqrt(l) + 1))]
+    one = (1,) + (0,) * (d - 1)
+    for enc in range(p, p**d):
+        v = tuple(enc // p**i % p for i in range(d))
+        if all(naive_pow(p, modulus, v, order // l) != one for l in primes):
+            return v
+
+
+@pytest.mark.parametrize("p,d", [(p, d) for p in (3, 5, 7, 11, 13)
+                                 for d in range(2, 20) if p**d <= 10**5]
+                                + [(2, d) for d in range(2, 17)])
+def test_basis_search_matches_a_reference(p, d):
+    basis = field_basis(p, 1, d, strict=p != 2)
+    assert basis.modulus == _reference_modulus(p, d)
+    assert basis.gamma_coeffs == _reference_generator(p, d, basis.modulus)
