@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import FieldTooLarge
 from .field import DEFAULT_CAP, FFElement, FieldCtx
-from .linpoly import LinearizedPolynomial, _log_sum, evaluate_many
+from .linpoly import LinearizedPolynomial, evaluate_many
 
 
 @dataclass(frozen=True)
@@ -43,20 +43,20 @@ class CoefficientTable:
 
 def coefficient_table(ctx: FieldCtx, s_poly: LinearizedPolynomial) -> CoefficientTable:
     """Factor S and evaluate f at gamma^(s*i*q^(r1)) for every coset index i,
-    all i at once, from f's terms.
+    all i at once.
 
     Takes s = q^d - 1 with d = gcd(n, r_2 - r_1, ..., r_k - r_1): the largest
     divisor of that shape dividing every q^(r_i - r_1) - 1 and q^n - 1, which
-    makes the exponents of f integral and the output canonical.
+    makes the exponents of f integral and the output canonical.  f's term
+    (e, a) at gamma^(s*i*q^(r1)) is a * gamma^(i*(q^r - q^(r1))), since
+    e*s = q^(r - r1) - 1, so A_i is the ratio S(gamma^i)/gamma^(i*q^(r1)),
+    which :func:`evaluate_many` gives with ``index=r1``.
     """
     r1 = s_poly.min_exponent
     s = ctx.q ** math.gcd(ctx.n, *(r - r1 for r, _ in s_poly.terms)) - 1
     f_terms = tuple(((ctx.q ** (r - r1) - 1) // s, a) for r, a in s_poly.terms)
     l = ctx.order // s
-    step = s * pow(ctx.q, r1, ctx.order) % ctx.order
-    base = np.arange(l, dtype=np.int64) * step % ctx.order
-    A = _log_sum(ctx, (((c.dlog + e * base) % ctx.order).astype(np.uint32)
-                       for e, c in f_terms))
+    A = evaluate_many(ctx, s_poly, np.arange(l), index=r1)
     return CoefficientTable(r1=r1, s=s, l=l, A=A, f_terms=f_terms)
 
 

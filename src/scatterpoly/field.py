@@ -15,19 +15,24 @@ norms and addition are O(1) integer operations on discrete logs.  That is
 what makes the exhaustive scans in :mod:`scatterpoly.scatter` feasible.
 
 For degree d >= 2 both searches share one Frobenius matrix, the modulus's,
-whose row i is x^(p*i).  The modulus search drops every encoding with a root
-in F_p in one numpy pass over a block of encodings, then runs the Rabin test
-on the remaining candidates together, a few at a time: x^(p^k) comes from
-iterated products with the Frobenius matrices of all of them, built at once,
-and the accepted candidate's matrix goes on to the generator search.  There
-a prime l of the order that divides p - 1 is decided from the candidate's
-norm to F_p, the resultant of the modulus and the candidate; every other l
-raises the candidate to order/l by Horner's rule over the base-p digits of
-order/l (a prime field's generator test is a plain modular power).  The
-factorization of the order stops dividing once the cofactor left is prime.
-The table walk (:func:`_log_table`) multiplies digit
-vectors only for one power per F_p-line and reaches the other p - 2 by
-scaling digits with the norm of the generator, a constant of F_p.
+whose row i is x^(p*i), and the context keeps it.  The modulus search drops
+every encoding with a root in F_p in one numpy pass over a block of
+encodings, then runs the Rabin test on the remaining candidates together, a
+few at a time: x^(p^k) comes from iterated products with the Frobenius
+matrices of all of them, built at once, and the accepted candidate's matrix
+goes on to the generator search.  There a prime l of the order that divides
+p - 1 is decided from the candidate's norm to F_p, the resultant of the
+modulus and the candidate; every other l raises the candidate to order/l.
+The factorization of the order stops dividing once the cofactor left is
+prime.  The table walk (:func:`_log_table`) multiplies digit vectors only
+for one power per F_p-line and reaches the other p - 2 by scaling digits
+with the norm of the generator, a constant of F_p.
+
+One routine, :func:`_powers`, raises a digit vector to a power: Horner's
+rule over the base-p digits of the exponent, one product with the Frobenius
+matrix and one with a memoized matrix of v^digit per digit (a plain modular
+power in a prime field).  The generator search, the table walk's two powers
+and :meth:`FieldCtx.digit_power`, the one door other modules use, all call it.
 
 Two layers describe a field: :class:`FieldParams` holds the sizes, all the
 scan-free criteria read; :class:`FieldCtx` adds the modulus, factorization and
@@ -39,8 +44,9 @@ reads it.
 
 An element is its discrete log alone (:class:`FFElement`).  Digits and
 discrete logs meet in one place each way: :meth:`FieldCtx.coeffs` raises the
-generator's digits to the discrete log, and :meth:`FieldCtx.element_from_coeffs`
-runs Horner's rule on the digits through the Zech table.
+generator's digits to the discrete log with :meth:`FieldCtx.digit_power`, and
+:meth:`FieldCtx.element_from_coeffs` runs Horner's rule on the digits through
+the Zech table.
 """
 
 from __future__ import annotations
@@ -168,37 +174,6 @@ def _encode(coeffs, p: int) -> int:
     for c in reversed(coeffs):
         enc = enc * p + c
     return enc
-
-
-def _fixed_mulmod(a, b, mod, p):
-    """Product of two length-d vectors modulo the monic polynomial `mod`."""
-    d = len(mod) - 1
-    res = [0] * (2 * d - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                res[i + j] += ai * bj
-    for i in range(2 * d - 2, d - 1, -1):
-        c = res[i] % p
-        if c:
-            base = i - d
-            for j in range(d):
-                res[base + j] -= c * mod[j]
-    return [v % p for v in res[:d]]
-
-
-def _fixed_powmod(vec, exponent: int, mod, p):
-    d = len(mod) - 1
-    result = [1] + [0] * (d - 1)
-    base = list(vec)
-    e = exponent
-    while e:
-        if e & 1:
-            result = _fixed_mulmod(result, base, mod, p)
-        e >>= 1
-        if e:
-            base = _fixed_mulmod(base, base, mod, p)
-    return result
 
 
 def _trim(poly):
@@ -353,6 +328,48 @@ def _resultant(a, b, p: int) -> int:
     return res * pow(b[0], len(a) - 1, p) % p
 
 
+def _powers(vec, exponents, mod, frob, p: int):
+    """The digits of vec^e in F_p[x]/(mod), for each e of ``exponents`` in turn.
+
+    For degree d >= 2, Horner's rule over the base-p digits of e: raise to
+    the p-th power (``frob``, the modulus's Frobenius matrix), then multiply
+    by vec^digit.  The matrix of each vec^digit comes from the matrix of vec
+    by square-and-multiply, made once per digit for all the exponents; the
+    p powers of vec are never all made, which for large p would cost more
+    than the power itself.  A prime field (``frob`` is None) takes a plain
+    modular power.  Lazy: a caller that stops early makes no later power.
+    """
+    if frob is None:
+        for e in exponents:
+            yield [pow(vec[0], e, p)]
+        return
+    powers = {1: _mult_matrix(vec, mod, p)}  # k -> matrix of w -> w * vec^k
+
+    def power(k):
+        if k not in powers:
+            half = power(k // 2)
+            powers[k] = half @ half % p
+            if k % 2:
+                powers[k] = powers[k] @ powers[1] % p
+        return powers[k]
+
+    steps = {0: frob}  # digit -> matrix of w -> w^p * vec^digit
+    for e in exponents:
+        digits = []  # least significant first
+        while e:
+            e, digit = divmod(e, p)
+            digits.append(digit)
+        if not digits:
+            yield [1] + [0] * (len(mod) - 2)
+            continue
+        acc = power(digits[-1])[0]
+        for digit in reversed(digits[:-1]):
+            if digit not in steps:
+                steps[digit] = frob @ power(digit) % p
+            acc = acc @ steps[digit] % p
+        yield acc.tolist()
+
+
 def _find_generator(p: int, d: int, mod, frob, group_order: int,
                     factorization) -> list[int]:
     """The nonzero element of smallest encoding with full multiplicative order.
@@ -361,49 +378,20 @@ def _find_generator(p: int, d: int, mod, frob, group_order: int,
     order.  A prime l dividing p - 1 is decided from the norm
     N(v) = v^((p^d - 1)/(p - 1)), which lies in F_p:
     v^(order/l) = N(v)^((p - 1)/l), a plain modular power, and N(v) is the
-    resultant of the modulus and v.  For every other l and d >= 2, the
-    power runs Horner's rule over the base-p digits of order/l: raise to the
-    p-th power (``frob``, the modulus's Frobenius matrix), then multiply by
-    v^digit.  The matrix of each v^digit comes from the matrix of v by
-    square-and-multiply, made once per candidate and digit; the p powers of
-    v are never all made, which for large p would cost more than the whole
-    test.
+    resultant of the modulus and v (v itself when d = 1, where every l
+    divides p - 1).  Every other l takes :func:`_powers`, which stops at the
+    first v^(order/l) = 1.
     """
-    if d == 1:
-        for g in range(1, p):
-            if all(pow(g, group_order // prime, p) != 1 for prime, _ in factorization):
-                return [g]
-        raise RuntimeError("no primitive element found")
     norm_exponents = [(p - 1) // prime for prime, _ in factorization if (p - 1) % prime == 0]
-    exponents = [_trim(_digits(group_order // prime, p, d))[::-1]  # most significant first
-                 for prime, _ in factorization if (p - 1) % prime]
+    exponents = [group_order // prime for prime, _ in factorization if (p - 1) % prime]
     one = [1] + [0] * (d - 1)
-    # the constants 1..p-1 lie in F_p^* and cannot have full order
-    for enc in range(p, p**d):
+    # for d >= 2 the constants 1..p-1 lie in F_p^* and cannot have full order
+    for enc in range(p if d > 1 else 1, p**d):
         vec = _digits(enc, p, d)
         norm = _resultant(mod, vec, p)
         if any(pow(norm, e, p) == 1 for e in norm_exponents):
             continue
-        powers = {1: _mult_matrix(vec, mod, p)}  # k -> matrix of w -> w * vec^k
-
-        def power(k):
-            if k not in powers:
-                half = power(k // 2)
-                powers[k] = half @ half % p
-                if k % 2:
-                    powers[k] = powers[k] @ powers[1] % p
-            return powers[k]
-
-        steps = {0: frob}  # digit -> matrix of w -> w^p * vec^digit
-        for digits in exponents:
-            acc = power(digits[0])[0]
-            for digit in digits[1:]:
-                if digit not in steps:
-                    steps[digit] = frob @ power(digit) % p
-                acc = acc @ steps[digit] % p
-            if acc.tolist() == one:
-                break
-        else:
+        if one not in _powers(vec, exponents, mod, frob, p):
             return vec
     raise RuntimeError("no primitive element found (modulus not irreducible?)")
 
@@ -423,22 +411,23 @@ def _mult_matrix(vec, mod, p: int) -> np.ndarray:
     return np.array(rows, dtype=np.int64)
 
 
-def _build_tables(p: int, d: int, mod, gamma_vec):
-    """Zech-log table of F_p[x]/(mod) with generator gamma, and log x.
+def _build_tables(p: int, d: int, mod, frob, gamma_vec):
+    """Zech-log table of F_p[x]/(mod) with generator gamma, and log x;
+    ``frob`` is the modulus's Frobenius matrix (None for d = 1).
 
     The int32 log table (every entry is below ``TABLE_LIMIT``) is a
     temporary: it is checked for bijectivity, gives the Zech table and is
     freed on return.  No antilog array exists, even as a temporary.
     ``log x`` (encoding p) is None when d = 1, where x = 0.
     """
-    log = _log_table(p, d, mod, gamma_vec)
+    log = _log_table(p, d, mod, frob, gamma_vec)
     if int(np.count_nonzero(log >= 0)) != p**d - 1:
         raise RuntimeError("the powers of gamma miss a unit: log table not bijective")
     log_x = int(log[p]) if d > 1 else None
     return _zech_table(p, log), log_x
 
 
-def _log_table(p: int, d: int, mod, gamma_vec) -> np.ndarray:
+def _log_table(p: int, d: int, mod, frob, gamma_vec) -> np.ndarray:
     """log[enc] = k where gamma^k has encoding enc; -1 where no power lands.
 
     For d >= 2 the walk visits one power per F_p-line, gamma^0 .. gamma^(e1-1)
@@ -492,10 +481,9 @@ def _log_table(p: int, d: int, mod, gamma_vec) -> np.ndarray:
         filled += cnt
         step_m = step_m @ step_m % p
 
-    big_step = _fixed_powmod(gamma_vec, block, mod, p)
+    big_step, c0 = _powers(gamma_vec, (block, e1), mod, frob, p)
     big_m = _mult_matrix(big_step, mod, p).T.astype(walk_dtype)
     if per_line > 1:
-        c0 = _fixed_powmod(gamma_vec, e1, mod, p)
         if not c0[0] or any(c0[1:]):
             raise RuntimeError("the norm of gamma is not in F_p^*: modulus not irreducible")
         # scale[u]: the half-encoding u with every digit multiplied by c0
@@ -635,9 +623,11 @@ class FieldCtx(FieldParams):
 
     Construct via :func:`field_basis` (no table yet) or :func:`build_field`.
     ``basis_s`` is the seconds :func:`field_basis` took to find the modulus,
-    the factorization and the generator.  The Zech table and log x are built
-    together, by :func:`build_field`, the first time either is read;
-    ``table_s`` is the seconds that took, 0.0 while they are missing.
+    the factorization and the generator; it also keeps the modulus's
+    Frobenius matrix (None for d = 1), which :meth:`digit_power` reads.  The
+    Zech table and log x are built together, by :func:`build_field`, the
+    first time either is read; ``table_s`` is the seconds that took, 0.0
+    while they are missing.
     """
 
     basis_s = 0.0
@@ -678,11 +668,17 @@ class FieldCtx(FieldParams):
     def coeffs(self, a: FFElement) -> tuple[int, ...]:
         """a's coefficient vector over F_p, constant term first; for output.
 
-        One square-and-multiply power of the generator's digits, no table.
+        The generator's digits raised to the discrete log, no table.
         """
         if a.dlog is None:
             return (0,) * self.degree
-        return tuple(_fixed_powmod(self.gamma_coeffs, a.dlog, self.modulus, self.p))
+        return self.digit_power(self.gamma_coeffs, a.dlog)
+
+    def digit_power(self, vec, e: int) -> tuple[int, ...]:
+        """The digits of v^e, constant term first, where v has the digits
+        ``vec``; see :func:`_powers`.  Reads no table."""
+        [power] = _powers(vec, (e,), self.modulus, self._frob, self.p)
+        return tuple(power)
 
     def encode(self, a: FFElement) -> int:
         """The integer sum(c_i p^i) of a's coefficient vector; for output."""
@@ -824,6 +820,7 @@ def field_basis(p: int, m: int, n: int, cap: int = DEFAULT_CAP,
     fact = factorize(size - 1) if size > 2 else ()
     ctx = FieldCtx(p, m, n, modulus, fact,
                    _find_generator(p, d, modulus, frob, size - 1, fact))
+    ctx._frob = frob
     ctx.basis_s = time.perf_counter() - t0
     return ctx
 
@@ -838,7 +835,8 @@ def build_field(p: int, m: int, n: int, cap: int = DEFAULT_CAP,
     ``cap`` and ``strict`` are not read again)."""
     ctx = field_basis(p, m, n, cap, strict) if basis is None else basis
     t0 = time.perf_counter()
-    ctx._zech, log_x = _build_tables(p, ctx.degree, ctx.modulus, ctx.gamma_coeffs)
+    ctx._zech, log_x = _build_tables(p, ctx.degree, ctx.modulus, ctx._frob,
+                                     ctx.gamma_coeffs)
     ctx._x = FFElement(log_x)
     ctx.table_s = time.perf_counter() - t0
     return ctx

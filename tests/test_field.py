@@ -19,7 +19,6 @@ from scatterpoly.field import (
     WALK_LIMIT,
     _build_tables,
     _encode,
-    _fixed_mulmod,
     factorize,
     field_basis,
     is_prime,
@@ -103,9 +102,10 @@ def test_build_is_reproducible():
     assert ([a.encode(a.element_from_dlog(k)) for k in range(a.order)]
             == [b.encode(b.element_from_dlog(k)) for k in range(b.order)])
     assert np.array_equal(a._zech, b._zech)
-    # the Zech table is the only array a built field holds
-    arrays = [v for v in vars(a).values() if isinstance(v, np.ndarray)]
-    assert len(arrays) == 1 and arrays[0] is a._zech
+    # the Zech table is the only table a built field holds; the one other
+    # array is the modulus's d x d Frobenius matrix
+    arrays = sorted(k for k, v in vars(a).items() if isinstance(v, np.ndarray))
+    assert arrays == ["_frob", "_zech"] and a._frob.shape == (a.degree, a.degree)
     assert a._zech.dtype == np.int32 and a._zech.size == a.order
 
 
@@ -335,7 +335,7 @@ def test_zech_table_is_log_of_one_plus(params):
     encodings = []
     for _ in range(ctx.order):
         encodings.append(_encode(vec, p))
-        vec = _fixed_mulmod(vec, gamma, ctx.modulus, p)
+        vec = list(naive_mul(p, ctx.modulus, vec, gamma))
     assert vec == list(ctx.coeffs(ctx.one()))  # gamma has full order
     log = {enc: k for k, enc in enumerate(encodings)}
     assert len(log) == ctx.order
@@ -353,9 +353,9 @@ def test_tables_refuse_a_non_primitive_generator(params):
     # g^2 has half the order: its powers and their F_p multiples miss units
     basis = field_basis(*params)
     p, d = basis.p, basis.degree
-    square = _fixed_mulmod(basis.gamma_coeffs, basis.gamma_coeffs, basis.modulus, p)
+    square = naive_mul(p, basis.modulus, basis.gamma_coeffs, basis.gamma_coeffs)
     with pytest.raises(RuntimeError):
-        _build_tables(p, d, basis.modulus, square)
+        _build_tables(p, d, basis.modulus, basis._frob, square)
 
 
 @pytest.mark.parametrize("params", [(3, 1, 2), (2, 1, 4)])
@@ -398,6 +398,30 @@ def test_digit_constants_round_trip(p, samples):
 def test_basis_is_pinned(params, pinned):
     basis = field_basis(*params, cap=2**31, strict=params[0] != 2)
     assert (basis.modulus_encoding, basis.gamma_encoding) == pinned
+
+
+# the pinned fields, F_8191 (d = 1) and F_101^2 among them, and F_46337^2,
+# whose p^2 is just below 2^31: bases only, since a power reads no table
+@pytest.mark.parametrize("params", [
+    (3, 1, 4), (3, 1, 6), (3, 1, 9), (3, 1, 12), (3, 1, 13), (3, 1, 15),
+    (3, 1, 16), (5, 1, 4), (5, 1, 9), (7, 1, 7), (3, 2, 3), (2, 1, 13),
+    (101, 1, 2), (1009, 1, 2), (4099, 1, 1), (8191, 1, 1), (46337, 1, 2),
+])
+def test_digit_power_matches_naive_pow(params):
+    basis = field_basis(*params, cap=2**31, strict=params[0] != 2)
+    p, d, order = basis.p, basis.degree, basis.order
+    rng = random.Random(11)
+    e1 = order // (p - 1)
+    exponents = [0, 1, p - 1, p, e1, order - 1] + [rng.randrange(order) for _ in range(8)]
+    vectors = [basis.gamma_coeffs, (0,) * d] + [
+        tuple(rng.randrange(p) for _ in range(d)) for _ in range(3)]
+    for vec in vectors:
+        for e in exponents:
+            assert basis.digit_power(vec, e) == naive_pow(p, basis.modulus, vec, e), (vec, e)
+    # coeffs is the generator's digits to the discrete log
+    for e in exponents:
+        assert basis.coeffs(basis.element_from_dlog(e)) == naive_pow(
+            p, basis.modulus, basis.gamma_coeffs, e)
 
 
 def _remainder(num, den, p):

@@ -31,3 +31,22 @@ def test_unread_imports_are_caught():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unread_imports(path):
     assert unread_imports(path.read_text()) == []
+
+
+def private_imports(source: str) -> list[str]:
+    """``module.name`` of each ``_``-prefixed name a module imports from another."""
+    return sorted(f"{node.module or '.'}.{a.name}" for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom)
+                  for a in node.names if a.name.startswith("_"))
+
+
+def test_private_imports_are_caught():
+    source = "from .field import _a, b\nfrom x import _c as c\nimport _d\n"
+    assert private_imports(source) == ["field._a", "x._c"]
+
+
+# a private name is its module's own: another module that needs it asks the
+# owner for a public door instead
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_imports(path):
+    assert private_imports(path.read_text()) == []
