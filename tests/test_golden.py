@@ -137,6 +137,11 @@ CASES = [
      "--output", "csv"],
     ["check", "--p", "3", "--n", "4", "--poly", "1:g^0", "--index", "1", "--census",
      "--output", "json"],
+    # one-term periods past the first witness window and past a chunk: over
+    # F_3^12, 66430 values with a census, and 20440 with witness (g^0, g^20440)
+    ["check", "--p", "3", "--n", "12", "--poly", "2:g^5", "--index", "0", "--census",
+     "--output", "json"],
+    ["check", "--p", "3", "--n", "12", "--poly", "3:g^1", "--index", "0", "--output", "json"],
 ]
 
 
