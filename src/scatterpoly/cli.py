@@ -99,8 +99,9 @@ def _fingerprint(field: FieldParams) -> dict:
     return base
 
 
-def _element_view(basis: FieldCtx, elem) -> dict:
-    return {"dlog": elem.dlog, "coeffs": list(basis.coeffs(elem)), "text": str(elem)}
+def _element_views(basis: FieldCtx, elems) -> list[dict]:
+    return [{"dlog": elem.dlog, "coeffs": list(digits), "text": str(elem)}
+            for elem, digits in zip(elems, basis.coeffs_many(elems))]
 
 
 def _report_view(basis: FieldCtx, report: ScatterReport) -> dict:
@@ -113,8 +114,8 @@ def _report_view(basis: FieldCtx, report: ScatterReport) -> dict:
         "deciding_pair_count": report.deciding_pair_count,
     }
     if report.witness is not None:
-        out["witness"] = {"y": _element_view(basis, report.witness[0]),
-                          "z": _element_view(basis, report.witness[1])}
+        y, z = _element_views(basis, report.witness)
+        out["witness"] = {"y": y, "z": z}
     return out
 
 

@@ -31,8 +31,9 @@ with the norm of the generator, a constant of F_p.
 One routine, :func:`_powers`, raises a digit vector to a power: Horner's
 rule over the base-p digits of the exponent, one product with the Frobenius
 matrix and one with a memoized matrix of v^digit per digit (a plain modular
-power in a prime field).  The generator search, the table walk's two powers
-and :meth:`FieldCtx.digit_power`, the one door other modules use, all call it.
+power in a prime field).  The generator search, the table walk's two powers,
+:meth:`FieldCtx.coeffs_many` and :meth:`FieldCtx.digit_power`, the doors
+other modules use, all call it.
 
 Two layers describe a field: :class:`FieldParams` holds the sizes, all the
 scan-free criteria read; :class:`FieldCtx` adds the modulus, factorization and
@@ -43,8 +44,9 @@ the former builds it, through :func:`build_field`, the first time something
 reads it.
 
 An element is its discrete log alone (:class:`FFElement`).  Digits and
-discrete logs meet in one place each way: :meth:`FieldCtx.coeffs` raises the
-generator's digits to the discrete log with :meth:`FieldCtx.digit_power`, and
+discrete logs meet in one place each way: :meth:`FieldCtx.coeffs_many` raises
+the generator's digits to the discrete logs of several elements with one
+:func:`_powers` call (:meth:`FieldCtx.coeffs` is the one-element case), and
 :meth:`FieldCtx.element_from_coeffs` runs Horner's rule on the digits through
 the Zech table.
 """
@@ -624,7 +626,8 @@ class FieldCtx(FieldParams):
     Construct via :func:`field_basis` (no table yet) or :func:`build_field`.
     ``basis_s`` is the seconds :func:`field_basis` took to find the modulus,
     the factorization and the generator; it also keeps the modulus's
-    Frobenius matrix (None for d = 1), which :meth:`digit_power` reads.  The
+    Frobenius matrix (None for d = 1), which :meth:`digit_power` and
+    :meth:`coeffs_many` read.  The
     Zech table and log x are built together, by :func:`build_field`, the
     first time either is read; ``table_s`` is the seconds that took, 0.0
     while they are missing.
@@ -666,13 +669,21 @@ class FieldCtx(FieldParams):
         return _encode(self.gamma_coeffs, self.p)
 
     def coeffs(self, a: FFElement) -> tuple[int, ...]:
-        """a's coefficient vector over F_p, constant term first; for output.
+        """a's coefficient vector over F_p, constant term first; for output."""
+        [digits] = self.coeffs_many((a,))
+        return digits
 
-        The generator's digits raised to the discrete log, no table.
+    def coeffs_many(self, elems) -> list[tuple[int, ...]]:
+        """The coefficient vectors of several elements, in order; for output.
+
+        The generator's digits raised to each discrete log by one
+        :func:`_powers` call, which builds the generator's matrices once for
+        all of them; no table.
         """
-        if a.dlog is None:
-            return (0,) * self.degree
-        return self.digit_power(self.gamma_coeffs, a.dlog)
+        powers = _powers(self.gamma_coeffs, [a.dlog for a in elems if a.dlog is not None],
+                         self.modulus, self._frob, self.p)
+        zero = (0,) * self.degree
+        return [zero if a.dlog is None else tuple(next(powers)) for a in elems]
 
     def digit_power(self, vec, e: int) -> tuple[int, ...]:
         """The digits of v^e, constant term first, where v has the digits

@@ -11,31 +11,36 @@ term's logs are an arithmetic progression along the representatives
 (:class:`TermLogs`).
 
 The own-term rule: S's term at exponent t adds the constant a_t to every
-ratio, a bijection on ratio values, so the scan leaves it out (unless it is
+ratio, a bijection on ratio values, so the oracle leaves it out (unless it is
 S's only term) and every collision, witness and count stays the same.  Only
 a sum of the remaining terms reads the Zech table: a monomial, or a binomial
-at t in {r1, r2}, is scanned on discrete logs alone, and a field from
-:func:`field.field_basis` builds its table only for a scan that adds.
+at t in {r1, r2}, is decided from its exponents and checked on discrete logs
+alone, and a field from :func:`field.field_basis` builds its table only for
+a scan that adds.
 
-One scan, :func:`_scan`, serves the oracle, the census and
+A scanned term's ratio ids are c + j*(q^r - q^t) mod the group order
+along the representatives j, an arithmetic progression, so one term needs no
+scan: its ids repeat with period P = order / gcd((q^r - q^t) mod order,
+order), which is 1 at r = t, a constant ratio (:func:`_one_term_period`).
+P divides e and gives every answer: P distinct values, scattered iff P = e,
+the witness (g^0, g^P), the census, and the census's groups, the residues
+mod P.  The formula is checked against the ids of the first
+``_WITNESS_WINDOW`` representatives, one :func:`evaluate_many` call: their
+first recurrence must be P, or none if P is at least the window.  So a field
+with e <= 64 is scanned in full, and a witness below the window is read off
+its ids.  Nothing one-term is sized by e.
+
+One scan, :func:`_scan`, serves the oracle and census of a sum and
 :func:`is_permutation`: it streams the representatives in chunks into one
 int32 array of ids, with no full-size temporary and no ``%`` per point.
 Each chunk is built in place, in uint32: every residue is below the order,
 which is below 2^31, so a sum of two fits 32 bits, and the int32 view of the
 result is the ids, -1 for zero.  The oracle and :func:`deciding_pairs` group
-equal ids in one of two ways:
-
-- one scanned term: its ids are a progression mod the group order, so
-  they repeat with a period, which one comparison pass with ids[0] reads
-  off (:func:`_period`); nothing is sorted, and the census's groups are
-  the residues mod the period;
-- two or more: one sort of the ids (:func:`_collisions`).  The
-  representatives whose value is shared then come in order from binary
-  searches of the sorted ids (:func:`_shared_reps`): the witness is the
-  first of them, and the census walks them lazily.
-
-Nothing but the ids, and for a sum their sorted copy, is sized by the
-field's order.
+a sum's equal ids with one sort (:func:`_collisions`).  The representatives
+whose value is shared then come in order from binary searches of the sorted
+ids (:func:`_shared_reps`): the witness is the first of them, and the census
+walks them lazily.  Nothing but the ids and their sorted copy is sized by
+the field's order.
 
 The permutation criterion, :func:`scattered_via_pp`, takes its window and
 hypotheses from the one index shift, :func:`criteria.index_shift_reduction`.
@@ -44,6 +49,7 @@ hypotheses from the one index shift, :func:`criteria.index_shift_reduction`.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,8 +63,8 @@ _CHUNK = 1 << 15
 # the representatives of a scan of one chunk, shared by every such scan
 _POINTS = np.arange(_CHUNK, dtype=np.int64)
 _POINTS.flags.writeable = False
-# the representatives in the witness search's first window; each next window
-# is twice as long, up to a chunk
+# the representatives in the witness search's first window, each next window
+# twice as long up to a chunk; and those a one-term period is checked on
 _WITNESS_WINDOW = 64
 
 
@@ -149,27 +155,52 @@ def _ratio_ids(ctx: FieldCtx, s: LinearizedPolynomial, t: int) -> np.ndarray:
     collision, witness and count stays the same.  The ids are then those of
     S'(x)/x^(q^t) for the remaining S' (:func:`_scan`).
     """
-    if not 0 <= t < ctx.n:
-        raise BadIndex(f"index {t} out of range 0..{ctx.n - 1}")
+    _check_index(ctx, t)
     return _scan(ctx, LinearizedPolynomial(_scanned_terms(s, t)), t)
 
 
+def _check_index(ctx: FieldCtx, t: int) -> None:
+    if not 0 <= t < ctx.n:
+        raise BadIndex(f"index {t} out of range 0..{ctx.n - 1}")
+
+
 def _scanned_terms(s: LinearizedPolynomial, t: int) -> tuple:
-    """The terms :func:`_ratio_ids` scans: S's, without its term at t unless that is all of S."""
+    """The terms the oracle decides on: S's, without its term at t unless that is all of S."""
     return tuple(term for term in s.terms if term[0] != t) or s.terms
 
 
 def _period(ids: np.ndarray) -> int:
-    """The first recurrence of one term's ratio ids, or ``ids.size`` if none.
-
-    One term's ids are c + a*d mod the group order, so ids[a] == ids[b]
-    exactly when ids[0] == ids[b - a]: the ids repeat with period P, the
-    least b > 0 with ids[b] == ids[0], and take P distinct values.
-    """
+    """The first recurrence of ids: the least b > 0 with ids[b] == ids[0], or ``ids.size``."""
     if ids.size < 2:
         return ids.size
     hit = 1 + int((ids[1:] == ids[0]).argmax())
     return hit if ids[hit] == ids[0] else ids.size
+
+
+def _one_term_period(ctx: FieldCtx, s: LinearizedPolynomial, t: int) -> int:
+    """The period P of the ratio ids when :func:`_scanned_terms` leaves one term.
+
+    The term a*x^(q^r) has ids c + j*d mod the order along the
+    representatives j, with d = (q^r - q^t) mod the order, so ids[j] ==
+    ids[0] exactly when the order divides j*d: P = order / gcd(d, order),
+    and P = 1 at r = t.  Since gcd(q^r - q^t, q^n - 1) = q^gcd(r-t, n) - 1 is
+    a multiple of q - 1, P divides e, and the ids take P distinct values.
+
+    The first min(e, ``_WITNESS_WINDOW``) ids are evaluated, and their first
+    recurrence (:func:`_period`) must be P, or none when P is at least the
+    window; otherwise RuntimeError.
+    """
+    _check_index(ctx, t)
+    term = LinearizedPolynomial(_scanned_terms(s, t))
+    [(r, _)] = term.terms
+    order = ctx.order
+    period = order // math.gcd((pow(ctx.q, r, order) - pow(ctx.q, t, order)) % order, order)
+    head = evaluate_many(ctx, term, _POINTS[:min(ctx.subfield_index, _WITNESS_WINDOW)],
+                         index=t)
+    if _period(head) != min(period, head.size):
+        raise RuntimeError(f"the ratio ids of {term} at index {t} "
+                           f"do not repeat with period {period}")
+    return period
 
 
 def _collisions(ids: np.ndarray) -> tuple[int, np.ndarray]:
@@ -242,23 +273,25 @@ def is_scattered_bruteforce(ctx: FieldCtx, s: LinearizedPolynomial, t: int,
     representative whose value is shared and the next one with that value:
     no colliding pair is smaller.
 
-    A scan of one term (S has one term, or two with one at t) reads the
-    ids' period P (:func:`_period`).  P divides e, since a ratio is constant
-    on F_q^*-lines, so P < e leaves each of P values shared by e/P
-    representatives: the witness is (g^0, g^P), and the census is
-    (q-1)^2 e^2/P - (q-1) e.  A scan of more terms sorts the ids once
-    (:func:`_collisions`), and any shared value yields a witness.
+    One term (S has one term, or two with one at t) is decided in closed
+    form: its ids repeat with period P = order / gcd((q^r - q^t) mod order,
+    order) (:func:`_one_term_period`), checked on the ids of the first 64
+    representatives.  P divides e, so P < e leaves each of P values shared
+    by e/P representatives: the witness is (g^0, g^P), and the census is
+    (q-1)^2 e^2/P - (q-1) e.  Nothing sized by e is built.  The ids of more
+    terms are scanned and sorted once (:func:`_collisions`), and any shared
+    value yields a witness.
 
     ``jobs`` is accepted and ignored: the scan is serial.  The keyword stays
     only because perfbench's ``jobs_probe`` still passes it.
     """
     e = ctx.subfield_index
-    ids = _ratio_ids(ctx, s, t)
     if len(_scanned_terms(s, t)) == 1:
-        distinct = _period(ids)
+        distinct = _one_term_period(ctx, s, t)
         pair_count = _period_pairs(ctx, e, distinct) if census else None
         witness = (0, distinct) if distinct < e else None
     else:
+        ids = _ratio_ids(ctx, s, t)
         distinct, repeated = _collisions(ids)
         pair_count = _equal_ratio_pairs(ctx, e, repeated) if census else None
         witness = _witness(ids, repeated) if repeated.size else None
@@ -273,24 +306,25 @@ def is_scattered_bruteforce(ctx: FieldCtx, s: LinearizedPolynomial, t: int,
 def _value_groups(ctx: FieldCtx, ids: np.ndarray, repeated: np.ndarray):
     """The points of each ratio value as sorted dlogs, values in order of their smallest.
 
-    The points of a representative y are y + i*e for i < q - 1.  A shared
-    value's representatives are read by one pass over the ids from its
-    first one, when the walk reaches it.
+    The points of a representative y are y + i*e for i < q - 1, so listing
+    them by i, then by representative, lists them in order, with no sort.  A
+    shared value's representatives are read by one pass over the ids from
+    its first one, when the walk reaches it.
     """
     e, w = ids.size, ctx.q - 1
     shared = _shared_reps(ids, repeated)
     next_shared = next(shared, e)
     heads = set()  # the values whose group is already out
     for y in range(e):
-        reps = (y,)
+        reps = [y]
         if y == next_shared:
             next_shared = next(shared, e)
             value = int(ids[y])
             if value in heads:
                 continue
             heads.add(value)
-            reps = y + np.flatnonzero(ids[y:] == value)
-        yield sorted(int(rep) + i * e for rep in reps for i in range(w))
+            reps = (y + np.flatnonzero(ids[y:] == value)).tolist()
+        yield [rep + i * e for i in range(w) for rep in reps]
 
 
 def deciding_pairs(ctx: FieldCtx, s: LinearizedPolynomial, t: int,
@@ -299,20 +333,21 @@ def deciding_pairs(ctx: FieldCtx, s: LinearizedPolynomial, t: int,
 
     Enumeration walks value groups by their smallest point and lists ordered
     pairs (y, z) of distinct members in lexicographic dlog order.  Only the
-    groups that hold the first ``limit`` pairs are built.  A scan of one
-    term, whose ids repeat with period P (:func:`_period`), sorts nothing:
-    P divides e, so the points y + kP + ie (k < e/P, i < q - 1) of
-    representative y < P are the range y, y + P, y + 2P, ... below the
-    order, built lazily.  The ids of more terms are sorted once
-    (:func:`_value_groups`).
+    groups that hold the first ``limit`` pairs are built.  One term is
+    counted in closed form and sorts nothing: its ids repeat with period P
+    from the exponents (:func:`_one_term_period`, checked on the first 64
+    representatives), and P divides e, so the points y + kP + ie (k < e/P,
+    i < q - 1) of representative y < P are the range y, y + P, y + 2P, ...
+    below the order, built lazily.  The ids of more terms are scanned and
+    sorted once (:func:`_value_groups`).
     """
-    ids = _ratio_ids(ctx, s, t)
     e = ctx.subfield_index
     if len(_scanned_terms(s, t)) == 1:
-        period = _period(ids)
+        period = _one_term_period(ctx, s, t)
         equal_ratio = _period_pairs(ctx, e, period)
         groups = (range(y, ctx.order, period) for y in range(period))
     else:
+        ids = _ratio_ids(ctx, s, t)
         _, repeated = _collisions(ids)
         equal_ratio = _equal_ratio_pairs(ctx, e, repeated)
         groups = _value_groups(ctx, ids, repeated)

@@ -424,6 +424,19 @@ def test_digit_power_matches_naive_pow(params):
             p, basis.modulus, basis.gamma_coeffs, e)
 
 
+@pytest.mark.parametrize("params", [(3, 1, 13), (5, 1, 9), (7, 1, 7), (3, 2, 3), (4099, 1, 1)])
+def test_coeffs_many_matches_one_at_a_time(params):
+    # one power call for several elements, zero among them, in their order
+    basis = field_basis(*params)
+    rng = random.Random(5)
+    elems = [basis.element_from_dlog(rng.randrange(basis.order)) for _ in range(4)]
+    elems[1:1] = [basis.zero(), basis.one(), elems[0]]
+    assert basis.coeffs_many(elems) == [
+        naive_pow(basis.p, basis.modulus, basis.gamma_coeffs, x.dlog) if x.dlog is not None
+        else (0,) * basis.degree for x in elems]
+    assert basis.coeffs_many([]) == []
+
+
 def _remainder(num, den, p):
     """num mod den over F_p, den monic; coefficient lists, constant first."""
     num = list(num)

@@ -5,16 +5,17 @@ deterministic.  On F_3^12, F_5^8 and F_1000003 the build peaks at 8.1-8.4
 bytes per element (the int32 log and Zech tables).  An oracle over two or
 more terms peaks at 4.5-6.5 (int32 ratio ids, their sorted copy and the
 repeated ids; while the scan runs, its chunk temporaries and 16 KiB of
-uint32 progressions per term add about 2 to the ids).  A scan of one term
-sorts nothing: it holds the ids, built in place, and one boolean
-comparison with ids[0].  Its oracle, census on or off, and its census of
-deciding pairs, whose groups are residues mod the period, peak at 2.53 on
-F_3^12.  An oracle that builds its own table peaks at 8.75, the build's
+uint32 progressions per term add about 2 to the ids).  One term is decided
+from its exponents and checked on the ids of its first 64 representatives:
+its oracle, census on or off, peaks at about 2.5 KB on F_3^13 (e = 797161)
+and its census of deciding pairs, whose groups are residues mod the period,
+at about 15 KB, nothing sized by e.  An oracle that builds its own table peaks at 8.75, the build's
 peak, on F_3^12.  The bounds fail a build that also holds a full antilog
 array (14.4) or a Python int per element (48.7), an oracle that holds
 e-length int64 temporaries or counts over all q^n values (16.5-26.5), an
-oracle that builds its table on top of its ids (11.9), and a one-term
-oracle or census that sorts a copy of its ids (4.5-6.5).  A census that
+oracle that builds its table on top of its ids (11.9), a one-term oracle or
+census that sorts a copy of its ids (4.5-6.5), and one that holds its e
+ids at all (4 bytes per representative).  A census that
 sorts the ids peaks at 6.5 at its default limit where every value is
 shared by four; one that keeps a shared mask and an argsort of the shared
 representatives peaks at 16.0 there.
@@ -25,7 +26,8 @@ import tracemalloc
 import pytest
 
 from scatterpoly import (
-    build_field, deciding_pairs, field, field_basis, is_scattered_bruteforce, parse_poly)
+    build_field, deciding_pairs, field, field_basis, is_scattered_bruteforce, parse_poly,
+    scatter)
 
 BUILD_BOUND = 10.0
 ORACLE_BOUND = 9.0
@@ -109,6 +111,34 @@ def test_one_term_census_peak(traced_f3_12, text, t):
     census, peak = _traced(lambda: deciding_pairs(ctx, s, t))
     assert len(census.pairs) == 64 and census.truncated
     assert peak / ctx.size < ONE_TERM_BOUND
+
+
+@pytest.mark.parametrize("text,t", [
+    ("8:g^918316", 3),                  # scattered: every value distinct
+    ("1:g^5,3:g^7", 1),                 # a binomial at r1 scans one term
+    ("1:g^0", 1),                       # a constant ratio
+])
+def test_one_term_oracle_holds_nothing_sized_by_e(text, t, monkeypatch):
+    # on F_3^13 without a table: no Zech table is built, at most 64 points
+    # are evaluated, and the peak is under 1% of e int32 ids
+    basis = field_basis(3, 1, 13)
+    e = basis.subfield_index
+    s = parse_poly(basis, text)
+    points = []
+    evaluate_many = scatter.evaluate_many
+
+    def spy(ctx, s, dlogs, **kwargs):
+        points.append(dlogs.size)
+        return evaluate_many(ctx, s, dlogs, **kwargs)
+    monkeypatch.setattr(scatter, "evaluate_many", spy)
+    for decide in (lambda: is_scattered_bruteforce(basis, s, t),
+                   lambda: is_scattered_bruteforce(basis, s, t, census=True),
+                   lambda: deciding_pairs(basis, s, t)):
+        points.clear()
+        _, peak = _traced(decide)
+        assert points == [64]
+        assert peak * 100 < 4 * e
+    assert "_zech" not in vars(basis)
 
 
 def test_census_peak(traced_f3_12):

@@ -609,11 +609,13 @@ def _answer(report):
 def _one_term_instances():
     """Monomials at every t, t = r among them (a constant ratio, period 1),
     and binomials at their own exponents, with random coefficients.  F_5
-    has one representative; F_3^11 spans three scan chunks."""
+    has one representative; F_3^11 and F_3^12 span three and nine scan
+    chunks, and F_3^12's periods of 20440 and 66430 lie beyond both the
+    witness window and a chunk."""
     rng = random.Random(23)
     instances = []
     for p, m, n in ((5, 1, 1), (3, 1, 4), (3, 1, 5), (3, 1, 6), (3, 1, 7), (5, 1, 3),
-                    (5, 1, 4), (5, 1, 5), (7, 1, 3), (3, 2, 3), (3, 1, 11)):
+                    (5, 1, 4), (5, 1, 5), (7, 1, 3), (3, 2, 3), (3, 1, 11), (3, 1, 12)):
         ctx = build_field(p, m, n)
 
         def coeff():
@@ -630,7 +632,7 @@ def _one_term_instances():
 
 
 def test_one_term_period_matches_sort_path(monkeypatch):
-    """One-term scans read their period; the sort of the ids must agree.
+    """One-term oracles take their period from the exponents; the sort of the ids must agree.
 
     On :func:`_one_term_instances`.  With ``_collisions`` made to raise,
     every one-term oracle still answers alike and a trinomial's still
@@ -655,6 +657,32 @@ def test_one_term_period_matches_sort_path(monkeypatch):
     ctx = instances[-1][0]
     with pytest.raises(AssertionError, match="sorted"):
         is_scattered_bruteforce(ctx, parse_poly(ctx, "0:g^1,1:g^0,2:g^5"), 1)
+
+
+@pytest.mark.parametrize("p,n,text,tamper", [
+    (3, 7, "1:g^0", "repeat"),   # P = e = 1093: no recurrence among the first 64
+    (3, 4, "2:g^0", "distinct"),  # P = 10 < e = 40: the check covers every id
+])
+def test_one_term_period_is_checked_on_the_first_ids(monkeypatch, p, n, text, tamper):
+    """A one-term oracle or census whose first ids disagree with the period
+    from the exponents raises RuntimeError: with ids[7] made equal to ids[0],
+    or with every id made distinct."""
+    ctx = build_field(p, 1, n)
+    s = parse_poly(ctx, text)
+    is_scattered_bruteforce(ctx, s, 0)
+
+    def tampered(ctx, s, dlogs, **kwargs):
+        ids = evaluate_many(ctx, s, dlogs, **kwargs)
+        if tamper == "repeat":
+            ids[7] = ids[0]
+        else:
+            ids[:] = np.arange(ids.size)
+        return ids
+    monkeypatch.setattr(scatter, "evaluate_many", tampered)
+    with pytest.raises(RuntimeError, match="period"):
+        is_scattered_bruteforce(ctx, s, 0)
+    with pytest.raises(RuntimeError, match="period"):
+        deciding_pairs(ctx, s, 0)
 
 
 def _sorted_census(ctx, s, t, limit):
@@ -705,9 +733,11 @@ def test_one_term_census_groups_by_period(monkeypatch):
 def test_chunked_scans_report_every_point_to_the_layer_counters(monkeypatch):
     """perfbench counts a scan's points and bytes at ``linpoly.evaluate_many``.
 
-    On F_3^11 (e = 88573, three chunks) a scan of one term and one of three
-    call it with ``dlogs`` whose sizes sum to e, and each call returns an
-    ndarray of that size, whose ``nbytes`` and ``itemsize`` the counters read.
+    On F_3^11 (e = 88573, three chunks) a scan of three terms calls it with
+    ``dlogs`` whose sizes sum to e.  A one-term oracle takes its period from
+    the exponents and calls it once, on the first ``_WITNESS_WINDOW``
+    representatives.  Each call returns an int32 ndarray of its ``dlogs``'
+    size, whose ``nbytes`` and ``itemsize`` the counters read.
     """
     ctx = build_field(3, 1, 11)
     e = ctx.subfield_index
@@ -718,11 +748,14 @@ def test_chunked_scans_report_every_point_to_the_layer_counters(monkeypatch):
         calls.append((dlogs.size, result))
         return result
     monkeypatch.setattr(scatter, "evaluate_many", spy)
-    for text in ("3:g^5", "1:g^0,2:g^5,4:g^7"):
+
+    def sizes(text):
         calls.clear()
         is_scattered_bruteforce(ctx, parse_poly(ctx, text), 1)
-        assert len(calls) == 3
-        assert sum(size for size, _ in calls) == e
         for size, result in calls:
-            assert isinstance(result, np.ndarray)
+            assert isinstance(result, np.ndarray) and result.dtype == np.int32
             assert result.size == size and result.nbytes == 4 * size
+        return [size for size, _ in calls]
+    three = sizes("1:g^0,2:g^5,4:g^7")
+    assert len(three) == 3 and sum(three) == e
+    assert sizes("3:g^5") == [_WITNESS_WINDOW]
