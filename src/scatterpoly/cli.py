@@ -22,7 +22,6 @@ import time
 
 from .criteria import CriterionVerdict, applicable_criteria
 from .errors import (
-    BadIndex,
     EvenCharacteristicRejected,
     FieldTooLarge,
     NonPrime,
@@ -35,6 +34,7 @@ from .field import (
     FieldCtx,
     FieldParams,
     check_field_params,
+    check_index,
     dlog_order,
     field_basis,
     modulus_text,
@@ -223,8 +223,7 @@ def _print_csv(rows) -> None:
 def build_check_envelope(args) -> tuple[dict, dict]:
     """Run one check request; returns (envelope, CSV row)."""
     t = args.index
-    if not 0 <= t < args.n:
-        raise BadIndex(f"index {t} out of range 0..{args.n - 1}")
+    check_index(t, args.n)
     m_list = _parse_int_list(args.m_list) if args.m_list else []
 
     timing: dict[str, float] = {}
@@ -348,8 +347,7 @@ def _scan_family(args, params: FieldParams):
     elif args.indices and args.indices != "own":
         explicit = _parse_int_list(args.indices)
         for t in explicit:
-            if not 0 <= t < params.n:
-                raise BadIndex(f"index {t} out of range 0..{params.n - 1}")
+            check_index(t, params.n)
     else:
         explicit = None
 

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import BadIndex, HypothesisViolated, NotABinomial, WouldBeZero
-from .field import FieldParams, dlog_order
+from .field import FieldParams, check_index, dlog_order
 from .linpoly import LinearizedPolynomial
 
 
@@ -139,8 +139,7 @@ def index_shift_reduction(params: FieldParams, s: LinearizedPolynomial, t: int
     rides this shift: it answers where the reduced index is 0 (t <= r1) and
     the hypotheses hold.
     """
-    if not 0 <= t < params.n:
-        raise BadIndex(f"index {t} out of range 0..{params.n - 1}")
+    check_index(t, params.n)
     r1 = s.min_exponent
     u = min(t, r1)
     kept = s.terms

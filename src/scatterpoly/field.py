@@ -62,6 +62,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
+    BadIndex,
     DivisionByZero,
     EvenCharacteristicRejected,
     FieldTooLarge,
@@ -798,6 +799,12 @@ def check_field_params(p: int, m: int, n: int, strict: bool = True) -> None:
     if strict and p == 2:
         raise EvenCharacteristicRejected(
             "p = 2 rejected; pass strict=False to build even-characteristic fields")
+
+
+def check_index(t: int, n: int) -> None:
+    """Reject an index t outside 0 .. n-1: the one place that says so."""
+    if not 0 <= t < n:
+        raise BadIndex(f"index {t} out of range 0..{n - 1}")
 
 
 def table_limit(p: int, d: int, cap: int) -> int:

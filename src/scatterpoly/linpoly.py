@@ -152,50 +152,46 @@ class TermLogs:
     """The logs of S's terms on runs of consecutive points, with no ``%`` per point.
 
     A term's log at g^a, c_i + a * d_i mod order (see :func:`evaluate_many`),
-    is an arithmetic progression in a.  Each term keeps the multiples j * d_i mod
-    order for j < ``_BLOCK`` and the block steps b * _BLOCK * d_i mod order
-    for the blocks of a run of ``run`` points, the longest run a scan asks
-    for, both as uint32.  A run a = start .. start+count-1 then costs, per
-    term, the Python int (c_i + start * d_i) mod order added to the block
-    steps, the block offsets added to the multiples in one broadcast (and
-    one more add for a partial last block), and one :func:`_wrap` of each
-    sum.  A term keeps 16 KiB whatever the run.
+    is an arithmetic progression in a.  Each term keeps the multiples j * d_i
+    mod order for j < ``_BLOCK``, as uint32, 16 KiB per term.  A run a =
+    start .. start+count-1 is built as ceil(count / _BLOCK) blocks: per
+    term, the block offsets (b * (_BLOCK * d_i mod order) + (c_i + start *
+    d_i) mod order) mod order, formed per call, are added to the multiples
+    in one broadcast (and one more add for a partial last block), and one
+    :func:`_wrap` reduces each sum.
 
-    Integer bounds, with order < ``TABLE_LIMIT = 2^31``: the multiples and
-    block steps are formed once in int64, where j * d_i < 2^12 * 2^31 and
-    b * (_BLOCK * d_i mod order) < run * 2^31 / 2^12; everything per point
-    runs in uint32, where a block offset or a point's log before
-    :func:`_wrap` is a sum of two residues, below 2 * order < 2^32.
+    Integer bounds, with order < ``TABLE_LIMIT = 2^31``: the multiples are
+    formed once in int64, where j * d_i < 2^12 * 2^31, and the block offsets
+    per call in int64, where b * (_BLOCK * d_i mod order) < count / 2^12 *
+    2^31 <= 2^50 plus a residue; everything per point runs in uint32, where
+    a point's log before :func:`_wrap` is a sum of two residues, below 2 *
+    order < 2^32.
     """
 
-    def __init__(self, ctx: FieldCtx, s: LinearizedPolynomial,
-                 index: int | None, run: int):
+    def __init__(self, ctx: FieldCtx, s: LinearizedPolynomial, index: int | None):
         q, order = ctx.q, ctx.order
         shift = 0 if index is None else pow(q, index, order)
         self.order = order
         self.steps = [(coeff.dlog, (pow(q, r, order) - shift) % order) for r, coeff in s.terms]
         j = np.arange(_BLOCK, dtype=np.int64)
-        b = np.arange(-(-run // _BLOCK), dtype=np.int64)
         self.multiples = [(j * d % order).astype(np.uint32) for _, d in self.steps]
-        self.block_steps = [(b * (_BLOCK * d % order) % order).astype(np.uint32)
-                            for _, d in self.steps]
 
     def at(self, dlogs: np.ndarray, out: np.ndarray | None = None):
         """Each term's uint32 logs at ``dlogs``, in 0 .. order-1, one array per term.
 
-        ``dlogs`` must be consecutive, dlogs[0] .. dlogs[0] + len - 1, and
-        at most ``run`` long; only its first point and its length are read.
-        The first term's logs go into ``out`` when it is given, a uint32
-        array of the same length, and every other array is fresh.  No array
-        stays bound here once yielded, so the consumer alone decides how
-        many are alive.
+        ``dlogs`` must be consecutive, dlogs[0] .. dlogs[0] + len - 1; only
+        its first point and its length are read.  The first term's logs go
+        into ``out`` when it is given, a uint32 array of the same length,
+        and every other array is fresh.  No array stays bound here once
+        yielded, so the consumer alone decides how many are alive.
         """
         order = self.order
         start, count = int(dlogs[0]), dlogs.size
-        blocks, full = -(-count // _BLOCK), count // _BLOCK  # all and whole ones
-        for (c, d), multiples, block_steps in zip(self.steps, self.multiples,
-                                                  self.block_steps):
-            offsets = _wrap(block_steps[:blocks] + (c + start * d) % order, order)
+        full = count // _BLOCK  # whole blocks
+        b = np.arange(-(-count // _BLOCK), dtype=np.int64)
+        for (c, d), multiples in zip(self.steps, self.multiples):
+            offsets = ((b * (_BLOCK * d % order) + (c + start * d) % order)
+                       % order).astype(np.uint32)
             logs = np.empty(count, dtype=np.uint32) if out is None else out
             np.add(offsets[:full, None], multiples,
                    out=logs[:full * _BLOCK].reshape(full, _BLOCK))

@@ -12,11 +12,12 @@ term's logs are an arithmetic progression along the representatives
 
 The own-term rule: S's term at exponent t adds the constant a_t to every
 ratio, a bijection on ratio values, so the oracle leaves it out (unless it is
-S's only term) and every collision, witness and count stays the same.  Only
-a sum of the remaining terms reads the Zech table: a monomial, or a binomial
-at t in {r1, r2}, is decided from its exponents and checked on discrete logs
-alone, and a field from :func:`field.field_basis` builds its table only for
-a scan that adds.
+S's only term) and every collision, witness and count stays the same.  Each
+answer checks t and applies the rule once, in :func:`_reduced`, and reads
+everything off the instance it returns.  Only a sum of the remaining terms
+reads the Zech table: a monomial, or a binomial at t in {r1, r2}, is decided
+from its exponents and checked on discrete logs alone, and a field from
+:func:`field.field_basis` builds its table only for a scan that adds.
 
 A scanned term's ratio ids are c + j*(q^r - q^t) mod the group order
 along the representatives j, an arithmetic progression, so one term needs no
@@ -24,11 +25,11 @@ scan: its ids repeat with period P = order / gcd((q^r - q^t) mod order,
 order), which is 1 at r = t, a constant ratio (:func:`_one_term_period`).
 P divides e and gives every answer: P distinct values, scattered iff P = e,
 the witness (g^0, g^P), the census, and the census's groups, the residues
-mod P.  The formula is checked against the ids of the first
-``_WITNESS_WINDOW`` representatives, one :func:`evaluate_many` call: their
-first recurrence must be P, or none if P is at least the window.  So a field
-with e <= 64 is scanned in full, and a witness below the window is read off
-its ids.  Nothing one-term is sized by e.
+mod P.  The formula is checked by its definition on the ids of the first
+``_WITNESS_WINDOW`` representatives, one :func:`evaluate_many` call: ids[j]
+equals ids[0] exactly where P divides j.  So a field with e <= 64 is
+scanned in full, and a witness below the window is read off its ids.
+Nothing one-term is sized by e.
 
 One scan, :func:`_scan`, serves the oracle and census of a sum and
 :func:`is_permutation`: it streams the representatives in chunks into one
@@ -41,6 +42,10 @@ whose value is shared then come in order from binary searches of the sorted
 ids (:func:`_shared_reps`): the witness is the first of them, and the census
 walks them lazily.  Nothing but the ids and their sorted copy is sized by
 the field's order.
+
+A census group is a value's representatives, a range with step P for one
+term and a list read off the sorted ids for a sum, and one generator lists
+its points lazily (:func:`_group_points`).
 
 The permutation criterion, :func:`scattered_via_pp`, takes its window and
 hypotheses from the one index shift, :func:`criteria.index_shift_reduction`.
@@ -55,8 +60,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criteria import index_shift_reduction
-from .errors import BadIndex, HypothesisViolated, WouldBeZero, ZeroPolynomial
-from .field import DEFAULT_CAP, FFElement, FieldCtx, field_basis
+from .errors import HypothesisViolated, WouldBeZero, ZeroPolynomial
+from .field import DEFAULT_CAP, FFElement, FieldCtx, check_index, field_basis
 from .linpoly import LinearizedPolynomial, TermLogs, evaluate_many, rho_transform
 
 _CHUNK = 1 << 15
@@ -136,7 +141,7 @@ def _scan(ctx: FieldCtx, s: LinearizedPolynomial, index: int | None) -> np.ndarr
     e = ctx.subfield_index
     if e <= _CHUNK:
         return evaluate_many(ctx, s, _POINTS[:e], index=index)
-    terms = TermLogs(ctx, s, index, run=_CHUNK)
+    terms = TermLogs(ctx, s, index)
     ids = np.empty(e, dtype=np.int32)
     points = np.arange(_CHUNK, dtype=np.int32)  # each chunk's points, in turn
     for start in range(0, e, _CHUNK):
@@ -147,38 +152,15 @@ def _scan(ctx: FieldCtx, s: LinearizedPolynomial, index: int | None) -> np.ndarr
     return ids
 
 
-def _ratio_ids(ctx: FieldCtx, s: LinearizedPolynomial, t: int) -> np.ndarray:
-    """One int32 id per representative; equal ids are equal ratio values.
-
-    The scan drops S's term at exponent t, unless it is S's only term: it
-    adds a_t to every ratio, a bijection on ratio values, so every
-    collision, witness and count stays the same.  The ids are then those of
-    S'(x)/x^(q^t) for the remaining S' (:func:`_scan`).
-    """
-    _check_index(ctx, t)
-    return _scan(ctx, LinearizedPolynomial(_scanned_terms(s, t)), t)
+def _reduced(ctx: FieldCtx, s: LinearizedPolynomial, t: int) -> LinearizedPolynomial:
+    """The instance decided at index t, once t is checked: S without its term
+    at t, unless that is S's only term (the own-term rule)."""
+    check_index(t, ctx.n)
+    return LinearizedPolynomial(tuple(term for term in s.terms if term[0] != t) or s.terms)
 
 
-def _check_index(ctx: FieldCtx, t: int) -> None:
-    if not 0 <= t < ctx.n:
-        raise BadIndex(f"index {t} out of range 0..{ctx.n - 1}")
-
-
-def _scanned_terms(s: LinearizedPolynomial, t: int) -> tuple:
-    """The terms the oracle decides on: S's, without its term at t unless that is all of S."""
-    return tuple(term for term in s.terms if term[0] != t) or s.terms
-
-
-def _period(ids: np.ndarray) -> int:
-    """The first recurrence of ids: the least b > 0 with ids[b] == ids[0], or ``ids.size``."""
-    if ids.size < 2:
-        return ids.size
-    hit = 1 + int((ids[1:] == ids[0]).argmax())
-    return hit if ids[hit] == ids[0] else ids.size
-
-
-def _one_term_period(ctx: FieldCtx, s: LinearizedPolynomial, t: int) -> int:
-    """The period P of the ratio ids when :func:`_scanned_terms` leaves one term.
+def _one_term_period(ctx: FieldCtx, term: LinearizedPolynomial, t: int) -> int:
+    """The period P of the ratio ids of one term at index t.
 
     The term a*x^(q^r) has ids c + j*d mod the order along the
     representatives j, with d = (q^r - q^t) mod the order, so ids[j] ==
@@ -186,18 +168,17 @@ def _one_term_period(ctx: FieldCtx, s: LinearizedPolynomial, t: int) -> int:
     and P = 1 at r = t.  Since gcd(q^r - q^t, q^n - 1) = q^gcd(r-t, n) - 1 is
     a multiple of q - 1, P divides e, and the ids take P distinct values.
 
-    The first min(e, ``_WITNESS_WINDOW``) ids are evaluated, and their first
-    recurrence (:func:`_period`) must be P, or none when P is at least the
-    window; otherwise RuntimeError.
+    The first min(e, ``_WITNESS_WINDOW``) ids are evaluated, and that
+    definition is checked on them: ids[j] == ids[0] exactly where P divides
+    j; otherwise RuntimeError.
     """
-    _check_index(ctx, t)
-    term = LinearizedPolynomial(_scanned_terms(s, t))
     [(r, _)] = term.terms
     order = ctx.order
     period = order // math.gcd((pow(ctx.q, r, order) - pow(ctx.q, t, order)) % order, order)
     head = evaluate_many(ctx, term, _POINTS[:min(ctx.subfield_index, _WITNESS_WINDOW)],
                          index=t)
-    if _period(head) != min(period, head.size):
+    hits = head == head[0]
+    if not (hits[::period].all() and np.count_nonzero(hits) == -(-head.size // period)):
         raise RuntimeError(f"the ratio ids of {term} at index {t} "
                            f"do not repeat with period {period}")
     return period
@@ -273,25 +254,27 @@ def is_scattered_bruteforce(ctx: FieldCtx, s: LinearizedPolynomial, t: int,
     representative whose value is shared and the next one with that value:
     no colliding pair is smaller.
 
-    One term (S has one term, or two with one at t) is decided in closed
-    form: its ids repeat with period P = order / gcd((q^r - q^t) mod order,
-    order) (:func:`_one_term_period`), checked on the ids of the first 64
-    representatives.  P divides e, so P < e leaves each of P values shared
-    by e/P representatives: the witness is (g^0, g^P), and the census is
-    (q-1)^2 e^2/P - (q-1) e.  Nothing sized by e is built.  The ids of more
-    terms are scanned and sorted once (:func:`_collisions`), and any shared
-    value yields a witness.
+    S and t are reduced once (:func:`_reduced`).  One term (S has one term,
+    or two with one at t) is decided in closed form: its ids repeat with
+    period P = order / gcd((q^r - q^t) mod order, order)
+    (:func:`_one_term_period`), checked by its definition on the ids of the
+    first 64 representatives.  P divides e, so P < e leaves each of P
+    values shared by e/P representatives: the witness is (g^0, g^P), and
+    the census is (q-1)^2 e^2/P - (q-1) e.  Nothing sized by e is built.
+    The ids of more terms are scanned and sorted once (:func:`_collisions`),
+    and any shared value yields a witness.
 
     ``jobs`` is accepted and ignored: the scan is serial.  The keyword stays
     only because perfbench's ``jobs_probe`` still passes it.
     """
     e = ctx.subfield_index
-    if len(_scanned_terms(s, t)) == 1:
-        distinct = _one_term_period(ctx, s, t)
+    reduced = _reduced(ctx, s, t)
+    if reduced.k == 1:
+        distinct = _one_term_period(ctx, reduced, t)
         pair_count = _period_pairs(ctx, e, distinct) if census else None
         witness = (0, distinct) if distinct < e else None
     else:
-        ids = _ratio_ids(ctx, s, t)
+        ids = _scan(ctx, reduced, t)
         distinct, repeated = _collisions(ids)
         pair_count = _equal_ratio_pairs(ctx, e, repeated) if census else None
         witness = _witness(ids, repeated) if repeated.size else None
@@ -303,28 +286,34 @@ def is_scattered_bruteforce(ctx: FieldCtx, s: LinearizedPolynomial, t: int,
                          e, distinct, pair_count)
 
 
-def _value_groups(ctx: FieldCtx, ids: np.ndarray, repeated: np.ndarray):
-    """The points of each ratio value as sorted dlogs, values in order of their smallest.
+def _value_groups(ids: np.ndarray, repeated: np.ndarray):
+    """The representatives of each ratio value, values in order of their smallest.
 
-    The points of a representative y are y + i*e for i < q - 1, so listing
-    them by i, then by representative, lists them in order, with no sort.  A
-    shared value's representatives are read by one pass over the ids from
+    A shared value's representatives are read by one pass over the ids from
     its first one, when the walk reaches it.
     """
-    e, w = ids.size, ctx.q - 1
     shared = _shared_reps(ids, repeated)
-    next_shared = next(shared, e)
+    next_shared = next(shared, ids.size)
     heads = set()  # the values whose group is already out
-    for y in range(e):
-        reps = [y]
-        if y == next_shared:
-            next_shared = next(shared, e)
-            value = int(ids[y])
-            if value in heads:
-                continue
+    for y in range(ids.size):
+        if y != next_shared:
+            yield (y,)
+            continue
+        next_shared = next(shared, ids.size)
+        value = int(ids[y])
+        if value not in heads:
             heads.add(value)
-            reps = (y + np.flatnonzero(ids[y:] == value)).tolist()
-        yield [rep + i * e for i in range(w) for rep in reps]
+            yield (y + np.flatnonzero(ids[y:] == value)).tolist()
+
+
+def _group_points(ctx: FieldCtx, reps):
+    """The points of a value's representatives, as dlogs in increasing order.
+
+    The points of a representative y are y + i*e for i < q - 1, so listing
+    them by i, then by representative, lists them in order, with no sort.
+    """
+    e = ctx.subfield_index
+    return (rep + i * e for i in range(ctx.q - 1) for rep in reps)
 
 
 def deciding_pairs(ctx: FieldCtx, s: LinearizedPolynomial, t: int,
@@ -332,27 +321,28 @@ def deciding_pairs(ctx: FieldCtx, s: LinearizedPolynomial, t: int,
     """Census of pairs with equal ratio values, with capped enumeration.
 
     Enumeration walks value groups by their smallest point and lists ordered
-    pairs (y, z) of distinct members in lexicographic dlog order.  Only the
-    groups that hold the first ``limit`` pairs are built.  One term is
-    counted in closed form and sorts nothing: its ids repeat with period P
-    from the exponents (:func:`_one_term_period`, checked on the first 64
-    representatives), and P divides e, so the points y + kP + ie (k < e/P,
-    i < q - 1) of representative y < P are the range y, y + P, y + 2P, ...
-    below the order, built lazily.  The ids of more terms are scanned and
-    sorted once (:func:`_value_groups`).
+    pairs (y, z) of distinct members in lexicographic dlog order.  A group
+    is a value's representatives, whose points are listed lazily
+    (:func:`_group_points`), so the walk stops at ``limit`` pairs, inside a
+    group if need be.  One term sorts nothing: its ids repeat with period P
+    (:func:`_one_term_period`), which divides e, so the group of y < P is y,
+    y + P, ... below e.  The ids of more terms are scanned and sorted once
+    (:func:`_value_groups`).
     """
     e = ctx.subfield_index
-    if len(_scanned_terms(s, t)) == 1:
-        period = _one_term_period(ctx, s, t)
+    reduced = _reduced(ctx, s, t)
+    if reduced.k == 1:
+        period = _one_term_period(ctx, reduced, t)
         equal_ratio = _period_pairs(ctx, e, period)
-        groups = (range(y, ctx.order, period) for y in range(period))
+        groups = (range(y, e, period) for y in range(period))
     else:
-        ids = _ratio_ids(ctx, s, t)
+        ids = _scan(ctx, reduced, t)
         _, repeated = _collisions(ids)
         equal_ratio = _equal_ratio_pairs(ctx, e, repeated)
-        groups = _value_groups(ctx, ids, repeated)
+        groups = _value_groups(ids, repeated)
 
-    ordered_pairs = ((a, b) for members in groups for a in members for b in members if a != b)
+    ordered_pairs = ((a, b) for reps in groups for a in _group_points(ctx, reps)
+                     for b in _group_points(ctx, reps) if a != b)
     wanted = equal_ratio if limit is None else max(0, min(limit, equal_ratio))
     pairs = tuple((ctx.element_from_dlog(y), ctx.element_from_dlog(z))
                   for y, z in itertools.islice(ordered_pairs, wanted))

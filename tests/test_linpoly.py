@@ -25,7 +25,7 @@ from scatterpoly import (
 )
 from scatterpoly.field import TABLE_LIMIT
 from scatterpoly.linpoly import LinearizedPolynomial, TermLogs, _log_sum, _wrap
-from scatterpoly.scatter import _CHUNK, _ratio_ids, _scanned_terms
+from scatterpoly.scatter import _CHUNK, _reduced, _scan
 
 from naive_oracle import naive_evaluate
 
@@ -108,7 +108,7 @@ def test_term_logs_near_the_table_limit():
     runs = ((0, run), (last, e - last), (e - run, run), (e - 5, 5), (order - run, run))
     for index in (None, 0, 7, 18):
         shift = 0 if index is None else 3**index
-        terms = TermLogs(basis, s, index, run=run)
+        terms = TermLogs(basis, s, index)
         for start, count in runs:
             dlogs = np.arange(start, start + count, dtype=np.int64)
             points = np.arange(start, start + count, dtype=object)
@@ -119,7 +119,7 @@ def test_term_logs_near_the_table_limit():
             # a monomial adds nothing, so the basis evaluates it
             monomial = LinearizedPolynomial(s.terms[2:])
             got = evaluate_many(basis, monomial, dlogs, index=index,
-                                terms=TermLogs(basis, monomial, index, run=run))
+                                terms=TermLogs(basis, monomial, index))
             assert got.tolist() == ((e + 3 + points * (3**18 - shift)) % order).tolist()
 
 
@@ -139,10 +139,11 @@ def test_one_term_scans_at_the_uint32_limit():
     for text, t in ((f"1:g^{order - 1}", 0), (f"0:g^{order - 2}", 1),
                     (f"0:g^{order - 1},1:g^{order - 2}", 1)):
         s = parse_poly(basis, text)
-        (r, coeff), = _scanned_terms(s, t)
+        term = _reduced(basis, s, t)
+        (r, coeff), = term.terms
         d = (q**r - q**t) % order
         want = [(coeff.dlog + a * d) % order for a in range(e)]
-        assert _ratio_ids(basis, s, t).tolist() == want, text
+        assert _scan(basis, term, t).tolist() == want, text
         start = time.perf_counter()
         report = is_scattered_bruteforce(basis, s, t, census=True)
         assert time.perf_counter() - start < 1.0

@@ -15,10 +15,11 @@ array (14.4) or a Python int per element (48.7), an oracle that holds
 e-length int64 temporaries or counts over all q^n values (16.5-26.5), an
 oracle that builds its table on top of its ids (11.9), a one-term oracle or
 census that sorts a copy of its ids (4.5-6.5), and one that holds its e
-ids at all (4 bytes per representative).  A census that
-sorts the ids peaks at 6.5 at its default limit where every value is
-shared by four; one that keeps a shared mask and an argsort of the shared
-representatives peaks at 16.0 there.
+ids at all (4 bytes per representative).  A sum's census sorts its ids
+and, at its default limit, peaks at 4.7 where some values are shared and
+at 6.4 where every value but one is shared by 13.  A census that kept a
+shared mask and an argsort of the shared representatives peaked at 16.0
+where every value is shared by four.
 """
 
 import tracemalloc
@@ -141,12 +142,16 @@ def test_one_term_oracle_holds_nothing_sized_by_e(text, t, monkeypatch):
     assert "_zech" not in vars(basis)
 
 
-def test_census_peak(traced_f3_12):
-    # every value is shared by four representatives: the census reads two
-    # groups for its first 64 pairs
+@pytest.mark.parametrize("text,t", [
+    ("2:g^0", 0),                       # one term: every value shared by four
+    ("1:g^0,2:g^5,4:g^7", 1),           # a sum: some values shared
+    ("1:g^0,4:g^0,7:g^0,10:g^0", 1),    # a sum: every value but one shared by 13
+])
+def test_census_peak(traced_f3_12, text, t):
+    # the census reads the groups that hold its first 64 pairs
     ctx, _ = traced_f3_12
-    s = parse_poly(ctx, "2:g^0")
-    census, peak = _traced(lambda: deciding_pairs(ctx, s, 0))
+    s = parse_poly(ctx, text)
+    census, peak = _traced(lambda: deciding_pairs(ctx, s, t))
     assert len(census.pairs) == 64 and census.truncated
     assert peak / ctx.size < ORACLE_BOUND
 

@@ -25,7 +25,7 @@ from scatterpoly import (
 
 from scatterpoly import scatter
 from scatterpoly.scatter import (
-    _CHUNK, _WITNESS_WINDOW, _collisions, _equal_ratio_pairs, _ratio_ids, _witness)
+    _CHUNK, _WITNESS_WINDOW, _collisions, _equal_ratio_pairs, _reduced, _scan, _witness)
 
 from naive_oracle import naive_deciding_pair_count, naive_is_scattered
 
@@ -269,7 +269,7 @@ def test_collisions_pick_smallest_pair(f81, f243, f125, f81_tower):
     rng = random.Random(5)
     for ctx in (f81, f243, f125, f81_tower):
         for s, t in _random_instances(ctx, rng, 25):
-            ids = _ratio_ids(ctx, s, t).tolist()
+            ids = _scan(ctx, _reduced(ctx, s, t), t).tolist()
             brute = next(((y, z) for y in range(len(ids))
                           for z in range(y + 1, len(ids)) if ids[y] == ids[z]), None)
             witness = is_scattered_bruteforce(ctx, s, t).witness
@@ -594,7 +594,7 @@ def test_oracle_metamorphic():
 def _sort_path(ctx, s, t):
     """Scattered, distinct count, witness dlogs and census from one sort of the ids."""
     e = ctx.subfield_index
-    ids = _ratio_ids(ctx, s, t)
+    ids = _scan(ctx, _reduced(ctx, s, t), t)
     distinct, repeated = _collisions(ids)
     witness = _witness(ids, repeated) if repeated.size else None
     return witness is None, distinct, witness, _equal_ratio_pairs(ctx, e, repeated)
@@ -662,11 +662,13 @@ def test_one_term_period_matches_sort_path(monkeypatch):
 @pytest.mark.parametrize("p,n,text,tamper", [
     (3, 7, "1:g^0", "repeat"),   # P = e = 1093: no recurrence among the first 64
     (3, 4, "2:g^0", "distinct"),  # P = 10 < e = 40: the check covers every id
+    (3, 4, "2:g^0", "late"),      # the first recurrence is still at P = 10
 ])
 def test_one_term_period_is_checked_on_the_first_ids(monkeypatch, p, n, text, tamper):
     """A one-term oracle or census whose first ids disagree with the period
     from the exponents raises RuntimeError: with ids[7] made equal to ids[0],
-    or with every id made distinct."""
+    with every id made distinct, or with ids[20], a later recurrence of
+    ids[0], made equal to ids[1]."""
     ctx = build_field(p, 1, n)
     s = parse_poly(ctx, text)
     is_scattered_bruteforce(ctx, s, 0)
@@ -675,6 +677,8 @@ def test_one_term_period_is_checked_on_the_first_ids(monkeypatch, p, n, text, ta
         ids = evaluate_many(ctx, s, dlogs, **kwargs)
         if tamper == "repeat":
             ids[7] = ids[0]
+        elif tamper == "late":
+            ids[20] = ids[1]
         else:
             ids[:] = np.arange(ids.size)
         return ids
@@ -687,11 +691,15 @@ def test_one_term_period_is_checked_on_the_first_ids(monkeypatch, p, n, text, ta
 
 def _sorted_census(ctx, s, t, limit):
     """deciding_pairs' counts, pairs and truncation from one sort of the ids."""
-    ids = _ratio_ids(ctx, s, t)
+    e, w = ctx.subfield_index, ctx.q - 1
+    ids = _scan(ctx, _reduced(ctx, s, t), t)
     _, repeated = _collisions(ids)
-    count = _equal_ratio_pairs(ctx, ctx.subfield_index, repeated)
-    ordered = ((y, z) for members in scatter._value_groups(ctx, ids, repeated)
-               for y in members for z in members if y != z)
+    count = _equal_ratio_pairs(ctx, e, repeated)
+
+    def points(reps):
+        return (rep + i * e for i in range(w) for rep in reps)
+    ordered = ((y, z) for reps in scatter._value_groups(ids, repeated)
+               for y in points(reps) for z in points(reps) if y != z)
     pairs = list(itertools.islice(ordered, count if limit is None else min(limit, count)))
     return count, pairs, limit is not None and 0 < limit < count
 
