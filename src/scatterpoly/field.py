@@ -19,10 +19,11 @@ whose row i is x^(p*i), and the context keeps it.  The modulus search drops
 every encoding with a root in F_p in one numpy pass over a block of
 encodings, then runs the Rabin test on the remaining candidates together, a
 few at a time: x^(p^k) comes from iterated products with the Frobenius
-matrices of all of them, built at once, and the accepted candidate's matrix
-goes on to the generator search.  There a prime l of the order that divides
-p - 1 is decided from the candidate's norm to F_p, the resultant of the
-modulus and the candidate; every other l raises the candidate to order/l.
+matrices of all of them, built at once, and its coprimality tests read the
+resultant.  The accepted candidate's matrix goes on to the generator
+search.  There a prime l of the order that divides p - 1 is decided from the
+candidate's norm to F_p, the resultant of the modulus and the candidate;
+every other l raises the candidate to order/l.
 The factorization of the order stops dividing once the cofactor left is
 prime.  The table walk (:func:`_log_table`) multiplies digit vectors only
 for one power per F_p-line and reaches the other p - 2 by scaling digits
@@ -75,10 +76,11 @@ DEFAULT_CAP = 1 << 22
 # limits of every kernel hold: each discrete log and encoding fits the int32
 # tables and the oracle's int32 ratio ids (a discrete log, or -1 for zero);
 # the `%` path of `linpoly.evaluate_many` forms a product of two discrete logs
-# in int64, below 2^62; and the uint32 scan kernel (`linpoly.TermLogs`,
-# `linpoly._log_sum`) adds two residues, below 2 * order < 2^32, with the
-# all-ones uint32 left free for a zero sum.  WALK_LIMIT below refuses some
-# smaller fields; `table_limit` applies both.
+# in int64, below 2^62; the scan kernel (`linpoly.TermLogs`) forms its block
+# offsets in int64, below 2^51, and adds them to its multiples in uint32, as
+# `linpoly._log_sum` adds two logs: each a sum of two residues, below
+# 2 * order < 2^32, with the all-ones uint32 left free for a zero sum.
+# WALK_LIMIT below refuses some smaller fields; `table_limit` applies both.
 TABLE_LIMIT = 1 << 31
 # The walk that builds the table (`_log_table`) multiplies digit vectors in
 # floating point, where one product sum reaches d * (p - 1)^2.  float64 holds
@@ -199,14 +201,6 @@ def _poly_mod(a, b, p):
     return a
 
 
-def _poly_gcd(a, b, p):
-    a = _trim(list(a))
-    b = _trim(list(b))
-    while b:
-        a, b = b, _poly_mod(a, b, p)
-    return a
-
-
 def _times(v: np.ndarray, m: np.ndarray, p: int) -> np.ndarray:
     """Each row of v times the matching matrix of m, mod p."""
     return np.matmul(v[:, None, :], m)[:, 0] % p
@@ -256,8 +250,10 @@ def _first_irreducible(low: np.ndarray, p: int):
     or None.
 
     The Rabin test, on every row at once: f is irreducible iff x^(p^d) = x
-    and, for each prime l of d, gcd(x^(p^(d/l)) - x, f) = 1, where x^(p^k)
-    is x times the k-th power of the Frobenius matrix.
+    and, for each prime l of d, gcd(u, f) = 1 with u = x^(p^(d/l)) - x mod f,
+    where x^(p^k) is x times the k-th power of the Frobenius matrix.  The gcd
+    is 1 exactly when the resultant Res(f, u) is nonzero, and u = 0 has gcd
+    f, so the test reads ``any(u) and _resultant(f, u)``.
     """
     d = low.shape[1]
     frob = _frobenius(low, p)
@@ -268,8 +264,8 @@ def _first_irreducible(low: np.ndarray, p: int):
         xpk.append(_times(xpk[-1], frob, p))
     for b in np.flatnonzero((xpk[d] == x).all(axis=1)):
         mod = low[b].tolist() + [1]
-        if all(len(_poly_gcd(((xpk[d // prime][b] - x[b]) % p).tolist(), mod, p)) == 1
-               for prime, _ in factorize(d)):
+        us = (((xpk[d // prime][b] - x[b]) % p).tolist() for prime, _ in factorize(d))
+        if all(any(u) and _resultant(mod, u, p) for u in us):
             return low[b], frob[b]
     return None
 

@@ -10,7 +10,8 @@ logs along the points are residues mod the group order, uint32 because the
 order is below 2^31, and :func:`_log_sum` adds the terms through the Zech
 table in uint32, where a sum of two residues still fits.  Its result is the
 int32 view, -1 for zero.  A whole scan reads the terms' logs off
-:class:`TermLogs` progressions, with no ``%`` per point.
+:class:`TermLogs` progressions, whole blocks in one broadcast, with no ``%``
+per point.
 """
 
 from __future__ import annotations
@@ -154,10 +155,10 @@ class TermLogs:
     A term's log at g^a, c_i + a * d_i mod order (see :func:`evaluate_many`),
     is an arithmetic progression in a.  Each term keeps the multiples j * d_i
     mod order for j < ``_BLOCK``, as uint32, 16 KiB per term.  A run a =
-    start .. start+count-1 is built as ceil(count / _BLOCK) blocks: per
-    term, the block offsets (b * (_BLOCK * d_i mod order) + (c_i + start *
-    d_i) mod order) mod order, formed per call, are added to the multiples
-    in one broadcast (and one more add for a partial last block), and one
+    start .. start+count-1 is built as ceil(count / _BLOCK) whole blocks:
+    per term, the block offsets (b * (_BLOCK * d_i mod order) + (c_i + start
+    * d_i) mod order) mod order, formed per call, are added to the multiples
+    in one broadcast, the last block is cut at ``count``, and one
     :func:`_wrap` reduces each sum.
 
     Integer bounds, with order < ``TABLE_LIMIT = 2^31``: the multiples are
@@ -176,34 +177,24 @@ class TermLogs:
         j = np.arange(_BLOCK, dtype=np.int64)
         self.multiples = [(j * d % order).astype(np.uint32) for _, d in self.steps]
 
-    def at(self, dlogs: np.ndarray, out: np.ndarray | None = None):
-        """Each term's uint32 logs at ``dlogs``, in 0 .. order-1, one array per term.
+    def at(self, dlogs: np.ndarray):
+        """Each term's uint32 logs at ``dlogs``, in 0 .. order-1, one fresh array per term.
 
         ``dlogs`` must be consecutive, dlogs[0] .. dlogs[0] + len - 1; only
-        its first point and its length are read.  The first term's logs go
-        into ``out`` when it is given, a uint32 array of the same length,
-        and every other array is fresh.  No array stays bound here once
-        yielded, so the consumer alone decides how many are alive.
+        its first point and its length are read.  No array stays bound here
+        once yielded, so the consumer alone decides how many are alive.
         """
         order = self.order
         start, count = int(dlogs[0]), dlogs.size
-        full = count // _BLOCK  # whole blocks
         b = np.arange(-(-count // _BLOCK), dtype=np.int64)
         for (c, d), multiples in zip(self.steps, self.multiples):
             offsets = ((b * (_BLOCK * d % order) + (c + start * d) % order)
                        % order).astype(np.uint32)
-            logs = np.empty(count, dtype=np.uint32) if out is None else out
-            np.add(offsets[:full, None], multiples,
-                   out=logs[:full * _BLOCK].reshape(full, _BLOCK))
-            # the partial last block, if any; empty when count is whole blocks
-            np.add(offsets[-1], multiples[:count - full * _BLOCK], out=logs[full * _BLOCK:])
-            out = None
-            yield _wrap(logs, order)
+            yield _wrap((offsets[:, None] + multiples).ravel()[:count], order)
 
 
 def evaluate_many(ctx: FieldCtx, s: LinearizedPolynomial, dlogs: np.ndarray, *,
-                  index: int | None = None, terms: TermLogs | None = None,
-                  out: np.ndarray | None = None) -> np.ndarray:
+                  index: int | None = None, terms: TermLogs | None = None) -> np.ndarray:
     """int32 discrete logs of S(g^a) for a whole vector of discrete logs a; -1 for 0.
 
     The bulk path behind the exhaustive scans: term i at g^a is g^(c_i + a *
@@ -214,12 +205,11 @@ def evaluate_many(ctx: FieldCtx, s: LinearizedPolynomial, dlogs: np.ndarray, *,
     ``dlogs``, in int64, where a * d_i + c_i < 2^31 * 2^31 + 2^31 fits, and
     its residues go to uint32; a scan passes ``terms`` instead, the
     :class:`TermLogs` of (ctx, s, index) that it built once, with
-    consecutive ``dlogs``, and may pass ``out`` with it, a uint32 array of
-    ``dlogs.size`` that the sum is built in: the result is then its int32
-    view.  A monomial adds nothing, so it never reads the Zech table.
+    consecutive ``dlogs``, and ``index`` is then not read.  A monomial adds
+    nothing, so it never reads the Zech table.
     """
     if terms is not None:
-        return _log_sum(ctx, terms.at(dlogs, out))
+        return _log_sum(ctx, terms.at(dlogs))
     q, order = ctx.q, ctx.order
     shift = 0 if index is None else pow(q, index, order)
     return _log_sum(ctx, (((coeff.dlog + dlogs * ((pow(q, r, order) - shift) % order))

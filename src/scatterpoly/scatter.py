@@ -34,9 +34,9 @@ Nothing one-term is sized by e.
 One scan, :func:`_scan`, serves the oracle and census of a sum and
 :func:`is_permutation`: it streams the representatives in chunks into one
 int32 array of ids, with no full-size temporary and no ``%`` per point.
-Each chunk is built in place, in uint32: every residue is below the order,
-which is below 2^31, so a sum of two fits 32 bits, and the int32 view of the
-result is the ids, -1 for zero.  The oracle and :func:`deciding_pairs` group
+Each chunk is built in uint32: every residue is below the order, which is
+below 2^31, so a sum of two fits 32 bits, and the int32 view of the result
+is the chunk's ids, -1 for zero.  The oracle and :func:`deciding_pairs` group
 a sum's equal ids with one sort (:func:`_collisions`).  The representatives
 whose value is shared then come in order from binary searches of the sorted
 ids (:func:`_shared_reps`): the witness is the first of them, and the census
@@ -127,14 +127,13 @@ def _scan(ctx: FieldCtx, s: LinearizedPolynomial, index: int | None) -> np.ndarr
     ``index``, and -1 where that is zero, as in :func:`evaluate_many`.
     Up to one chunk each term takes a single ``%`` pass, which costs a desk
     scan less than progressions; beyond, chunks of ``_CHUNK`` read one
-    :class:`TermLogs` and are summed in place, in the ids' uint32 view, so
-    no temporary spans the whole range.  One array of points is shifted
+    :class:`TermLogs`, and each chunk's ids are assigned into their slice,
+    so no temporary spans the whole range.  One array of points is shifted
     from chunk to chunk, since the progressions read only where a chunk
-    starts and how long it is.  A sum of two
-    or more terms reads the Zech table here first, so a missing table is
-    built, and its temporaries freed, before the ids exist: built inside the
-    first chunk, it would peak on top of them, at about 12 bytes per field
-    element rather than 9.
+    starts and how long it is.  A sum of two or more terms reads the Zech
+    table here first, so a missing table is built, and its temporaries
+    freed, before the ids exist: built inside the first chunk, it would peak
+    on top of them, at about 12 bytes per field element rather than 9.
     """
     if s.k > 1:
         ctx._zech
@@ -146,8 +145,7 @@ def _scan(ctx: FieldCtx, s: LinearizedPolynomial, index: int | None) -> np.ndarr
     points = np.arange(_CHUNK, dtype=np.int32)  # each chunk's points, in turn
     for start in range(0, e, _CHUNK):
         dlogs = points[:e - start]
-        evaluate_many(ctx, s, dlogs, index=index, terms=terms,
-                      out=ids[start:start + dlogs.size].view(np.uint32))
+        ids[start:start + dlogs.size] = evaluate_many(ctx, s, dlogs, terms=terms)
         points += _CHUNK
     return ids
 

@@ -2,16 +2,26 @@
 
 The naive scatteredness check walks every ordered pair of distinct nonzero
 elements and applies the defining condition directly; it exists purely to
-cross-validate the representative-based engine on tiny fields.
+cross-validate the representative-based engine on tiny fields.  Every value
+is formed in digit arithmetic, schoolbook products mod the modulus, from the
+digits that ``ctx.coeffs_many`` gives, so no reference here reads the Zech
+table that the engine adds through.
 """
 
-from scatterpoly import ratio_map
+
+def _naive_ratios(ctx, s, t):
+    """S(x) * x^(-q^t) as digit tuples, for x = g^0 .. g^(order-1) in turn."""
+    p, mod, terms = ctx.p, list(ctx.modulus), _naive_terms(ctx, s)
+    inverse_frobenius = -ctx.q**t % ctx.order
+    points = ctx.coeffs_many([ctx.element_from_dlog(a) for a in range(ctx.order)])
+    return [naive_mul(p, mod, _naive_value(p, mod, terms, x),
+                      naive_pow(p, mod, x, inverse_frobenius)) for x in points]
 
 
 def naive_is_scattered(ctx, s, t):
     """Literal double loop over ordered pairs of nonzero elements."""
     elements = [ctx.element_from_dlog(a) for a in range(ctx.order)]
-    ratios = [ratio_map(ctx, s, t, x) for x in elements]
+    ratios = _naive_ratios(ctx, s, t)
     for i, y in enumerate(elements):
         for j, z in enumerate(elements):
             if i == j:
@@ -25,8 +35,7 @@ def naive_is_scattered(ctx, s, t):
 
 def naive_deciding_pair_count(ctx, s, t):
     """Ordered pairs of distinct nonzero elements with equal ratio values."""
-    ratios = [ratio_map(ctx, s, t, ctx.element_from_dlog(a))
-              for a in range(ctx.order)]
+    ratios = _naive_ratios(ctx, s, t)
     count = 0
     for i in range(len(ratios)):
         for j in range(len(ratios)):
@@ -64,12 +73,21 @@ def naive_pow(p, modulus, coeffs, exponent):
     return result
 
 
-def naive_evaluate(ctx, s, x):
-    """Evaluate S via coefficient-vector arithmetic only (no dlog tables)."""
-    p, mod = ctx.p, list(ctx.modulus)
-    x_digits = ctx.coeffs(x)
-    total = [0] * ctx.degree
-    for r, coeff in s.terms:
-        term = naive_mul(p, mod, ctx.coeffs(coeff), naive_pow(p, mod, x_digits, ctx.q**r))
+def _naive_terms(ctx, s):
+    """(q^r, the coefficient's digits) for each term of S."""
+    digits = ctx.coeffs_many([a for _, a in s.terms])
+    return [(ctx.q**r, coeff) for (r, _), coeff in zip(s.terms, digits)]
+
+
+def _naive_value(p, mod, terms, x_digits):
+    """The digits of S(x), S given by :func:`_naive_terms` and x by its digits."""
+    total = [0] * (len(mod) - 1)
+    for power, coeff in terms:
+        term = naive_mul(p, mod, coeff, naive_pow(p, mod, x_digits, power))
         total = [(u + v) % p for u, v in zip(total, term)]
     return tuple(total)
+
+
+def naive_evaluate(ctx, s, x):
+    """Evaluate S via coefficient-vector arithmetic only (no dlog tables)."""
+    return _naive_value(ctx.p, list(ctx.modulus), _naive_terms(ctx, s), ctx.coeffs(x))

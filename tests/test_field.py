@@ -387,17 +387,39 @@ def test_digit_constants_round_trip(p, samples):
 # (modulus_encoding, gamma_encoding) of each field, recorded before the basis
 # search moved to a Frobenius matrix; any change here changes every discrete
 # log, witness and fingerprint of that field
-@pytest.mark.parametrize("params,pinned", [
+_PINNED = [
     ((3, 1, 4), (5, 3)), ((3, 1, 6), (5, 3)), ((3, 1, 9), (64, 3)),
     ((3, 1, 12), (11, 14)), ((3, 1, 13), (7, 3)), ((3, 1, 15), (11, 5)),
     ((3, 1, 16), (37, 4)), ((5, 1, 4), (2, 6)), ((5, 1, 9), (38, 5)),
     ((7, 1, 7), (43, 14)), ((3, 2, 3), (5, 3)), ((2, 1, 13), (27, 2)),
     ((101, 1, 2), (2, 102)), ((1009, 1, 2), (11, 1018)), ((4099, 1, 1), (0, 2)),
     ((8191, 1, 1), (0, 17)),
-])
+]
+
+
+@pytest.mark.parametrize("params,pinned", _PINNED)
 def test_basis_is_pinned(params, pinned):
     basis = field_basis(*params, cap=2**31, strict=params[0] != 2)
     assert (basis.modulus_encoding, basis.gamma_encoding) == pinned
+
+
+@pytest.mark.parametrize("params", [params for params, _ in _PINNED
+                                    if params[0] ** (params[1] * params[2]) <= 2**21])
+def test_zech_identities(params):
+    """The whole table satisfies two identities of Zech logs, with g^h = -1.
+
+    Wherever Z(k) != -1: Z(-k) = Z(k) - k, since 1 + g^-k = g^-k (1 + g^k);
+    and Z(Z(k) + h) = k + h, since 1 + g^(Z(k) + h) = 1 - (1 + g^k) = -g^k.
+    In characteristic 2, -1 = 1 and h = 0.  -1 appears once, at h.
+    """
+    ctx = build_field(*params, cap=2**31, strict=params[0] != 2)
+    order, zech = ctx.order, ctx._zech.astype(np.int64)
+    h = order // 2 if ctx.p > 2 else 0
+    assert np.flatnonzero(zech < 0).tolist() == [h]
+    k = np.flatnonzero(zech >= 0)
+    z = zech[k]
+    assert np.array_equal(zech[-k % order], (z - k) % order)
+    assert np.array_equal(zech[(z + h) % order], (k + h) % order)
 
 
 # the pinned fields, F_8191 (d = 1) and F_101^2 among them, and F_46337^2,

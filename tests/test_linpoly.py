@@ -97,7 +97,9 @@ def test_term_logs_near_the_table_limit():
 
     F_3^19 has order 3^19 - 1 > 2^30, so a log before the wrap can exceed
     2^31.  The runs start at 0, at the last scan chunk (which ends at e),
-    just below e and just below the order, and one is partial.
+    just below e and just below the order, and one is partial.  Runs of 1,
+    4095, 4096 and 4097 points, at 0 and ending at the order, cut the
+    broadcast of whole 4096-point blocks inside, at and just past a block.
     """
     basis = field_basis(3, 1, 19, cap=TABLE_LIMIT)
     order, e, run = basis.order, basis.subfield_index, 1 << 15
@@ -106,6 +108,8 @@ def test_term_logs_near_the_table_limit():
                                    ((0, order - 1), (7, 123456789), (18, e + 3))))
     last = e // run * run
     runs = ((0, run), (last, e - last), (e - run, run), (e - 5, 5), (order - run, run))
+    runs += tuple((start, count) for count in (1, 4095, 4096, 4097)
+                  for start in (0, order - count))
     for index in (None, 0, 7, 18):
         shift = 0 if index is None else 3**index
         terms = TermLogs(basis, s, index)

@@ -23,7 +23,7 @@ from scatterpoly import (
     scattered_via_pp,
 )
 
-from scatterpoly import scatter
+from scatterpoly import field, scatter
 from scatterpoly.scatter import (
     _CHUNK, _WITNESS_WINDOW, _collisions, _equal_ratio_pairs, _reduced, _scan, _witness)
 
@@ -311,6 +311,41 @@ def test_census_matches_naive(f9, f27):
                 assert census.equal_ratio_pairs == \
                     naive_deciding_pair_count(ctx, s, t)
                 assert census.collinear_pairs == ctx.order * (ctx.q - 2)
+
+
+def test_naive_oracle_reads_no_table(f81, monkeypatch):
+    # the reference answers a 3-term sum off t on a field that has no Zech
+    # table and cannot build one, as the oracle does with its table
+    s = parse_poly(f81, "1:g^0,2:g^5,3:g^7")
+    report = is_scattered_bruteforce(f81, s, 0, census=True)
+    basis = field_basis(3, 1, 4)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the naive oracle read a Zech table")
+    monkeypatch.setattr(field, "build_field", refuse)
+    assert naive_is_scattered(basis, s, 0) == report.scattered
+    assert naive_deciding_pair_count(basis, s, 0) == report.deciding_pair_count
+    assert "_zech" not in vars(basis)
+
+
+def test_naive_oracle_sees_a_corrupted_table():
+    # +1 on every odd Zech entry but the -1: the oracle adds through the
+    # corrupted table and the digit-arithmetic reference does not, so their
+    # censuses of some 3-term sums off t differ
+    ctx = build_field(3, 1, 5)
+    zech = ctx._zech.copy()
+    odd = np.arange(1, ctx.order, 2)
+    odd = odd[zech[odd] >= 0]
+    zech[odd] = (zech[odd] + 1) % ctx.order
+    ctx._zech = zech
+    rng = random.Random(19)
+    differ = 0
+    for _ in range(4):
+        *exps, t = rng.sample(range(ctx.n), 4)
+        s = normalize(ctx, [(r, ctx.element_from_dlog(rng.randrange(ctx.order))) for r in exps])
+        differ += (naive_deciding_pair_count(ctx, s, t)
+                   != deciding_pairs(ctx, s, t, limit=0).equal_ratio_pairs)
+    assert differ
 
 
 def test_deciding_pairs_enumeration(f81):
