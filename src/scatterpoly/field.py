@@ -102,7 +102,7 @@ _TABLE_BLOCK = 4096
 _MODULUS_PASS = 64
 _ROOT_VALUES = 1 << 12
 _RABIN_ROWS = 12
-_ZECH_BLOCK = 16384
+_FILL_TILE = 16384
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3317044064679887385961981
 # Below this a cofactor's trial division (at most 256 steps) costs no more
@@ -414,136 +414,263 @@ def _build_tables(p: int, d: int, mod, frob, gamma_vec):
     """Zech-log table of F_p[x]/(mod) with generator gamma, and log x;
     ``frob`` is the modulus's Frobenius matrix (None for d = 1).
 
-    The int32 log table (every entry is below ``TABLE_LIMIT``) is a
-    temporary: it is checked for bijectivity, gives the Zech table and is
-    freed on return.  No antilog array exists, even as a temporary.
-    ``log x`` (encoding p) is None when d = 1, where x = 0.
+    Every unit is c0^j * gamma^k with k < e1 = (p^d - 1)/(p - 1) and
+    c0 = gamma^e1, the norm of gamma, a constant of F_p^*: k picks the
+    F_p-line and j the point on it.  The build writes one log per line
+    (:func:`_line_table`), and no table indexed by all p^d encodings
+    exists.  The Zech table comes from three passes:
+
+      * J, the discrete log to base c0 on F_p^* (:func:`_prime_field_logs`);
+        for d = 1, a single line, J is the whole log table;
+      * the lower half, Z(k) for k < order/2, gathered in walk order
+        (:func:`_gather_lower_half`);
+      * the upper half from Z(-k) = Z(k) - k, since 1 + g^-k = g^-k (1 + g^k)
+        (:func:`_negate_into_upper_half`), and Z(h) = -1 where g^h = -1
+        (h = 0 when p = 2, where -1 = 1 and the order is odd).
+
+    ``grid``, the Zech buffer as p - 1 rows of e1, holds Z(k + j*e1) in row j,
+    column k.  Until they are overwritten, its column 0 (the line of 1) holds
+    c0^j in walk order and its last row, in the upper half, each walked
+    line's index.  A generator that is not primitive is refused: its powers
+    miss a line, or c0 does not generate F_p^*.  ``log x`` is None when
+    d = 1, where x = 0.
     """
-    log = _log_table(p, d, mod, frob, gamma_vec)
-    if int(np.count_nonzero(log >= 0)) != p**d - 1:
-        raise RuntimeError("the powers of gamma miss a unit: log table not bijective")
-    log_x = int(log[p]) if d > 1 else None
-    return _zech_table(p, log), log_x
+    order = p**d - 1
+    e1 = order // (p - 1)
+    [c0] = _powers(gamma_vec, (e1,), mod, frob, p)
+    if not c0[0] or any(c0[1:]):
+        raise RuntimeError("the norm of gamma is not in F_p^*: modulus not irreducible")
+    zech = np.empty(order, dtype=np.int32)
+    grid = zech.reshape(p - 1, e1)
+    dlog = _prime_field_logs(p, c0[0], grid[:, 0])
+    line_log, codes = _line_table(p, d, mod, frob, gamma_vec, dlog, grid)
+    log_x = int(line_log[1]) if d > 1 else None
+    lower = (order + 1) // 2
+    _gather_lower_half(p, grid, line_log, codes, dlog, lower)
+    del line_log, codes, dlog
+    _negate_into_upper_half(zech, lower)
+    zech[order // 2 if p > 2 else 0] = -1
+    return zech, log_x
 
 
-def _log_table(p: int, d: int, mod, frob, gamma_vec) -> np.ndarray:
-    """log[enc] = k where gamma^k has encoding enc; -1 where no power lands.
+def _walk(p: int, mod, frob, vec, start: int, stop: int):
+    """The digits of vec^k in F_p[x]/(mod) for start <= k < stop, in blocks;
+    ``start`` is 0 or 1.
 
-    For d >= 2 the walk visits one power per F_p-line, gamma^0 .. gamma^(e1-1)
-    with e1 = (p^d - 1)/(p - 1).  gamma^e1 is the norm of gamma to F_p, a
-    constant c0, so gamma^(k + j*e1) = c0^j * gamma^k: each base-p digit of
-    the encoding is multiplied by c0^j mod p, with no product and no
-    reduction.  An encoding is held as two half-encodings, the low
-    h = ceil(d/2) digits and the rest, each below p^h; one lookup of p^h
-    entries multiplies every digit of a half by c0, and is applied p - 2
-    times.  For d = 1 (e1 = 1) the walk visits every power.
-
-    The walk runs in blocks of ``_TABLE_BLOCK`` powers and scatters each block
-    and its multiples straight into the table.  Each block is the previous
-    one times gamma^block, a floating-point product on BLAS, reduced by
-    ``y - p * floor(y / p)``.  Two bounds keep every step exact:
-
-      * the product: each sum is at most d * (p - 1)^2.  While that is below
-        2^24, the sum, ``floor(y / p)``, the multiple of p and the difference
-        are all integers below 2^24, exact in float32, which moves half the
-        bytes of float64.  Otherwise the walk runs in float64, exact below
-        ``WALK_LIMIT`` = 2^53, which :func:`table_limit` enforces.
-      * the half-encodings, one small product of the digits with a d x 2
-        matrix of powers of p: each partial sum is below p^h, so it runs in
-        float32 while p^h <= 2^24 and in float64 above.
-
-    The block buffers are allocated once, so no block allocates for the
-    product, the reduction or the encodings, and they are freed on return,
-    before the Zech table is allocated.
+    Yields (k, cur, digits): column i of the d x cnt arrays holds the digits
+    of vec^(k + i), as floats in ``cur`` and as unsigned integers in
+    ``digits``, which the caller may overwrite.  Both are buffers, rewritten
+    for the next block, and the blocks hold ``_TABLE_BLOCK`` powers.  Each
+    block is the previous one times vec^block, a floating-point product on
+    BLAS whose sums are at most d * (p - 1)^2 (:func:`_sum_types`), reduced
+    mod p in integers, where division by the scalar p is cheap.
     """
-    size = p**d
-    n_units = size - 1
-    per_line = p - 1 if d > 1 else 1  # powers c0^j * gamma^k reached per walked k
-    e1 = n_units // per_line
-    h = (d + 1) // 2
-    half_size = p**h
-    walk_dtype = np.float32 if d * (p - 1) ** 2 < _FLOAT32_EXACT else np.float64
-    half_dtype = np.float32 if half_size <= _FLOAT32_EXACT else np.float64
-    split = np.zeros((2, d), dtype=half_dtype)
-    split[0, :h] = [p**i for i in range(h)]
-    split[1, h:] = [p**i for i in range(d - h)]
-    block = min(e1, _TABLE_BLOCK)
-
-    # gamma^0 .. gamma^(block-1) by doubling: step_m multiplies by gamma^filled
+    d = len(mod) - 1
+    block = min(stop - start, _TABLE_BLOCK)
+    if block <= 0:
+        return
+    walk_dtype, digit_dtype = _sum_types(p, d)
+    # vec^start .. vec^(start+block-1) by doubling: step_m multiplies by
+    # vec^filled, and its row 0 is vec itself
+    step_m = _mult_matrix(vec, mod, p)
     small = np.zeros((block, d), dtype=np.int64)
-    small[0, 0] = 1
-    step_m = _mult_matrix(gamma_vec, mod, p)
+    small[0] = step_m[0] if start else [1] + [0] * (d - 1)
     filled = 1
     while filled < block:
+        if filled > 1:
+            step_m = step_m @ step_m % p
         cnt = min(filled, block - filled)
-        small[filled:filled + cnt] = small[:cnt] @ step_m % p
+        np.matmul(small[:cnt], step_m, out=small[filled:filled + cnt])
+        small[filled:filled + cnt] %= p
         filled += cnt
-        step_m = step_m @ step_m % p
-
-    big_step, c0 = _powers(gamma_vec, (block, e1), mod, frob, p)
-    big_m = _mult_matrix(big_step, mod, p).T.astype(walk_dtype)
-    if per_line > 1:
-        if not c0[0] or any(c0[1:]):
-            raise RuntimeError("the norm of gamma is not in F_p^*: modulus not irreducible")
-        # scale[u]: the half-encoding u with every digit multiplied by c0
-        u = np.arange(half_size)
-        scale = np.zeros(half_size, dtype=np.intp)
-        for i in range(h):
-            scale += u // p**i % p * c0[0] % p * p**i
-
-    log = np.full(size, -1, dtype=np.int32)
-    powers = np.arange(block, dtype=np.int32)
-    cur = small.T.astype(walk_dtype, order="C")  # column k: the digits of one power
+    digits = small.T.astype(digit_dtype, order="C")
     del small
-    prod = np.empty_like(cur)
-    quot = np.empty_like(cur)
-    halves = np.zeros((2, block), dtype=half_dtype)
-    pair = np.empty((2, block), dtype=np.intp)
-    scaled = np.empty_like(pair)
-    enc = np.empty(block, dtype=np.intp)
-    idx = 0
-    while idx < e1:
-        cnt = min(block, e1 - idx)
-        np.matmul(split, cur[:, :cnt], out=halves[:, :cnt])
-        a, b = pair[:, :cnt], scaled[:, :cnt]
-        a[...] = halves[:, :cnt]
-        for j in range(per_line):
-            if j:
-                np.take(scale, a, out=b, mode="clip")
-                a, b = b, a
-                powers += e1
-            np.multiply(a[1], half_size, out=enc[:cnt])
-            enc[:cnt] += a[0]
-            log[enc[:cnt]] = powers[:cnt]
-        idx += cnt
-        if idx < e1:
-            powers += block - (per_line - 1) * e1
+    cur = digits.astype(walk_dtype)
+    if stop - start > block:
+        [big_step] = _powers(vec, (block,), mod, frob, p)
+        big_m = _mult_matrix(big_step, mod, p).T.astype(walk_dtype)
+        prod = np.empty_like(cur)
+        carry = np.empty_like(digits)
+    for k in range(start, stop, block):
+        if k > start:
             np.matmul(big_m, cur, out=prod)
-            np.divide(prod, p, out=quot)
-            np.floor(quot, out=quot)
-            np.multiply(quot, p, out=quot)
-            np.subtract(prod, quot, out=cur)
-    return log
+            np.copyto(digits, prod, casting="unsafe")
+            np.floor_divide(digits, p, out=carry)
+            carry *= p
+            digits -= carry
+            np.copyto(cur, digits)
+        cnt = min(block, stop - k)
+        yield k, cur[:, :cnt], digits[:, :cnt]
 
 
-def _zech_table(p: int, log: np.ndarray) -> np.ndarray:
-    """zech[k] = log(1 + g^k), or -1 where 1 + g^k = 0.
+def _sum_types(p: int, d: int):
+    """The float and unsigned integer types of the walk's sums of d products
+    of two digits, each at most d * (p - 1)^2.
 
-    Adding 1 changes only the lowest base-p digit of an encoding, so encoding
-    u pairs with u + 1, or with u + 1 - p when that digit is p - 1: two
-    scatters, the second rewriting those units, with ``log[0] = -1`` marking
-    1 + (-1) = 0.  numpy scatters faster on native (intp) indices than on
-    int32 ones, so each scatter converts its int32 index slice in blocks of
-    ``_ZECH_BLOCK``, and no full-size temporary exists.
+    While that is below 2^24 the sums are exact in float32, which moves half
+    the bytes of float64; otherwise the walk runs in float64, exact below
+    ``WALK_LIMIT`` = 2^53, which :func:`table_limit` enforces.  The integer
+    type is the smallest unsigned one that holds them, so it also holds a
+    product of two digits.
     """
-    zech = np.empty(log.size - 1, dtype=np.int32)
-    index = np.empty(_ZECH_BLOCK, dtype=np.intp)
-    for keys, values in ((log[1:-1], log[2:]), (log[p - 1::p], log[::p])):
-        for lo in range(0, keys.size, _ZECH_BLOCK):
-            cnt = min(_ZECH_BLOCK, keys.size - lo)
-            index[:cnt] = keys[lo:lo + cnt]
-            zech[index[:cnt]] = values[lo:lo + cnt]
-    return zech
+    top = d * (p - 1) ** 2
+    return (np.float32 if top < _FLOAT32_EXACT else np.float64), np.min_scalar_type(top)
+
+
+def _prime_field_logs(p: int, c0: int, powers) -> np.ndarray:
+    """J, the int32 discrete logs to base c0 on F_p, from the block walk of
+    c0; c0^j goes to ``powers[j]`` in walk order.  J has p + 1 entries, J[0]
+    = J[p] = -1, so J reads 1 + c0^j without reducing it.
+
+    Refuses a c0 that does not generate F_p^*: its powers miss a unit.
+    """
+    dlog = np.full(p + 1, -1, dtype=np.int32)
+    for j, _, digits in _walk(p, (0, 1), None, [c0], 0, p - 1):
+        values = digits[0].astype(np.intp)
+        dlog[values] = np.arange(j, j + values.size, dtype=np.int32)
+        powers[j:j + values.size] = values
+    if dlog[1:p].min() < 0:
+        raise RuntimeError("the norm of gamma does not generate F_p^*: gamma not primitive")
+    return dlog
+
+
+def _line_table(p: int, d: int, mod, frob, gamma_vec, dlog, grid):
+    """The int32 log of each F_p-line's normalized point, and the walk-order
+    code of each walked line.
+
+    A line's normalized point w^ has leading base-p digit 1; the table is
+    indexed by w^'s encoding minus p^i plus (p^i - 1)/(p - 1), where i is
+    the leading position, so 1 lands at index 0 and x at index 1.  The walk
+    visits gamma^k for 1 <= k < e1, never in F_p, so i >= 1, and digits
+    1 .. d-1, held as two half-encodings below p^m (m = d // 2), give i and
+    the leading digit tau: the low half u, or p^m + the high half when it is
+    not 0, whichever is larger, keys lookups of 2*p^m entries.  Then
+    w^ = tau^-1 * gamma^k, its digits scaled in the smallest unsigned type
+    that holds (p - 1)^2, has the log k + b*e1 with b = J(tau^-1): one
+    random write per line.  Each walked line k leaves its index minus its
+    low digit in ``grid``'s last row and ``codes[k]`` = b*p + (low digit of
+    w^), in the smallest unsigned type that holds p*(p - 1) values.  A line
+    written twice leaves another unwritten, so an unwritten line refuses a
+    generator whose powers repeat a line.
+
+    The half-encodings are products of the digits with a small matrix of
+    powers of p, each partial sum below p^ceil(d/2): float32 while that is
+    at most 2^24, float64 above.
+    """
+    e1 = grid.shape[1]
+    line_log = np.full(e1, -1, dtype=np.int32)
+    line_log[0] = 0  # the line of 1 is F_p^*
+    codes = np.zeros(e1, dtype=np.min_scalar_type(p * (p - 1) - 1))
+    if e1 == 1:  # a prime field is the line of 1
+        return line_log, codes
+    h = (d + 1) // 2
+    half_dtype = np.float32 if p**h <= _FLOAT32_EXACT else np.float64
+    m = d // 2
+    weights = [p**i for i in range(d)]
+    leading = np.array([[0] + weights[:m] + [0] * (d - 1 - m),
+                        [0] * (m + 1) + weights[:d - 1 - m]], dtype=half_dtype)
+    split = np.array([weights[:h] + [0] * (d - h), [0] * h + weights[:d - h]],
+                     dtype=half_dtype)
+    # a half u of n digits leads with tau = u // p^(n - 1) at i = n, or m + n
+    # in the high half; u = 0 never keys a walked power
+    sizes = [1] + [p**n - p**(n - 1) for n in range(1, m + 1)]
+    ndigits = np.repeat(np.arange(m + 1), sizes)
+    tau = np.arange(p**m) // np.repeat([1] + weights[:m], sizes)
+    b = -dlog[tau] % (p - 1)
+    b = np.concatenate([b, b])
+    i = np.concatenate([ndigits, ndigits + m])
+    high_key = np.concatenate([[0], np.arange(p**m + 1, 2 * p**m)])
+    tau_inv = grid[b, 0].astype(_sum_types(p, d)[1])  # c0^b
+    shift = np.array([(p**n - 1) // (p - 1) - p**n for n in range(d + m)])[i]
+    line_b = (b * e1).astype(np.int32)
+    code_b = (b * p).astype(codes.dtype)
+    for k, cur, digits in _walk(p, mod, frob, gamma_vec, 1, e1):
+        cnt = cur.shape[1]
+        halves = (leading @ cur).astype(np.intp)
+        key = np.maximum(high_key[halves[1]], halves[0])
+        digits *= tau_inv[key]
+        carry = digits // p
+        carry *= p
+        digits -= carry
+        halves = (split @ digits.astype(cur.dtype)).astype(np.intp)
+        idx = halves[1] * p**h
+        idx += halves[0]
+        idx += shift[key]
+        line_log[idx] = line_b[key] + np.arange(k, k + cnt, dtype=np.int32)
+        low = digits[0]
+        grid[-1, k:k + cnt] = idx - low
+        codes[k:k + cnt] = code_b[key] + low
+    if line_log.min() < 0:
+        raise RuntimeError("the powers of gamma miss an F_p-line: gamma not primitive")
+    return line_log, codes
+
+
+def _gather_lower_half(p: int, grid, line_log, codes, dlog, lower: int) -> None:
+    """Z(k) for k < ``lower``, in walk order, into ``grid`` (row j, column k:
+    Z(k + j*e1)).
+
+    g^(k + j*e1) = c0^j * tau * w^ for the walked line k with normalized point
+    w^, leading digit tau and b = J(tau^-1), so with r = b - j,
+    1 + g^(k + j*e1) = c0^-r * (w^ + c0^r) and Z = -r*e1 + log(w^ + c0^r).
+    w^ + c0^r differs from w^ only in its low digit, so it is normalized and
+    sits in the same run of p entries of the line table.  The lines are
+    filled a block at a time, every row of the block together, with the new
+    low digit and -r*e1 mod order read from tables of r.  The column of
+    the line of 1 comes last, from the powers of c0 it held:
+    Z(j*e1) = J(1 + c0^j)*e1, where 1 + c0^j is at most p and J(p) = J(0)
+    = -1: that is -e1 only at g^h = -1, which :func:`_build_tables`
+    overwrites.
+    """
+    e1 = grid.shape[1]
+    order = grid.size
+    powers = grid[:, 0]
+    rows = -(-lower // e1)
+    stop = min(e1, lower)
+    if stop > 1:  # lines besides the line of 1; for d = 1 these tables would be field-sized
+        # c0^r and -r*e1 mod order, r = b - j over -(rows - 1) .. p - 2: a
+        # negative r indexes from the end; and a sum of two digits mod p
+        plus = powers.copy()
+        offset = np.arange(p - 1, 0, -1, dtype=np.uint32) % (p - 1) * e1
+        mod_p = np.arange(2 * p) % p
+        j = np.arange(rows)[:, None]
+        block = max(1, _FILL_TILE // rows)
+        for a in range(1, stop, block):
+            bnd = min(a + block, stop)
+            b = codes[a:bnd] // p
+            low = codes[a:bnd] - b * p
+            r = b - j
+            pos = mod_p[plus[r] + low]
+            pos += grid[-1, a:bnd]
+            z = line_log.view(np.uint32)[pos]
+            z += offset[r]
+            grid[:rows, a:bnd] = wrap_sums(z, order).view(np.int32)
+    for j0 in range(0, rows, _FILL_TILE):
+        j1 = min(j0 + _FILL_TILE, rows)
+        grid[j0:j1, 0] = dlog[powers[j0:j1] + 1] * e1
+
+
+def _negate_into_upper_half(zech, lower: int) -> None:
+    """Z(k) = Z(order - k) + k mod order for k from order + 1 - lower up, in
+    blocks, reading Z(1) .. Z(lower - 1) backwards.  Each sum is below
+    2 * order < 2^32 in uint32 and reduced by :func:`wrap_sums`."""
+    order = zech.size
+    view = zech.view(np.uint32)
+    for lo in range(order + 1 - lower, order, _FILL_TILE):
+        hi = min(lo + _FILL_TILE, order)
+        z = np.arange(lo, hi, dtype=np.uint32)
+        z += view[order - hi + 1:order - lo + 1][::-1]
+        view[lo:hi] = wrap_sums(z, order)
+
+
+def wrap_sums(v: np.ndarray, order: int) -> np.ndarray:
+    """Reduce uint32 ``v`` in 0 .. 2*order-1 mod ``order``, in place.
+
+    min(v, v - order): v - order wraps above v exactly when v < order.
+    Unlike a masked subtraction it has no branch to mispredict on the
+    random-looking values of a scan.
+    """
+    np.minimum(v, v - order, out=v)
+    return v
 
 
 @dataclass(frozen=True)

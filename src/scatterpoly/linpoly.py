@@ -28,7 +28,7 @@ from .errors import (
     RhoInBaseField,
     ZeroPolynomial,
 )
-from .field import FFElement, FieldCtx, FieldParams
+from .field import FFElement, FieldCtx, FieldParams, wrap_sums
 
 
 @dataclass(frozen=True)
@@ -84,17 +84,6 @@ def evaluate(ctx: FieldCtx, s: LinearizedPolynomial, x: FFElement) -> FFElement:
 _ZERO = np.uint32(0xFFFFFFFF)
 
 
-def _wrap(v: np.ndarray, order: int) -> np.ndarray:
-    """Reduce uint32 ``v`` in 0 .. 2*order-1 mod ``order``, in place.
-
-    min(v, v - order): v - order wraps above v exactly when v < order.
-    Unlike a masked subtraction it has no branch to mispredict on the
-    random-looking values of a scan.
-    """
-    np.minimum(v, v - order, out=v)
-    return v
-
-
 def _log_sum(ctx: FieldCtx, logs) -> np.ndarray:
     """int32 discrete logs of the elementwise sums of g^v over the arrays v in ``logs``.
 
@@ -110,7 +99,7 @@ def _log_sum(ctx: FieldCtx, logs) -> np.ndarray:
     2^32, and min(d, d + order) makes it (v - u) mod order, an index in
     range, which ``take`` reads with no bounds check (``mode="clip"``),
     faster than fancy indexing on a large table.  ``u + zech[.]`` stays
-    below 2 * order < 2^32, so :func:`_wrap` reduces it.  A zero sum is
+    below 2 * order < 2^32, so :func:`wrap_sums` reduces it.  A zero sum is
     ``_ZERO``, all ones, which is -1 in the int32 view; where the sums are
     zero is read off the gather (zech = -1), and a term is never zero, so
     no pass compares a sum with ``_ZERO``.  Every step writes into the two
@@ -133,7 +122,7 @@ def _log_sum(ctx: FieldCtx, logs) -> np.ndarray:
         z = ctx._zech.take(diff, mode="clip")
         del v, diff  # freed before the wrap allocates
         acc += z.view(np.uint32)
-        _wrap(acc, order)
+        wrap_sums(acc, order)
         summed_zero = z < 0
         del z
         acc[summed_zero] = _ZERO
@@ -159,13 +148,13 @@ class TermLogs:
     per term, the block offsets (b * (_BLOCK * d_i mod order) + (c_i + start
     * d_i) mod order) mod order, formed per call, are added to the multiples
     in one broadcast, the last block is cut at ``count``, and one
-    :func:`_wrap` reduces each sum.
+    :func:`wrap_sums` reduces each sum.
 
     Integer bounds, with order < ``TABLE_LIMIT = 2^31``: the multiples are
     formed once in int64, where j * d_i < 2^12 * 2^31, and the block offsets
     per call in int64, where b * (_BLOCK * d_i mod order) < count / 2^12 *
     2^31 <= 2^50 plus a residue; everything per point runs in uint32, where
-    a point's log before :func:`_wrap` is a sum of two residues, below 2 *
+    a point's log before :func:`wrap_sums` is a sum of two residues, below 2 *
     order < 2^32.
     """
 
@@ -190,7 +179,7 @@ class TermLogs:
         for (c, d), multiples in zip(self.steps, self.multiples):
             offsets = ((b * (_BLOCK * d % order) + (c + start * d) % order)
                        % order).astype(np.uint32)
-            yield _wrap((offsets[:, None] + multiples).ravel()[:count], order)
+            yield wrap_sums((offsets[:, None] + multiples).ravel()[:count], order)
 
 
 def evaluate_many(ctx: FieldCtx, s: LinearizedPolynomial, dlogs: np.ndarray, *,

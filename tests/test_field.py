@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -348,14 +349,21 @@ def test_zech_table_is_log_of_one_plus(params):
     assert zech.count(-1) == 1
 
 
-@pytest.mark.parametrize("params", [(5, 1, 3), (3, 1, 4), (7, 1, 2)])
+# (p, m, n, k): the table is built for gamma = g^k, which is not primitive.
+# g^2 has half the order: F_5^3 (e1 = 31, odd) still reaches every F_p-line
+# once, and so does F_7^3 (e1 = 57), whose norm g^114 has order 3; each is
+# refused because its norm does not generate F_p^*.  On F_3^4, g^5 reaches the
+# lines 5k mod 40 with the norm -1, a generator of F_3^*: refused because it
+# misses lines.
+@pytest.mark.parametrize("params", [(5, 1, 3, 2), (3, 1, 4, 2), (7, 1, 2, 2),
+                                    (7, 1, 3, 2), (3, 1, 4, 5)])
 def test_tables_refuse_a_non_primitive_generator(params):
-    # g^2 has half the order: its powers and their F_p multiples miss units
-    basis = field_basis(*params)
+    *field, k = params
+    basis = field_basis(*field)
     p, d = basis.p, basis.degree
-    square = naive_mul(p, basis.modulus, basis.gamma_coeffs, basis.gamma_coeffs)
+    gamma = naive_pow(p, basis.modulus, basis.gamma_coeffs, k)
     with pytest.raises(RuntimeError):
-        _build_tables(p, d, basis.modulus, basis._frob, square)
+        _build_tables(p, d, basis.modulus, basis._frob, gamma)
 
 
 @pytest.mark.parametrize("params", [(3, 1, 2), (2, 1, 4)])
@@ -403,14 +411,44 @@ def test_basis_is_pinned(params, pinned):
     assert (basis.modulus_encoding, basis.gamma_encoding) == pinned
 
 
-@pytest.mark.parametrize("params", [params for params, _ in _PINNED
-                                    if params[0] ** (params[1] * params[2]) <= 2**21])
+# SHA-256 of the Zech table's bytes and log x (None in a prime field, where
+# x = 0), for every pinned field of at most 2^21 elements and four more:
+# changing either changes every discrete log computed through the table
+_TABLE_DIGESTS = {
+    (3, 1, 4): ("fd9da7f42f62f9a6a293f99c7a121c65987b62027371d696730daffa02158b20", 1),
+    (3, 1, 6): ("db01f318b729519424db5f70fb945cdd90458e756c4ff9c6ebb18df0840f83ad", 1),
+    (3, 1, 9): ("9dc702a132e163236e883db0d4a24473895bc674c17e436771cca3f6a805f5b4", 1),
+    (3, 1, 12): ("44d139df2856804165583f80406bab692529603918c18504eef2c87ce6d2c407", 351495),
+    (3, 1, 13): ("f9a25c5aac487a10a22daebe9cbd60fb57e6388e76a902a9640dba86558e62b5", 1),
+    (5, 1, 4): ("20245aad36b3718aa626b69ca8aa363b541c77f1252c8877c35715a64a842cd9", 507),
+    (5, 1, 9): ("0e95375923dfb5329d4b8813ae5103f799c72259ceee90ab3bafb1d47801e8a5", 1),
+    (7, 1, 7): ("a324fedd0e2842f72c9625a88016b6ea4fd3fb3464e4feacfda7cfcf2348a6d6", 274515),
+    (3, 2, 3): ("db01f318b729519424db5f70fb945cdd90458e756c4ff9c6ebb18df0840f83ad", 1),
+    (2, 1, 13): ("6742ad209ebd7d882720998861ef762ce1af390428baba6bfd0162ca81a34040", 1),
+    (101, 1, 2): ("ae7fa14eda5fb9420a2795fec61caed621e1bc8e06736198e0b42d190206846b", 9129),
+    (1009, 1, 2): ("2350327348697c8ba2842b4dd04fcd3fbfa519f465c3e3cc115e0c6a00f7d0d6", 511565),
+    (4099, 1, 1): ("2f34fbdd1755136291c21eff813381c35ec344636a1bb28ab1ddcf3cb69cfa5e", None),
+    (8191, 1, 1): ("01a9376da5fc25ac62687b4bc3868fe3a183558e2d8546de7c79b00f8aab6aa2", None),
+    (2, 1, 5): ("697ee7242374402c11df495b9a20f19c3724bf9c64b8ba4799b60f18721c2822", 1),
+    (5, 1, 3): ("00b5ea713bbc92eec50ccdcfc18bcee40ccaa3c8f41f9e7b1ad471f9eb3e8feb", 66),
+    (7, 1, 3): ("f1756ef92a140b9c055aef4d245bfd376dab6f677e07e78886d5e2f05e70cb89", 209),
+    (5, 1, 7): ("756639bd24d15f91ee11aeafead59a2f825c0b7578d18abf4b298bacf0b961f6", 44394),
+}
+
+
+def test_table_digests_cover_the_small_pinned_fields():
+    small = [params for params, _ in _PINNED if params[0] ** (params[1] * params[2]) <= 2**21]
+    assert list(_TABLE_DIGESTS)[:len(small)] == small
+
+
+@pytest.mark.parametrize("params", list(_TABLE_DIGESTS))
 def test_zech_identities(params):
     """The whole table satisfies two identities of Zech logs, with g^h = -1.
 
     Wherever Z(k) != -1: Z(-k) = Z(k) - k, since 1 + g^-k = g^-k (1 + g^k);
     and Z(Z(k) + h) = k + h, since 1 + g^(Z(k) + h) = 1 - (1 + g^k) = -g^k.
-    In characteristic 2, -1 = 1 and h = 0.  -1 appears once, at h.
+    In characteristic 2, -1 = 1 and h = 0.  -1 appears once, at h.  The
+    table and log x are also pinned bit for bit.
     """
     ctx = build_field(*params, cap=2**31, strict=params[0] != 2)
     order, zech = ctx.order, ctx._zech.astype(np.int64)
@@ -420,6 +458,8 @@ def test_zech_identities(params):
     z = zech[k]
     assert np.array_equal(zech[-k % order], (z - k) % order)
     assert np.array_equal(zech[(z + h) % order], (k + h) % order)
+    assert ctx._zech.dtype == np.int32
+    assert (hashlib.sha256(ctx._zech.tobytes()).hexdigest(), ctx._x.dlog) == _TABLE_DIGESTS[params]
 
 
 # the pinned fields, F_8191 (d = 1) and F_101^2 among them, and F_46337^2,

@@ -23,8 +23,8 @@ from scatterpoly import (
     ratio_map,
     rho_transform,
 )
-from scatterpoly.field import TABLE_LIMIT
-from scatterpoly.linpoly import LinearizedPolynomial, TermLogs, _log_sum, _wrap
+from scatterpoly.field import TABLE_LIMIT, wrap_sums
+from scatterpoly.linpoly import LinearizedPolynomial, TermLogs, _log_sum
 from scatterpoly.scatter import _CHUNK, _reduced, _scan
 
 from naive_oracle import naive_evaluate
@@ -188,9 +188,9 @@ def test_zech_sums_wrap_at_the_uint32_limit():
     ctx = SimpleNamespace(order=order, _zech=_SyntheticZech(order))
     zech = ctx._zech.value
     residues = (0, 1, order - 2, order - 1)
-    assert _wrap(np.array([0, order - 1, order, 2 * order - 2, 2 * order - 1],
-                          dtype=np.uint32), order).tolist() == [0, order - 1, 0, order - 2,
-                                                                 order - 1]
+    assert wrap_sums(np.array([0, order - 1, order, 2 * order - 2, 2 * order - 1],
+                              dtype=np.uint32), order).tolist() == [0, order - 1, 0, order - 2,
+                                                                     order - 1]
 
     def reference(terms):
         acc = terms[0]
