@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
+import shutil
 import sys
 import time
 
@@ -51,6 +53,19 @@ _CONSTRUCTION_ERRORS = (NonPrime, PrimalityUndecided, FieldTooLarge,
 
 
 class _Parser(argparse.ArgumentParser):
+    """argparse that raises ParseError, and reads the terminal width once.
+
+    argparse builds a help formatter for every option it adds, and each
+    would ask the terminal for its width; this parser hands them the width a
+    formatter would compute itself, the terminal's columns less 2.
+    """
+
+    def __init__(self, **kwargs):
+        width = shutil.get_terminal_size().columns - 2
+        kwargs.setdefault("formatter_class",
+                          functools.partial(argparse.HelpFormatter, width=width))
+        super().__init__(**kwargs)
+
     def error(self, message):  # argparse would sys.exit(2); we want exit 1
         raise ParseError(message)
 
