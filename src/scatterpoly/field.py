@@ -13,6 +13,8 @@ and then keeps one table, the int32 Zech log ``zech[k] = log(1 + g^k)``
 (4 bytes per element), so that multiplication, inversion, Frobenius powers,
 norms and addition are O(1) integer operations on discrete logs.  That is
 what makes the exhaustive scans in :mod:`scatterpoly.scatter` feasible.
+While it is built, the only other table sized by the field holds one int32
+log per F_p-line, 4/(p - 1) bytes per element.
 
 For degree d >= 2 both searches share one Frobenius matrix, the modulus's,
 whose row i is x^(p*i), and the context keeps it.  The modulus search drops
@@ -25,16 +27,18 @@ search.  There a prime l of the order that divides p - 1 is decided from the
 candidate's norm to F_p, the resultant of the modulus and the candidate;
 every other l raises the candidate to order/l.
 The factorization of the order stops dividing once the cofactor left is
-prime.  The table walk (:func:`_log_table`) multiplies digit vectors only
-for one power per F_p-line and reaches the other p - 2 by scaling digits
-with the norm of the generator, a constant of F_p.
+prime.  The table build (:func:`_build_tables`) multiplies digit vectors only
+for one power of the generator per F_p-line, writes one log per line, and
+reads the Zech table off the line table in walk order; the other p - 2
+points of a line differ by powers of the generator's norm, a constant of
+F_p, and are never written.
 
 One routine, :func:`_powers`, raises a digit vector to a power: Horner's
 rule over the base-p digits of the exponent, one product with the Frobenius
 matrix and one with a memoized matrix of v^digit per digit (a plain modular
-power in a prime field).  The generator search, the table walk's two powers,
-:meth:`FieldCtx.coeffs_many` and :meth:`FieldCtx.digit_power`, the doors
-other modules use, all call it.
+power in a prime field).  The generator search, the table build's norm
+and block steps, :meth:`FieldCtx.coeffs_many` and
+:meth:`FieldCtx.digit_power`, the doors other modules use, all call it.
 
 Two layers describe a field: :class:`FieldParams` holds the sizes, all the
 scan-free criteria read; :class:`FieldCtx` adds the modulus, factorization and
@@ -79,30 +83,37 @@ DEFAULT_CAP = 1 << 22
 # in int64, below 2^62; the scan kernel (`linpoly.TermLogs`) forms its block
 # offsets in int64, below 2^51, and adds them to its multiples in uint32, as
 # `linpoly._log_sum` adds two logs: each a sum of two residues, below
-# 2 * order < 2^32, with the all-ones uint32 left free for a zero sum.
+# 2 * order < 2^32, with the all-ones uint32 left free for a zero sum.  The
+# build holds the same bounds: a line index is below e1 = order/(p - 1) and
+# a line's log below the order, both int32; the line codes b*p + (low digit)
+# are below p*(p - 1) in the smallest unsigned type that holds them; and each
+# Zech entry it forms, a log plus a multiple of e1 or plus an index, is a sum
+# below 2 * order, in uint32.
 # WALK_LIMIT below refuses some smaller fields; `table_limit` applies both.
 TABLE_LIMIT = 1 << 31
-# The walk that builds the table (`_log_table`) multiplies digit vectors in
-# floating point, where one product sum reaches d * (p - 1)^2.  float64 holds
-# it exactly only below 2^53.  Below TABLE_LIMIT every field of degree d >= 2
-# passes, so the bound refuses only prime fields, those with p > 94906266.
+# The walks that build the table (`_walk`) multiply digit vectors in floating
+# point, where one product sum reaches d * (p - 1)^2.  float64 holds it
+# exactly only below 2^53.  Below TABLE_LIMIT every field of degree d >= 2
+# passes, so the bound refuses only prime fields, those with p > 94906266,
+# whose walk of the norm's powers is the whole table.
 WALK_LIMIT = 1 << 53
-# Integers up to 2^24 are exact in float32: the walk runs in float32 while its
-# sums stay below this, and forms half-encodings in float32 while
-# p^ceil(d/2) does not exceed it.
+# Integers up to 2^24 are exact in float32: a walk runs in float32 while its
+# sums stay below this, and the line walk forms half-encodings in float32
+# while p^ceil(d/2) does not exceed it.
 _FLOAT32_EXACT = 1 << 24
 # Sizes of more decimal digits than Python's default int-to-text limit are
 # shown in p^degree: decimal conversion is quadratic in the length.
 SHOWN_DIGITS = 4300
 _SHOWN_LIMIT = 10**SHOWN_DIGITS
+# Powers per block of a walk, and entries per tile of the Zech passes
 _TABLE_BLOCK = 4096
+_FILL_TILE = 16384
 # The modulus search tests 64 encodings per numpy root test (fewer for large
 # p: at most 2^12 polynomial values), and runs the Rabin test on 12
 # root-free candidates at once: the fields of the basis pins need 1 to 19.
 _MODULUS_PASS = 64
 _ROOT_VALUES = 1 << 12
 _RABIN_ROWS = 12
-_FILL_TILE = 16384
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3317044064679887385961981
 # Below this a cofactor's trial division (at most 256 steps) costs no more
@@ -416,12 +427,12 @@ def _build_tables(p: int, d: int, mod, frob, gamma_vec):
 
     Every unit is c0^j * gamma^k with k < e1 = (p^d - 1)/(p - 1) and
     c0 = gamma^e1, the norm of gamma, a constant of F_p^*: k picks the
-    F_p-line and j the point on it.  The build writes one log per line
-    (:func:`_line_table`), and no table indexed by all p^d encodings
-    exists.  The Zech table comes from three passes:
+    F_p-line and j the point on it.  The build holds one log per line
+    (:func:`_line_table`) and J, the discrete log to base c0 on F_p^*
+    (:func:`_prime_field_logs`); for d = 1, a single line, J is the whole
+    log table, and otherwise no table indexed by all p^d encodings exists.
+    Then the Zech table takes two sequential passes:
 
-      * J, the discrete log to base c0 on F_p^* (:func:`_prime_field_logs`);
-        for d = 1, a single line, J is the whole log table;
       * the lower half, Z(k) for k < order/2, gathered in walk order
         (:func:`_gather_lower_half`);
       * the upper half from Z(-k) = Z(k) - k, since 1 + g^-k = g^-k (1 + g^k)
@@ -429,11 +440,11 @@ def _build_tables(p: int, d: int, mod, frob, gamma_vec):
         (h = 0 when p = 2, where -1 = 1 and the order is odd).
 
     ``grid``, the Zech buffer as p - 1 rows of e1, holds Z(k + j*e1) in row j,
-    column k.  Until they are overwritten, its column 0 (the line of 1) holds
-    c0^j in walk order and its last row, in the upper half, each walked
-    line's index.  A generator that is not primitive is refused: its powers
-    miss a line, or c0 does not generate F_p^*.  ``log x`` is None when
-    d = 1, where x = 0.
+    column k.  Until the passes overwrite them, its column 0 (the line of 1)
+    holds c0^j in walk order, and the rest of its last row, in the upper
+    half, each walked line's index less its low digit.  A generator that is
+    not primitive is refused: its powers miss a line, or c0 does not
+    generate F_p^*.  ``log x`` is None when d = 1, where x = 0.
     """
     order = p**d - 1
     e1 = order // (p - 1)

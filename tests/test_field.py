@@ -315,14 +315,16 @@ def test_degenerate_binary_field():
     assert ctx.in_base_subfield(ctx.one())
 
 
-# For d >= 2 the walk visits one power per F_p-line, (p^d - 1)/(p - 1) of
-# them, and reaches the other p - 2 multiples by scaling digits.  F_3^9 walks
-# two full blocks of 4096 powers and a partial one; F_5^7 walks four full
-# blocks and a partial one, each with three multiples; F_101^2 one block of
-# 102 powers with 99 multiples.  F_2^13 (no multiples) walks one full block
-# and 4095 more powers.  These walk in float32.  F_4099 and F_8191
-# (d * (p - 1)^2 >= 2^24) walk every power in float64, one full block and 2
-# or 4094 more powers; a float32 walk would miss units of F_8191.
+# For d >= 2 the build walks one power per F_p-line but the line of 1,
+# g^1 .. g^(e1 - 1) with e1 = (p^d - 1)/(p - 1), and never writes the other
+# p - 2 points of a line.  F_3^9 walks two full blocks of 4096 powers and a
+# partial one; F_5^7 four full blocks and a partial one, with two rows of
+# the Zech table's lower half per line; F_101^2 one block of 101 powers, 50
+# rows per line.  F_2^13 (one point per line) walks one full block and 4094
+# more powers.  These walk in float32.  F_4099 and F_8191
+# (d * (p - 1)^2 >= 2^24) are one line: the walk of the norm's powers is
+# every power, in float64, one full block and 2 or 4094 more; a float32 walk
+# would miss units of F_8191.
 @pytest.mark.parametrize("params", [(2, 1, 5), (3, 1, 4), (3, 2, 3), (5, 1, 3),
                                     (7, 1, 3), (3, 1, 9), (5, 1, 7), (101, 1, 2),
                                     (2, 1, 13), (4099, 1, 1), (8191, 1, 1)])

@@ -1,17 +1,19 @@
 """Peak allocations per field element of the table build and the oracle.
 
 numpy reports its array allocations to ``tracemalloc``, so the readings are
-deterministic.  On F_3^12, F_5^8 and F_1000003 the build peaks at 8.1-8.4
-bytes per element (the int32 log and Zech tables).  An oracle over two or
+deterministic.  The build peaks at 8.4 bytes per element on F_3^12 (the
+int32 Zech table, one int32 log per F_p-line, 2 bytes per element here, the
+line codes and the walk's buffers), 7.1 on F_5^8 and 8.2 on F_1000003 (the
+Zech table and the log table of the prime field).  An oracle over two or
 more terms peaks at 4.5-6.5 (int32 ratio ids, their sorted copy and the
 repeated ids; while the scan runs, its chunk temporaries and 16 KiB of
 uint32 progressions per term add about 2 to the ids).  One term is decided
 from its exponents and checked on the ids of its first 64 representatives:
 its oracle, census on or off, peaks at about 2.5 KB on F_3^13 (e = 797161)
 and its census of deciding pairs, whose groups are residues mod the period,
-at about 15 KB, nothing sized by e.  An oracle that builds its own table peaks at 8.75, the build's
-peak, on F_3^12.  The bounds fail a build that also holds a full antilog
-array (14.4) or a Python int per element (48.7), an oracle that holds
+at about 15 KB, nothing sized by e.  An oracle that builds its own table peaks at 8.76
+on F_3^12.  The bounds fail a build that also holds a full antilog or log
+array (4 more) or a Python int per element (48.7), an oracle that holds
 e-length int64 temporaries or counts over all q^n values (16.5-26.5), an
 oracle that builds its table on top of its ids (11.9), a one-term oracle or
 census that sorts a copy of its ids (4.5-6.5), and one that holds its e
@@ -61,13 +63,13 @@ def test_build_peak(traced_f3_12):
 
 
 def test_build_peak_with_f_p_multiples():
-    # F_5^8 walks a quarter of its powers and scales digits for the rest
+    # F_5^8 walks a quarter of its powers, one per F_p-line
     ctx, peak = _traced(lambda: build_field(5, 1, 8))
     assert peak / ctx.size < BUILD_BOUND
 
 
 def test_build_peak_prime_field():
-    # a prime field walks every power; its build holds the same two int32 tables
+    # a prime field is one line: its build holds the Zech table and J, its log table
     ctx, peak = _traced(lambda: build_field(1000003, 1, 1))
     assert peak / ctx.size < BUILD_BOUND
 
