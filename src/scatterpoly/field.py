@@ -468,10 +468,9 @@ def _walk(p: int, mod, frob, vec, start: int, stop: int):
     """The digits of vec^k in F_p[x]/(mod) for start <= k < stop, in blocks;
     ``start`` is 0 or 1.
 
-    Yields (k, cur, digits): column i of the d x cnt arrays holds the digits
-    of vec^(k + i), as floats in ``cur`` and as unsigned integers in
-    ``digits``, which the caller may overwrite.  Both are buffers, rewritten
-    for the next block, and the blocks hold ``_TABLE_BLOCK`` powers.  Each
+    Yields (k, cur): column i of the d x cnt float array ``cur`` holds the
+    digits of vec^(k + i).  ``cur`` is one buffer, rewritten for the next
+    block, and the blocks hold ``_TABLE_BLOCK`` powers.  Each
     block is the previous one times vec^block, a floating-point product on
     BLAS whose sums are at most d * (p - 1)^2 (:func:`_sum_types`), reduced
     mod p in integers, where division by the scalar p is cheap.
@@ -511,7 +510,7 @@ def _walk(p: int, mod, frob, vec, start: int, stop: int):
             digits -= carry
             np.copyto(cur, digits)
         cnt = min(block, stop - k)
-        yield k, cur[:, :cnt], digits[:, :cnt]
+        yield k, cur[:, :cnt]
 
 
 def _sum_types(p: int, d: int):
@@ -536,8 +535,8 @@ def _prime_field_logs(p: int, c0: int, powers) -> np.ndarray:
     Refuses a c0 that does not generate F_p^*: its powers miss a unit.
     """
     dlog = np.full(p + 1, -1, dtype=np.int32)
-    for j, _, digits in _walk(p, (0, 1), None, [c0], 0, p - 1):
-        values = digits[0].astype(np.intp)
+    for j, cur in _walk(p, (0, 1), None, [c0], 0, p - 1):
+        values = cur[0].astype(np.intp)
         dlog[values] = np.arange(j, j + values.size, dtype=np.int32)
         powers[j:j + values.size] = values
     if dlog[1:p].min() < 0:
@@ -552,20 +551,22 @@ def _line_table(p: int, d: int, mod, frob, gamma_vec, dlog, grid):
     A line's normalized point w^ has leading base-p digit 1; the table is
     indexed by w^'s encoding minus p^i plus (p^i - 1)/(p - 1), where i is
     the leading position, so 1 lands at index 0 and x at index 1.  The walk
-    visits gamma^k for 1 <= k < e1, never in F_p, so i >= 1, and digits
-    1 .. d-1, held as two half-encodings below p^m (m = d // 2), give i and
-    the leading digit tau: the low half u, or p^m + the high half when it is
-    not 0, whichever is larger, keys lookups of 2*p^m entries.  Then
-    w^ = tau^-1 * gamma^k, its digits scaled in the smallest unsigned type
-    that holds (p - 1)^2, has the log k + b*e1 with b = J(tau^-1): one
-    random write per line.  Each walked line k leaves its index minus its
-    low digit in ``grid``'s last row and ``codes[k]`` = b*p + (low digit of
-    w^), in the smallest unsigned type that holds p*(p - 1) values.  A line
-    written twice leaves another unwritten, so an unwritten line refuses a
-    generator whose powers repeat a line.
+    visits gamma^k for 1 <= k < e1, never in F_p, so i >= 1.  One product of
+    the digits with a 3 x d matrix gives digit 0, the encoding u_lo of the
+    next l = ceil(d/2) - 1 digits and u_hi of the d - 1 - l above them; the
+    larger of u_lo and p^l + u_hi (when u_hi is not 0) is a key of fewer than
+    2*p^(d//2) values, which names the leading digit tau, i and
+    b = J(tau^-1), and the high digits of w^ = c0^b * gamma^k.  Its next l
+    digits come from a lookup of (b, u_lo), (p - 1)*p^l entries, and its low
+    digit from c0^b * (digit 0) mod p; no table has more than p^ceil(d/2)
+    entries.  w^ has the log k + b*e1: one random write per line.  Each
+    walked line k leaves its index minus its low digit in ``grid``'s last row
+    and ``codes[k]`` = b*p + (low digit of w^), in the smallest unsigned type
+    that holds p*(p - 1) values.  A line written twice leaves another
+    unwritten, so an unwritten line refuses a generator whose powers repeat
+    a line.
 
-    The half-encodings are products of the digits with a small matrix of
-    powers of p, each partial sum below p^ceil(d/2): float32 while that is
+    Each partial sum of the product is below p^(d//2): float32 while that is
     at most 2^24, float64 above.
     """
     e1 = grid.shape[1]
@@ -574,46 +575,57 @@ def _line_table(p: int, d: int, mod, frob, gamma_vec, dlog, grid):
     codes = np.zeros(e1, dtype=np.min_scalar_type(p * (p - 1) - 1))
     if e1 == 1:  # a prime field is the line of 1
         return line_log, codes
-    h = (d + 1) // 2
-    half_dtype = np.float32 if p**h <= _FLOAT32_EXACT else np.float64
-    m = d // 2
+    low_n = (d + 1) // 2 - 1
+    high_n = d - 1 - low_n
+    low_size, high_size = p**low_n, p**high_n
     weights = [p**i for i in range(d)]
-    leading = np.array([[0] + weights[:m] + [0] * (d - 1 - m),
-                        [0] * (m + 1) + weights[:d - 1 - m]], dtype=half_dtype)
-    split = np.array([weights[:h] + [0] * (d - h), [0] * h + weights[:d - h]],
-                     dtype=half_dtype)
-    # a half u of n digits leads with tau = u // p^(n - 1) at i = n, or m + n
-    # in the high half; u = 0 never keys a walked power
-    sizes = [1] + [p**n - p**(n - 1) for n in range(1, m + 1)]
-    ndigits = np.repeat(np.arange(m + 1), sizes)
-    tau = np.arange(p**m) // np.repeat([1] + weights[:m], sizes)
-    b = -dlog[tau] % (p - 1)
-    b = np.concatenate([b, b])
-    i = np.concatenate([ndigits, ndigits + m])
-    high_key = np.concatenate([[0], np.arange(p**m + 1, 2 * p**m)])
-    tau_inv = grid[b, 0].astype(_sum_types(p, d)[1])  # c0^b
-    shift = np.array([(p**n - 1) // (p - 1) - p**n for n in range(d + m)])[i]
-    line_b = (b * e1).astype(np.int32)
-    code_b = (b * p).astype(codes.dtype)
-    for k, cur, digits in _walk(p, mod, frob, gamma_vec, 1, e1):
+    parts = np.array([[1] + [0] * (d - 1),
+                      [0] + weights[:low_n] + [0] * high_n,
+                      [0] * (low_n + 1) + weights[:high_n]],
+                     dtype=np.float32 if high_size <= _FLOAT32_EXACT else np.float64)
+    c0_pow = grid[:, 0].astype(np.intp)  # c0^b
+    # keys: u_lo below p^l, then p^l + u_hi; a part u of n digits leads
+    # with tau = u // p^(n - 1) at i = n or l + n
+    sizes = [1] + [p**n - p**(n - 1) for n in range(1, high_n + 1)]
+    lead_n = np.repeat(np.arange(high_n + 1), sizes)
+    tau = np.arange(high_size) // np.repeat([1] + weights[:high_n], sizes)
+    key_b = -dlog[np.concatenate([tau[:low_size], tau])] % (p - 1)
+    key_i = np.concatenate([lead_n[:low_size], lead_n + low_n])
+    key_shift = np.array([(p**n - 1) // (p - 1) - p**n for n in range(d)])[key_i]
+    high_key = np.arange(low_size, low_size + high_size)
+    high_key[0] = 0
+    # key -> the high digits of w^, encoded at p^(l+1), plus the index shift
+    high = _scaled(p, high_n, c0_pow[key_b[low_size:]], np.arange(high_size))
+    key_high = np.concatenate([np.zeros(low_size, np.intp), high]) * (p * low_size) + key_shift
+    # b*p^l + u_lo -> the next l digits of c0^b * w, encoded at p
+    scaled_low = p * _scaled(p, low_n, np.repeat(c0_pow, low_size),
+                             np.tile(np.arange(low_size), p - 1))
+    key_row = key_b * low_size
+    key_mult = c0_pow[key_b]
+    key_log = (key_b * e1).astype(np.int32)
+    key_code = (key_b * p).astype(codes.dtype)
+    for k, cur in _walk(p, mod, frob, gamma_vec, 1, e1):
         cnt = cur.shape[1]
-        halves = (leading @ cur).astype(np.intp)
-        key = np.maximum(high_key[halves[1]], halves[0])
-        digits *= tau_inv[key]
-        carry = digits // p
-        carry *= p
-        digits -= carry
-        halves = (split @ digits.astype(cur.dtype)).astype(np.intp)
-        idx = halves[1] * p**h
-        idx += halves[0]
-        idx += shift[key]
-        line_log[idx] = line_b[key] + np.arange(k, k + cnt, dtype=np.int32)
-        low = digits[0]
+        digit0, u_lo, u_hi = (parts @ cur).astype(np.intp)
+        key = np.maximum(high_key[u_hi], u_lo)
+        low = key_mult[key] * digit0
+        low -= low // p * p
+        idx = scaled_low[key_row[key] + u_lo]
+        idx += key_high[key]
+        idx += low
+        line_log[idx] = key_log[key] + np.arange(k, k + cnt, dtype=np.int32)
         grid[-1, k:k + cnt] = idx - low
-        codes[k:k + cnt] = code_b[key] + low
+        codes[k:k + cnt] = key_code[key] + low
     if line_log.min() < 0:
         raise RuntimeError("the powers of gamma miss an F_p-line: gamma not primitive")
     return line_log, codes
+
+
+def _scaled(p: int, n: int, scale, u) -> np.ndarray:
+    """The encoding of each n-digit u with every digit multiplied by the
+    matching ``scale`` mod p."""
+    weights = p ** np.arange(n)[:, None]
+    return (u // weights % p * scale % p * weights).sum(axis=0)
 
 
 def _gather_lower_half(p: int, grid, line_log, codes, dlog, lower: int) -> None:
