@@ -604,18 +604,27 @@ def _line_table(p: int, d: int, mod, frob, gamma_vec, dlog, grid):
     key_mult = c0_pow[key_b]
     key_log = (key_b * e1).astype(np.int32)
     key_code = (key_b * p).astype(codes.dtype)
+    # the parts of several walked blocks, each a product with ``parts``
+    batch = np.empty((3, _FILL_TILE), dtype=np.intp)
+    filled = 0
     for k, cur in _walk(p, mod, frob, gamma_vec, 1, e1):
         cnt = cur.shape[1]
-        digit0, u_lo, u_hi = (parts @ cur).astype(np.intp)
+        batch[:, filled:filled + cnt] = parts @ cur
+        filled += cnt
+        if filled + _TABLE_BLOCK <= _FILL_TILE and k + cnt < e1:
+            continue
+        k0, k1 = k + cnt - filled, k + cnt
+        digit0, u_lo, u_hi = batch[:, :filled]
+        filled = 0
         key = np.maximum(high_key[u_hi], u_lo)
         low = key_mult[key] * digit0
         low -= low // p * p
         idx = scaled_low[key_row[key] + u_lo]
         idx += key_high[key]
         idx += low
-        line_log[idx] = key_log[key] + np.arange(k, k + cnt, dtype=np.int32)
-        grid[-1, k:k + cnt] = idx - low
-        codes[k:k + cnt] = key_code[key] + low
+        line_log[idx] = key_log[key] + np.arange(k0, k1, dtype=np.int32)
+        grid[-1, k0:k1] = idx - low
+        codes[k0:k1] = key_code[key] + low
     if line_log.min() < 0:
         raise RuntimeError("the powers of gamma miss an F_p-line: gamma not primitive")
     return line_log, codes
