@@ -470,16 +470,20 @@ def _walk(p: int, mod, frob, vec, start: int, stop: int):
 
     Yields (k, cur): column i of the d x cnt float array ``cur`` holds the
     digits of vec^(k + i).  ``cur`` is one buffer, rewritten for the next
-    block, and the blocks hold ``_TABLE_BLOCK`` powers.  Each
-    block is the previous one times vec^block, a floating-point product on
-    BLAS whose sums are at most d * (p - 1)^2 (:func:`_sum_types`), reduced
-    mod p in integers, where division by the scalar p is cheap.
+    block, and the blocks hold ``_TABLE_BLOCK`` powers.  Each block is the
+    previous one times vec^block, a floating-point product on BLAS whose
+    sums are at most d * (p - 1)^2.  While that is below 2^24 they are exact
+    in float32, which moves half the bytes of float64; otherwise the walk
+    runs in float64, exact below ``WALK_LIMIT`` = 2^53, which
+    :func:`table_limit` enforces.  The sums are reduced mod p in the smallest
+    unsigned type that holds them, where division by the scalar p is cheap.
     """
     d = len(mod) - 1
     block = min(stop - start, _TABLE_BLOCK)
     if block <= 0:
         return
-    walk_dtype, digit_dtype = _sum_types(p, d)
+    top = d * (p - 1) ** 2
+    walk_dtype = np.float32 if top < _FLOAT32_EXACT else np.float64
     # vec^start .. vec^(start+block-1) by doubling: step_m multiplies by
     # vec^filled, and its row 0 is vec itself
     step_m = _mult_matrix(vec, mod, p)
@@ -493,7 +497,7 @@ def _walk(p: int, mod, frob, vec, start: int, stop: int):
         np.matmul(small[:cnt], step_m, out=small[filled:filled + cnt])
         small[filled:filled + cnt] %= p
         filled += cnt
-    digits = small.T.astype(digit_dtype, order="C")
+    digits = small.T.astype(np.min_scalar_type(top), order="C")
     del small
     cur = digits.astype(walk_dtype)
     if stop - start > block:
@@ -511,20 +515,6 @@ def _walk(p: int, mod, frob, vec, start: int, stop: int):
             np.copyto(cur, digits)
         cnt = min(block, stop - k)
         yield k, cur[:, :cnt]
-
-
-def _sum_types(p: int, d: int):
-    """The float and unsigned integer types of the walk's sums of d products
-    of two digits, each at most d * (p - 1)^2.
-
-    While that is below 2^24 the sums are exact in float32, which moves half
-    the bytes of float64; otherwise the walk runs in float64, exact below
-    ``WALK_LIMIT`` = 2^53, which :func:`table_limit` enforces.  The integer
-    type is the smallest unsigned one that holds them, so it also holds a
-    product of two digits.
-    """
-    top = d * (p - 1) ** 2
-    return (np.float32 if top < _FLOAT32_EXACT else np.float64), np.min_scalar_type(top)
 
 
 def _prime_field_logs(p: int, c0: int, powers) -> np.ndarray:
@@ -661,7 +651,7 @@ def _gather_lower_half(p: int, grid, line_log, codes, dlog, lower: int) -> None:
     if stop > 1:  # lines besides the line of 1; for d = 1 these tables would be field-sized
         # c0^r and -r*e1 mod order, r = b - j over -(rows - 1) .. p - 2: a
         # negative r indexes from the end; and a sum of two digits mod p
-        plus = powers.copy()
+        plus = powers.astype(np.intp)
         offset = np.arange(p - 1, 0, -1, dtype=np.uint32) % (p - 1) * e1
         mod_p = np.arange(2 * p) % p
         j = np.arange(rows)[:, None]
