@@ -36,9 +36,10 @@ F_p, and are never written.
 One routine, :func:`_powers`, raises a digit vector to a power: Horner's
 rule over the base-p digits of the exponent, one product with the Frobenius
 matrix and one with a memoized matrix of v^digit per digit (a plain modular
-power in a prime field).  The generator search, the table build's norm
-and block steps, :meth:`FieldCtx.coeffs_many` and
-:meth:`FieldCtx.digit_power`, the doors other modules use, all call it.
+power in a prime field).  The generator search, the table build's block
+step, :meth:`FieldCtx.coeffs_many` and :meth:`FieldCtx.digit_power`, the
+doors other modules use, all call it.  The build reads the generator's norm
+as the generator search does, from the resultant.
 
 Two layers describe a field: :class:`FieldParams` holds the sizes, all the
 scan-free criteria read; :class:`FieldCtx` adds the modulus, factorization and
@@ -426,8 +427,8 @@ def _build_tables(p: int, d: int, mod, frob, gamma_vec):
     ``frob`` is the modulus's Frobenius matrix (None for d = 1).
 
     Every unit is c0^j * gamma^k with k < e1 = (p^d - 1)/(p - 1) and
-    c0 = gamma^e1, the norm of gamma, a constant of F_p^*: k picks the
-    F_p-line and j the point on it.  The build holds one log per line
+    c0 = gamma^e1, the norm of gamma, a constant of F_p^* and the resultant
+    of the modulus and gamma: k picks the F_p-line and j the point on it.  The build holds one log per line
     (:func:`_line_table`) and J, the discrete log to base c0 on F_p^*
     (:func:`_prime_field_logs`); for d = 1, a single line, J is the whole
     log table, and otherwise no table indexed by all p^d encodings exists.
@@ -448,12 +449,10 @@ def _build_tables(p: int, d: int, mod, frob, gamma_vec):
     """
     order = p**d - 1
     e1 = order // (p - 1)
-    [c0] = _powers(gamma_vec, (e1,), mod, frob, p)
-    if not c0[0] or any(c0[1:]):
-        raise RuntimeError("the norm of gamma is not in F_p^*: modulus not irreducible")
+    c0 = _resultant(mod, gamma_vec, p)
     zech = np.empty(order, dtype=np.int32)
     grid = zech.reshape(p - 1, e1)
-    dlog = _prime_field_logs(p, c0[0], grid[:, 0])
+    dlog = _prime_field_logs(p, c0, grid[:, 0])
     line_log, codes = _line_table(p, d, mod, frob, gamma_vec, dlog, grid)
     log_x = int(line_log[1]) if d > 1 else None
     lower = (order + 1) // 2
@@ -574,22 +573,31 @@ def _line_table(p: int, d: int, mod, frob, gamma_vec, dlog, grid):
                       [0] * (low_n + 1) + weights[:high_n]],
                      dtype=np.float32 if high_size <= _FLOAT32_EXACT else np.float64)
     c0_pow = grid[:, 0].astype(np.intp)  # c0^b
+    # scaled[b, u]: the l-digit u with every digit times c0^b mod p, built a
+    # digit at a time from c0^b * t mod p, (p - 1)*p entries, formed for l >= 1
+    times = np.multiply.outer(c0_pow, np.arange(p if low_n else 0)) % p
+    scaled = np.zeros((p - 1, 1), dtype=np.intp)
+    for weight in weights[:low_n]:
+        scaled = (times[:, :, None] * weight + scaled[:, None, :]).reshape(p - 1, -1)
     # keys: u_lo below p^l, then p^l + u_hi; a part u of n digits leads
-    # with tau = u // p^(n - 1) at i = n or l + n
+    # with tau = u // p^(n - 1) at i = n or l + n, and c0^b = tau^-1 makes
+    # that digit 1 and scales the n - 1 below it, which ``scaled`` reads
     sizes = [1] + [p**n - p**(n - 1) for n in range(1, high_n + 1)]
     lead_n = np.repeat(np.arange(high_n + 1), sizes)
-    tau = np.arange(high_size) // np.repeat([1] + weights[:high_n], sizes)
-    key_b = -dlog[np.concatenate([tau[:low_size], tau])] % (p - 1)
+    lead = np.repeat([1] + weights[:high_n], sizes)
+    u = np.arange(high_size)
+    tau = u // lead
+    high_b = -dlog[tau] % (p - 1)
+    key_b = np.concatenate([high_b[:low_size], high_b])
     key_i = np.concatenate([lead_n[:low_size], lead_n + low_n])
-    key_shift = np.array([(p**n - 1) // (p - 1) - p**n for n in range(d)])[key_i]
-    high_key = np.arange(low_size, low_size + high_size)
+    high_key = u + low_size
     high_key[0] = 0
     # key -> the high digits of w^, encoded at p^(l+1), plus the index shift
-    high = _scaled(p, high_n, c0_pow[key_b[low_size:]], np.arange(high_size))
-    key_high = np.concatenate([np.zeros(low_size, np.intp), high]) * (p * low_size) + key_shift
+    high = (scaled[high_b, u - tau * lead] + lead) * (p * low_size)
+    key_high = np.concatenate([np.zeros(low_size, np.intp), high])
+    key_high += np.array([(p**n - 1) // (p - 1) - p**n for n in range(d)])[key_i]
     # b*p^l + u_lo -> the next l digits of c0^b * w, encoded at p
-    scaled_low = p * _scaled(p, low_n, np.repeat(c0_pow, low_size),
-                             np.tile(np.arange(low_size), p - 1))
+    scaled_low = p * scaled.ravel()
     key_row = key_b * low_size
     key_mult = c0_pow[key_b]
     key_log = (key_b * e1).astype(np.int32)
@@ -607,24 +615,20 @@ def _line_table(p: int, d: int, mod, frob, gamma_vec, dlog, grid):
         digit0, u_lo, u_hi = batch[:, :filled]
         filled = 0
         key = np.maximum(high_key[u_hi], u_lo)
-        low = key_mult[key] * digit0
+        low = digit0  # each step rewrites the batch in place
+        low *= key_mult[key]
         low -= low // p * p
-        idx = scaled_low[key_row[key] + u_lo]
+        u_lo += key_row[key]
+        idx = scaled_low[u_lo]
         idx += key_high[key]
         idx += low
         line_log[idx] = key_log[key] + np.arange(k0, k1, dtype=np.int32)
-        grid[-1, k0:k1] = idx - low
+        idx -= low
+        grid[-1, k0:k1] = idx
         codes[k0:k1] = key_code[key] + low
     if line_log.min() < 0:
         raise RuntimeError("the powers of gamma miss an F_p-line: gamma not primitive")
     return line_log, codes
-
-
-def _scaled(p: int, n: int, scale, u) -> np.ndarray:
-    """The encoding of each n-digit u with every digit multiplied by the
-    matching ``scale`` mod p."""
-    weights = p ** np.arange(n)[:, None]
-    return (u // weights % p * scale % p * weights).sum(axis=0)
 
 
 def _gather_lower_half(p: int, grid, line_log, codes, dlog, lower: int) -> None:
