@@ -99,8 +99,8 @@ TABLE_LIMIT = 1 << 31
 # whose walk of the norm's powers is the whole table.
 WALK_LIMIT = 1 << 53
 # Integers up to 2^24 are exact in float32: a walk runs in float32 while its
-# sums stay below this, and the line walk forms half-encodings in float32
-# while p^ceil(d/2) does not exceed it.
+# sums stay below this, and the line table encodes runs of a walked power's
+# digits in float32 while p^floor(d/2) does not exceed it.
 _FLOAT32_EXACT = 1 << 24
 # Sizes of more decimal digits than Python's default int-to-text limit are
 # shown in p^degree: decimal conversion is quadratic in the length.
@@ -428,10 +428,11 @@ def _build_tables(p: int, d: int, mod, frob, gamma_vec):
 
     Every unit is c0^j * gamma^k with k < e1 = (p^d - 1)/(p - 1) and
     c0 = gamma^e1, the norm of gamma, a constant of F_p^* and the resultant
-    of the modulus and gamma: k picks the F_p-line and j the point on it.  The build holds one log per line
-    (:func:`_line_table`) and J, the discrete log to base c0 on F_p^*
-    (:func:`_prime_field_logs`); for d = 1, a single line, J is the whole
-    log table, and otherwise no table indexed by all p^d encodings exists.
+    of the modulus and gamma: k picks the F_p-line and j the point on it.
+    The build holds one log per line (:func:`_line_table`) and J, the
+    discrete log to base c0 on F_p^* (:func:`_prime_field_logs`); for d = 1,
+    a single line, J is the whole log table, and otherwise no table indexed
+    by all p^d encodings exists.
     Then the Zech table takes two sequential passes:
 
       * the lower half, Z(k) for k < order/2, gathered in walk order

@@ -1,18 +1,20 @@
 """Peak allocations per field element of the table build and the oracle.
 
 numpy reports its array allocations to ``tracemalloc``, so the readings are
-deterministic.  The build peaks at 8.4 bytes per element on F_3^12 (the
-int32 Zech table, one int32 log per F_p-line, 2 bytes per element here, the
-line codes and the walk's buffers), 7.1 on F_5^8 and 8.2 on F_1000003 (the
-Zech table and the log table of the prime field).  An oracle over two or
+deterministic.  The build peaks at 9.4 bytes per element on F_3^12: the
+int32 Zech table (4), one int32 log per F_p-line (2 here), one byte of
+line code per line (0.5) and, about 2.9 of it on this field, the walk's
+buffers and a batch of 16384 lines' lookups, whose size is fixed.  It peaks
+at 8.7 on F_5^8 and 8.2 on F_1000003 (the Zech table and the log table of
+the prime field).  An oracle over two or
 more terms peaks at 4.5-6.5 (int32 ratio ids, their sorted copy and the
 repeated ids; while the scan runs, its chunk temporaries and 16 KiB of
 uint32 progressions per term add about 2 to the ids).  One term is decided
 from its exponents and checked on the ids of its first 64 representatives:
 its oracle, census on or off, peaks at about 2.5 KB on F_3^13 (e = 797161)
 and its census of deciding pairs, whose groups are residues mod the period,
-at about 15 KB, nothing sized by e.  An oracle that builds its own table peaks at 8.76
-on F_3^12.  The bounds fail a build that also holds a full antilog or log
+at about 15 KB, nothing sized by e.  An oracle that builds its own table
+peaks at 9.3 on F_3^12.  The bounds fail a build that also holds a full antilog or log
 array (4 more) or a Python int per element (48.7), an oracle that holds
 e-length int64 temporaries or counts over all q^n values (16.5-26.5), an
 oracle that builds its table on top of its ids (11.9), a one-term oracle or
