@@ -106,7 +106,8 @@ _FLOAT32_EXACT = 1 << 24
 # shown in p^degree: decimal conversion is quadratic in the length.
 SHOWN_DIGITS = 4300
 _SHOWN_LIMIT = 10**SHOWN_DIGITS
-# Powers per block of a walk, and entries per tile of the Zech passes
+# Powers per block of a walk, and lines per lookup batch and entries per
+# tile of the Zech passes
 _TABLE_BLOCK = 4096
 _FILL_TILE = 16384
 # The modulus search tests 64 encodings per numpy root test (fewer for large
