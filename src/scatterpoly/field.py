@@ -13,8 +13,9 @@ and then keeps one table, the int32 Zech log ``zech[k] = log(1 + g^k)``
 (4 bytes per element), so that multiplication, inversion, Frobenius powers,
 norms and addition are O(1) integer operations on discrete logs.  That is
 what makes the exhaustive scans in :mod:`scatterpoly.scatter` feasible.
-While it is built, the only other table sized by the field holds one int32
-log per F_p-line, 4/(p - 1) bytes per element.
+While it is built, its one log per F_p-line sits in the Zech buffer's last
+row (for p > 2), and the only other array sized by the field holds a code
+of one or two bytes per line.
 
 For degree d >= 2 both searches share one Frobenius matrix, the modulus's,
 whose row i is x^(p*i), and the context keeps it.  The modulus search drops
@@ -31,7 +32,10 @@ prime.  The table build (:func:`_build_tables`) multiplies digit vectors only
 for one power of the generator per F_p-line, writes one log per line, and
 reads the Zech table off the line table in walk order; the other p - 2
 points of a line differ by powers of the generator's norm, a constant of
-F_p, and are never written.
+F_p, and are never written.  Each line's index arithmetic is a lookup in a
+small table keyed by values the line carries, wherever that table has no
+more entries than the field has F_p-lines; elsewhere (small degree and large
+p) the line forms the same values with a few products and sums.
 
 One routine, :func:`_powers`, raises a digit vector to a power: Horner's
 rule over the base-p digits of the exponent, one product with the Frobenius
@@ -87,9 +91,13 @@ DEFAULT_CAP = 1 << 22
 # 2 * order < 2^32, with the all-ones uint32 left free for a zero sum.  The
 # build holds the same bounds: a line index is below e1 = order/(p - 1) and
 # a line's log below the order, both int32; the line codes b*p + (low digit)
-# are below p*(p - 1) in the smallest unsigned type that holds them; and each
-# Zech entry it forms, a log plus a multiple of e1 or plus an index, is a sum
-# below 2 * order, in uint32.
+# are below p*(p - 1) in the smallest unsigned type that holds them; the
+# int32 records of the line table's keys and (key, digit 0) pairs hold b*p^l
+# and an index shift, each below e1, b*e1, below the order, and a code; the
+# gather's tables of (row, code) pairs hold an index offset, between -p and
+# p, in intp, and -r*e1 mod order in uint32; and each Zech entry it forms, a
+# log plus a multiple of e1 or plus an index, is a sum below 2 * order, in
+# uint32.
 # WALK_LIMIT below refuses some smaller fields; `table_limit` applies both.
 TABLE_LIMIT = 1 << 31
 # The walks that build the table (`_walk`) multiply digit vectors in floating
@@ -443,22 +451,29 @@ def _build_tables(p: int, d: int, mod, frob, gamma_vec):
         (h = 0 when p = 2, where -1 = 1 and the order is odd).
 
     ``grid``, the Zech buffer as p - 1 rows of e1, holds Z(k + j*e1) in row j,
-    column k.  Until the passes overwrite them, its column 0 (the line of 1)
-    holds c0^j in walk order, and the rest of its last row, in the upper
-    half, each walked line's index less its low digit.  A generator that is
-    not primitive is refused: its powers miss a line, or c0 does not
-    generate F_p^*.  ``log x`` is None when d = 1, where x = 0.
+    column k.  Until the passes overwrite them, its row 0 holds each walked
+    line's index in the line table, which each gather block reads before it
+    writes there, and for p > 2 its last row, in the upper half, which the
+    gather never writes, holds the line table itself.  p = 2 has one row, so
+    its line table is an array of its own.  c0^j, in walk order, fills the
+    buffer's column 0 for d = 1, which is the whole buffer, and otherwise an
+    array of p - 1 entries.  So the build holds no second field-sized int32
+    array.  A generator that is not primitive is refused: its powers miss a
+    line, or c0 does not generate F_p^*.  ``log x`` is None when d = 1, where
+    x = 0.
     """
     order = p**d - 1
     e1 = order // (p - 1)
     c0 = _resultant(mod, gamma_vec, p)
     zech = np.empty(order, dtype=np.int32)
     grid = zech.reshape(p - 1, e1)
-    dlog = _prime_field_logs(p, c0, grid[:, 0])
-    line_log, codes = _line_table(p, d, mod, frob, gamma_vec, dlog, grid)
+    powers = grid[:, 0] if d == 1 else np.empty(p - 1, dtype=np.int32)
+    dlog = _prime_field_logs(p, c0, powers)
+    line_log = grid[-1] if p > 2 and d > 1 else np.empty(e1, dtype=np.int32)
+    codes = _line_table(p, d, mod, frob, gamma_vec, dlog, powers, line_log, grid[0])
     log_x = int(line_log[1]) if d > 1 else None
     lower = (order + 1) // 2
-    _gather_lower_half(p, grid, line_log, codes, dlog, lower)
+    _gather_lower_half(p, grid, line_log, codes, powers, dlog, lower)
     del line_log, codes, dlog
     _negate_into_upper_half(zech, lower)
     zech[order // 2 if p > 2 else 0] = -1
@@ -535,9 +550,10 @@ def _prime_field_logs(p: int, c0: int, powers) -> np.ndarray:
     return dlog
 
 
-def _line_table(p: int, d: int, mod, frob, gamma_vec, dlog, grid):
-    """The int32 log of each F_p-line's normalized point, and the walk-order
-    code of each walked line.
+def _line_table(p: int, d: int, mod, frob, gamma_vec, dlog, powers, line_log, walked):
+    """Write the int32 log of each F_p-line's normalized point into
+    ``line_log`` and its index there, walked line by walked line, into
+    ``walked``; return each walked line's code.
 
     A line's normalized point w^ has leading base-p digit 1; the table is
     indexed by w^'s encoding minus p^i plus (p^i - 1)/(p - 1), where i is
@@ -549,23 +565,31 @@ def _line_table(p: int, d: int, mod, frob, gamma_vec, dlog, grid):
     2*p^(d//2) values, which names the leading digit tau, i and
     b = J(tau^-1), and the high digits of w^ = c0^b * gamma^k.  Its next l
     digits come from a lookup of (b, u_lo), (p - 1)*p^l entries, and its low
-    digit from c0^b * (digit 0) mod p; no table has more than p^ceil(d/2)
-    entries.  w^ has the log k + b*e1: one random write per line.  Each
-    walked line k leaves its index minus its low digit in ``grid``'s last row
-    and ``codes[k]`` = b*p + (low digit of w^), in the smallest unsigned type
-    that holds p*(p - 1) values.  A line written twice leaves another
-    unwritten, so an unwritten line refuses a generator whose powers repeat
-    a line.
+    digit is c0^b * (digit 0) mod p.  w^ has the log k + b*e1: one random
+    write per line.  Walked line k leaves w^'s index in ``walked[k]`` and
+    its code b*p + (low digit of w^) in ``codes[k]``, in the smallest
+    unsigned type that holds p*(p - 1) values.  A line written twice leaves
+    another unwritten, so an unwritten line refuses a generator whose powers
+    repeat a line.
+
+    One int32 record per key holds b*p^l, the index shift of the high digits
+    and the leading position, b*e1 and b*p, so a line reads them in one
+    gather.  Where the (key, digit 0) pairs are no more than the e1 lines,
+    which takes d >= 4, a record per pair also has the low digit added to
+    the shift and to b*p, and a line reads its index shift and code without
+    arithmetic; elsewhere (d <= 3, such as F_5^3 or F_101^2) each line forms
+    its low digit as a product mod p.  Besides the pair records, no table
+    has 2*p^ceil(d/2) entries or more.
 
     Each partial sum of the product is below p^(d//2): float32 while that is
     at most 2^24, float64 above.
     """
-    e1 = grid.shape[1]
-    line_log = np.full(e1, -1, dtype=np.int32)
+    e1 = line_log.size
+    line_log.fill(-1)
     line_log[0] = 0  # the line of 1 is F_p^*
     codes = np.zeros(e1, dtype=np.min_scalar_type(p * (p - 1) - 1))
     if e1 == 1:  # a prime field is the line of 1
-        return line_log, codes
+        return codes
     low_n = (d + 1) // 2 - 1
     high_n = d - 1 - low_n
     low_size, high_size = p**low_n, p**high_n
@@ -574,10 +598,9 @@ def _line_table(p: int, d: int, mod, frob, gamma_vec, dlog, grid):
                       [0] + weights[:low_n] + [0] * high_n,
                       [0] * (low_n + 1) + weights[:high_n]],
                      dtype=np.float32 if high_size <= _FLOAT32_EXACT else np.float64)
-    c0_pow = grid[:, 0].astype(np.intp)  # c0^b
     # scaled[b, u]: the l-digit u with every digit times c0^b mod p, built a
-    # digit at a time from c0^b * t mod p, (p - 1)*p entries, formed for l >= 1
-    times = np.multiply.outer(c0_pow, np.arange(p if low_n else 0)) % p
+    # digit at a time from c0^b * t mod p, (p - 1)*p int32 entries, formed for l >= 1
+    times = np.multiply.outer(powers, np.arange(p if low_n else 0, dtype=np.int32)) % p
     scaled = np.zeros((p - 1, 1), dtype=np.intp)
     for weight in weights[:low_n]:
         scaled = (times[:, :, None] * weight + scaled[:, None, :]).reshape(p - 1, -1)
@@ -591,19 +614,36 @@ def _line_table(p: int, d: int, mod, frob, gamma_vec, dlog, grid):
     tau = u // lead
     high_b = -dlog[tau] % (p - 1)
     key_b = np.concatenate([high_b[:low_size], high_b])
-    key_i = np.concatenate([lead_n[:low_size], lead_n + low_n])
     high_key = u + low_size
     high_key[0] = 0
-    # key -> the high digits of w^, encoded at p^(l+1), plus the index shift
-    high = (scaled[high_b, u - tau * lead] + lead) * (p * low_size)
-    key_high = np.concatenate([np.zeros(low_size, np.intp), high])
-    key_high += np.array([(p**n - 1) // (p - 1) - p**n for n in range(d)])[key_i]
+    # key -> its record: b*p^l, the high digits of w^ encoded at p^(l+1)
+    # plus the index shift of the leading position, b*e1 and b*p
+    keyrec = np.multiply.outer(key_b, np.array([low_size, 0, e1, p], dtype=np.int32))
+    lead_shift = np.array([(p**n - 1) // (p - 1) - p**n for n in range(d)])
+    keyrec[:low_size, 1] = lead_shift[lead_n[:low_size]]
+    keyrec[low_size:, 1] = ((scaled[high_b, u - tau * lead] + lead) * (p * low_size)
+                            + lead_shift[lead_n + low_n])
     # b*p^l + u_lo -> the next l digits of c0^b * w, encoded at p
     scaled_low = p * scaled.ravel()
-    key_row = key_b * low_size
-    key_mult = c0_pow[key_b]
-    key_log = (key_b * e1).astype(np.int32)
-    key_code = (key_b * p).astype(codes.dtype)
+    if key_b.size * p <= e1:  # only where d >= 4, so l >= 1 and ``times`` is formed
+        # key*p + digit 0 -> the key's record with the low digit of w^,
+        # c0^b * (digit 0) mod p, added to the shift and to b*p: the code
+        table = np.repeat(keyrec, p, axis=0)
+        table[:, 1::2] += times[key_b].reshape(-1, 1)
+
+        def lookup(key, digit0):
+            key *= p
+            key += digit0
+            return table.take(key, axis=0)
+    else:
+        key_mult = powers[key_b]  # c0^b
+
+        def lookup(key, digit0):
+            found = keyrec.take(key, axis=0)
+            low = digit0 * key_mult[key]
+            low -= low // p * p
+            found[:, 1::2] += low[:, None]
+            return found
     # the parts of several walked blocks, each a product with ``parts``
     batch = np.empty((3, _FILL_TILE), dtype=np.intp)
     filled = 0
@@ -616,24 +656,21 @@ def _line_table(p: int, d: int, mod, frob, gamma_vec, dlog, grid):
         k0, k1 = k + cnt - filled, k + cnt
         digit0, u_lo, u_hi = batch[:, :filled]
         filled = 0
-        key = np.maximum(high_key[u_hi], u_lo)
-        low = digit0  # each step rewrites the batch in place
-        low *= key_mult[key]
-        low -= low // p * p
-        u_lo += key_row[key]
+        key = high_key[u_hi]
+        np.maximum(key, u_lo, out=key)
+        row, shift, log, code = lookup(key, digit0).T
+        u_lo += row
         idx = scaled_low[u_lo]
-        idx += key_high[key]
-        idx += low
-        line_log[idx] = key_log[key] + np.arange(k0, k1, dtype=np.int32)
-        idx -= low
-        grid[-1, k0:k1] = idx
-        codes[k0:k1] = key_code[key] + low
+        idx += shift
+        line_log[idx] = log + np.arange(k0, k1, dtype=np.int32)
+        walked[k0:k1] = idx
+        codes[k0:k1] = code
     if line_log.min() < 0:
         raise RuntimeError("the powers of gamma miss an F_p-line: gamma not primitive")
-    return line_log, codes
+    return codes
 
 
-def _gather_lower_half(p: int, grid, line_log, codes, dlog, lower: int) -> None:
+def _gather_lower_half(p: int, grid, line_log, codes, powers, dlog, lower: int) -> None:
     """Z(k) for k < ``lower``, in walk order, into ``grid`` (row j, column k:
     Z(k + j*e1)).
 
@@ -642,16 +679,20 @@ def _gather_lower_half(p: int, grid, line_log, codes, dlog, lower: int) -> None:
     1 + g^(k + j*e1) = c0^-r * (w^ + c0^r) and Z = -r*e1 + log(w^ + c0^r).
     w^ + c0^r differs from w^ only in its low digit, so it is normalized and
     sits in the same run of p entries of the line table.  The lines are
-    filled a block at a time, every row of the block together, with the new
-    low digit and -r*e1 mod order read from tables of r.  The column of
-    the line of 1 comes last, from the powers of c0 it held:
+    filled a block at a time, every row of the block together.  Where the
+    pairs of a row j < ``rows`` and a line code b*p + (low digit) are no
+    more than the e1 lines (as for F_3^4 .. F_3^13, F_5^9 and F_7^7), the
+    neighbour's offset from w^'s index and -r*e1 mod order come from one
+    table each, indexed by the pair; elsewhere (large p and small d, such as
+    F_5^3, F_101^2 or F_2039^2) each code is split, r = b - j formed, and the
+    new low digit and -r*e1 read from tables of r.  The column of
+    the line of 1 comes last, from the powers of c0:
     Z(j*e1) = J(1 + c0^j)*e1, where 1 + c0^j is at most p and J(p) = J(0)
     = -1: that is -e1 only at g^h = -1, which :func:`_build_tables`
     overwrites.
     """
     e1 = grid.shape[1]
     order = grid.size
-    powers = grid[:, 0]
     rows = -(-lower // e1)
     stop = min(e1, lower)
     if stop > 1:  # lines besides the line of 1; for d = 1 these tables would be field-sized
@@ -661,16 +702,33 @@ def _gather_lower_half(p: int, grid, line_log, codes, dlog, lower: int) -> None:
         offset = np.arange(p - 1, 0, -1, dtype=np.uint32) % (p - 1) * e1
         mod_p = np.arange(2 * p) % p
         j = np.arange(rows)[:, None]
+
+        def neighbours(code, walked):
+            """The line table's index of w^ + c0^r, where w^ has index
+            ``walked`` (0 gives its offset from w^), and -r*e1 mod order."""
+            b = code // p
+            low = code - b * p
+            r = b - j
+            pos = mod_p[plus[r] + low]
+            pos += walked - low
+            return pos, offset[r]
+
+        lookup = neighbours
+        size = p * (p - 1)  # codes
+        if rows * size <= e1:
+            offs, adds = neighbours(np.arange(size), 0)
+            shifts = j * size
+
+            def lookup(code, walked):
+                key = code + shifts
+                return offs.take(key) + walked, adds.take(key)
+        view = line_log.view(np.uint32)
         block = max(1, _FILL_TILE // rows)
         for a in range(1, stop, block):
             bnd = min(a + block, stop)
-            b = codes[a:bnd] // p
-            low = codes[a:bnd] - b * p
-            r = b - j
-            pos = mod_p[plus[r] + low]
-            pos += grid[-1, a:bnd]
-            z = line_log.view(np.uint32)[pos]
-            z += offset[r]
+            pos, z_add = lookup(codes[a:bnd], grid[0, a:bnd])
+            z = view[pos]
+            z += z_add
             grid[:rows, a:bnd] = wrap_sums(z, order).view(np.int32)
     for j0 in range(0, rows, _FILL_TILE):
         j1 = min(j0 + _FILL_TILE, rows)
